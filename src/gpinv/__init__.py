@@ -31,7 +31,6 @@ from .gp import (
     ensemble_predict_vector,
     fit_single,
     log_marginal_likelihood,
-    mixture_moments,
     normalize_outputs,
     predict,
     sq_exp_cov,
@@ -39,7 +38,6 @@ from .gp import (
 from .likelihood import (
     MeasurementModel,
     d_restricted_loglik,
-    gp_misfit,
     gp_misfits,
     true_loglik,
     true_misfit,

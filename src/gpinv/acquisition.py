@@ -19,8 +19,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .designs import DesignBox, sobol
-from .gp import GpEnsemble, GpFit
-from .likelihood import MeasurementModel, _misfit_batch, misfit_of_outputs
+from .gp import GpEnsemble, GpFit, _back_subst, _forward_subst
+from .likelihood import MeasurementModel, _misfit_batch, member_misfits, misfit_of_outputs
 
 log = logging.getLogger(__name__)
 
@@ -92,35 +92,27 @@ def _pred_grad(ens: GpEnsemble, theta: np.ndarray):
 
     Returns (m_norm (J,q), V_norm (J,), dm (J,q,p), dV (J,p)). The kernel's
     exponent carries 1/l^2 with no factor 2, so differentiation brings down
-    -2 (theta - x_n) / l^2.
+    -2 (theta - x_n) / l^2. C^-1 c comes from a forward and a backward
+    substitution through the stored Cholesky factors.
     """
-    tr = ens.training
-    diff = theta[None, :] - tr.inputs                        # (n, p)
-    cvec = ens._sigma2[:, None] * np.exp(
-        -np.einsum("np,jp->jn", diff**2, ens._inv_l2)
-    )                                                        # (J, n)
-    m_norm = np.einsum("jn,jnq->jq", cvec, ens._weights)
-    w = np.einsum("jnm,jm->jn", ens._kinv, cvec)
-    V_norm = np.maximum(ens._sigma2 - np.einsum("jn,jn->j", cvec, w), 0.0)
-    grad_c = -2.0 * cvec[:, :, None] * diff[None, :, :] * ens._inv_l2[:, None, :]  # (J, n, p)
-    dm = np.einsum("jnp,jnq->jqp", grad_c, ens._weights)
-    dV = -2.0 * np.einsum("jnp,jn->jp", grad_c, w)
+    diff = theta[None, :] - ens.training.inputs              # (n, p)
+    cvec = ens._cross_cov(theta[None, :])                    # (J, 1, n)
+    m_norm = (cvec @ ens._weights)[:, 0, :]
+    half = _forward_subst(ens._L, cvec.transpose(0, 2, 1))   # (J, n, 1)
+    V_norm = np.maximum(ens._sigma2 - np.sum(half[:, :, 0] ** 2, axis=1), 0.0)
+    grad_c = -2.0 * cvec * diff.T[None, :, :] * ens._inv_l2[:, :, None]  # (J, p, n)
+    dm = (grad_c @ ens._weights).transpose(0, 2, 1)
+    dV = -2.0 * (grad_c @ _back_subst(ens._L, half))[:, :, 0]
     return m_norm, V_norm, dm, dV
 
 
 def _misfits_and_grads(ens: GpEnsemble, meas: MeasurementModel, theta: np.ndarray):
     """Per-member surrogate misfits (J,) and their gradients (J, p) at theta."""
-    tr = ens.training
-    m_norm, V_norm, dm_norm, dV = _pred_grad(ens, theta)
-    scale = np.sqrt(tr.out_vars)                             # (q,)
-    means = m_norm * scale + tr.out_means                    # (J, q)
-    resid = meas.z[None, :] - means
-    denom = meas.noise_vars[None, :] + tr.out_vars[None, :] * V_norm[:, None]
-    g = np.sum(resid**2 / denom, axis=1)
-    dmean = scale[None, :, None] * dm_norm                   # (J, q, p)
-    coeff_mean = -2.0 * resid / denom                        # (J, q)
-    coeff_var = -np.sum(resid**2 / denom**2 * tr.out_vars[None, :], axis=1)  # (J,)
-    grad = np.einsum("jq,jqp->jp", coeff_mean, dmean) + coeff_var[:, None] * dV
+    m_norm, V_norm, dm, dV = _pred_grad(ens, theta)
+    g, resid, den = member_misfits(m_norm, V_norm, ens.training, meas)
+    coeff_mean = -2.0 * resid / den                          # (J, q)
+    coeff_var = -np.sum(resid**2 / den**2, axis=1)           # (J,)
+    grad = (coeff_mean[:, None, :] @ dm)[:, 0, :] + coeff_var[:, None] * dV
     return g, grad
 
 
@@ -164,7 +156,7 @@ def expected_improvement_smoothed(theta: np.ndarray, state: AcquisitionState) ->
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     g, dg = _misfits_and_grads(state.ensemble, state.meas, theta)
     value, slope = smoothed_pos(state.g_min - g, state.eta)
-    grad = -np.einsum("j,jp->p", np.atleast_1d(slope), dg) / g.shape[0]
+    grad = -(np.atleast_1d(slope) @ dg) / g.shape[0]
     return float(np.mean(value)), grad
 
 
@@ -199,8 +191,10 @@ def multistart_maximize(value_and_grad, starts: np.ndarray, box: DesignBox,
     by projected-gradient ascent with BFGS curvature. Starts run sequentially
     by default (`workers` > 1 opts into a thread pool; results are collected
     in start order either way, so the outcome is identical). Value ties go to
-    the earliest start. If no start converges the best evaluated point is
-    returned with `degraded=True`.
+    the earliest start. The best point wins whether or not its run reported
+    convergence: the line search can stop abnormally on a sharp maximum whose
+    gradient is already near zero. `degraded=True` flags that no start
+    converged.
     """
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     if starts.shape[0] < 1:
@@ -226,10 +220,8 @@ def multistart_maximize(value_and_grad, starts: np.ndarray, box: DesignBox,
     else:
         optima = [ascend(x0) for x0 in starts]
 
-    converged = [o for o in optima if o.converged]
-    pool = converged if converged else optima
-    best = max(pool, key=lambda o: o.value)
-    degraded = not converged
+    best = max(optima, key=lambda o: o.value)
+    degraded = not any(o.converged for o in optima)
     if degraded:
         log.warning("no start converged; returning best evaluated point")
     return AcquisitionResult(best.theta, best.value, optima, degraded)

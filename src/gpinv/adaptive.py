@@ -221,8 +221,10 @@ def run_adaptive(model, meas: MeasurementModel, cfg: AdaptiveConfig) -> Adaptive
     Termination reasons: "threshold" (best improvement under
     eps_thresh * g_min), "zero-improvement" (every multistart found exactly
     zero, and so did the screen and the confirming ascent where they ran),
-    "budget" (n_max points added), or "forward-failure" (the model raised at
-    a selected input; partial record returned).
+    "budget" (n_max points added), "duplicate-point" (the selected input is
+    already in the design; nothing evaluated, partial record returned) or
+    "forward-failure" (the model raised at a selected input; partial record
+    returned).
     """
     outputs = np.array([model.evaluate(row) for row in cfg.initial_design])
     training = TrainingSet.from_data(cfg.initial_design, outputs)
@@ -265,6 +267,10 @@ def run_adaptive(model, meas: MeasurementModel, cfg: AdaptiveConfig) -> Adaptive
                      k, record.termination, improvement, g_min)
             return AdaptiveResult(ensemble, training, record)
 
+        if training.has_input(theta):
+            record.termination = "duplicate-point"
+            log.error("iteration %d selected design point %s; stopping", k, theta)
+            return AdaptiveResult(ensemble, training, record)
         try:
             new_outputs = model.evaluate(theta)
         except Exception as exc:

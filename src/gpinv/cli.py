@@ -140,8 +140,8 @@ def cmd_run_adaptive(args) -> int:
     cfg = spec.adaptive_config(seed=args.seed)
     result = run_adaptive(model, meas, cfg)
     _write_run_outputs(out, spec, result, meas)
-    status = "partial" if result.record.termination == "forward-failure" else "complete"
-    write_manifest(out, status=status)
+    partial = result.record.termination in ("forward-failure", "duplicate-point")
+    write_manifest(out, status="partial" if partial else "complete")
     print(f"terminated: {result.record.termination}; design size {result.training.n_train}; "
           f"forward evaluations {model.n_evals}")
     print(f"outputs in {out}")

@@ -124,10 +124,15 @@ class TrainingSet:
     def n_outputs(self) -> int:
         return self.raw_outputs.shape[1]
 
+    def has_input(self, theta: np.ndarray) -> bool:
+        """True when theta matches a design input to 1e-12 in every coordinate."""
+        theta = np.asarray(theta, dtype=float).reshape(1, -1)
+        return bool(np.any(np.all(np.abs(self.inputs - theta) <= 1e-12, axis=1)))
+
     def augmented(self, theta: np.ndarray, outputs: np.ndarray) -> "TrainingSet":
         """New training set with one more (theta, f(theta)) pair."""
         theta = np.asarray(theta, dtype=float).reshape(1, -1)
-        if np.any(np.all(np.abs(self.inputs - theta) <= 1e-12, axis=1)):
+        if self.has_input(theta):
             raise ValueError(f"duplicate training input {theta.ravel()}")
         outputs = np.asarray(outputs, dtype=float).reshape(1, -1)
         return TrainingSet.from_data(
@@ -150,7 +155,7 @@ def sq_exp_cov(a: np.ndarray, b: np.ndarray, psi: HyperParams) -> float:
 
 def _cov_matrix(inputs: np.ndarray, psi: HyperParams) -> np.ndarray:
     diff2 = (inputs[:, None, :] - inputs[None, :, :]) ** 2
-    return psi.sigma_c**2 * np.exp(-np.einsum("ijp,p->ij", diff2, 1.0 / psi.lengthscales**2))
+    return psi.sigma_c**2 * np.exp(-diff2 @ (1.0 / psi.lengthscales**2))
 
 
 @dataclass(frozen=True)
@@ -259,7 +264,7 @@ def _lml_batch(training: TrainingSet, Psi: np.ndarray, jitter: float = BASE_JITT
     Y = training.scaled_outputs
     n, q = Y.shape
     diff2 = (X[:, None, :] - X[None, :, :]) ** 2          # (n, n, p)
-    Cs = sigma2[:, None, None] * np.exp(-np.einsum("ijp,kp->kij", diff2, inv_l2))
+    Cs = sigma2[:, None, None] * np.exp(-np.moveaxis(diff2 @ inv_l2.T, 2, 0))
     eye = np.eye(n)
     vals = np.full(Cs.shape[0], -np.inf)
     pending = np.arange(Cs.shape[0])
@@ -268,15 +273,32 @@ def _lml_batch(training: TrainingSet, Psi: np.ndarray, jitter: float = BASE_JITT
         shifted = Cs[pending] + (level * sigma2[pending])[:, None, None] * eye
         L, ok = _batched_cholesky(shifted)
         if np.any(ok):
-            idx = pending[ok]
-            half = np.linalg.solve(L[ok], np.broadcast_to(Y, (idx.size, n, q)))
-            quad = np.einsum("knq,knq->k", half, half)
+            quad = np.sum(_forward_subst(L[ok], Y) ** 2, axis=(1, 2))
             logdet = 2.0 * np.sum(np.log(np.diagonal(L[ok], axis1=1, axis2=2)), axis=1)
-            vals[idx] = -0.5 * quad - 0.5 * q * (logdet + n * LOG_2PI)
+            vals[pending[ok]] = -0.5 * quad - 0.5 * q * (logdet + n * LOG_2PI)
         pending = pending[~ok]
         level *= JITTER_GROWTH
     out[valid] = vals
     return out
+
+
+def _forward_subst(L: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Solve L X = R for a stack of lower-triangular factors L (..., n, n).
+
+    R is (..., n, k) and broadcasts against the stack. Row i of X comes from
+    rows 0..i-1 by one stacked matmul, so the loop runs n times whatever the
+    stack size.
+    """
+    X = np.empty(np.broadcast_shapes(L.shape[:-2], R.shape[:-2]) + R.shape[-2:])
+    for i in range(L.shape[-1]):
+        known = (L[..., i:i + 1, :i] @ X[..., :i, :])[..., 0, :]
+        X[..., i, :] = (R[..., i, :] - known) / L[..., i, i, None]
+    return X
+
+
+def _back_subst(L: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Solve L^T X = R: forward substitution on the order-reversed transpose."""
+    return _forward_subst(L.swapaxes(-1, -2)[..., ::-1, ::-1], R[..., ::-1, :])[..., ::-1, :]
 
 
 def _batched_cholesky(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -317,7 +339,7 @@ class GpEnsemble:
     _sigma2: np.ndarray = field(init=False, repr=False)
     _inv_l2: np.ndarray = field(init=False, repr=False)
     _weights: np.ndarray = field(init=False, repr=False)
-    _kinv: np.ndarray = field(init=False, repr=False)
+    _L: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.fits) < 1:
@@ -325,12 +347,10 @@ class GpEnsemble:
         for fit in self.fits:
             if fit.training is not self.training:
                 raise ValueError("all fits must share the ensemble's training set")
-        n = self.training.n_train
         self._sigma2 = np.array([f.hyperparams.sigma_c**2 for f in self.fits])
         self._inv_l2 = np.array([1.0 / f.hyperparams.lengthscales**2 for f in self.fits])
         self._weights = np.array([f.weights for f in self.fits])  # (J, n, q)
-        eye = np.eye(n)
-        self._kinv = np.array([cho_solve((f.chol, True), eye) for f in self.fits])
+        self._L = np.array([f.chol for f in self.fits])           # (J, n, n)
 
     @property
     def n_psi(self) -> int:
@@ -341,16 +361,25 @@ class GpEnsemble:
         return np.array([f.hyperparams.as_vector() for f in self.fits])
 
     def predict_batch(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Normalized predictive means (B, J, q) and variances (B, J) at each row."""
-        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        diff2 = (thetas[:, None, :] - self.training.inputs[None, :, :]) ** 2  # (B, n, p)
-        cvec = self._sigma2[None, :, None] * np.exp(
-            -np.einsum("bnp,jp->bjn", diff2, self._inv_l2)
-        )  # (B, J, n)
-        means = np.einsum("bjn,jnq->bjq", cvec, self._weights)
-        w = np.einsum("jnm,bjm->bjn", self._kinv, cvec)
-        variances = self._sigma2[None, :] - np.einsum("bjn,bjn->bj", cvec, w)
-        return means, np.maximum(variances, 0.0)
+        """Normalized predictive means (B, J, q) and variances (B, J) at each row.
+
+        Works in (J, B, n) layout: mean = c^T C^-1 y from the stored weights,
+        variance = sigma_c^2 - |L^-1 c|^2 from the Cholesky factor.
+        """
+        cvec = self._cross_cov(np.atleast_2d(np.asarray(thetas, dtype=float)))  # (J, B, n)
+        means = cvec @ self._weights                                             # (J, B, q)
+        half = _forward_subst(self._L, cvec.transpose(0, 2, 1))                  # (J, n, B)
+        half *= half
+        variances = self._sigma2[:, None] - half.sum(axis=1)
+        return means.transpose(1, 0, 2), np.maximum(variances.T, 0.0)
+
+    def _cross_cov(self, thetas: np.ndarray) -> np.ndarray:
+        """(J, B, n) covariances between each row of thetas and the design."""
+        diff2 = (thetas[:, None, :] - self.training.inputs[None, :, :]) ** 2    # (B, n, p)
+        cvec = (self._inv_l2 @ diff2.reshape(-1, diff2.shape[2]).T).reshape(-1, *diff2.shape[:2])
+        np.exp(np.negative(cvec, out=cvec), out=cvec)
+        cvec *= self._sigma2[:, None, None]
+        return cvec
 
 
 def ensemble_predict_vector(ens: GpEnsemble, theta: np.ndarray) -> EnsemblePrediction:
@@ -364,25 +393,3 @@ def ensemble_predict_vector(ens: GpEnsemble, theta: np.ndarray) -> EnsemblePredi
     means = means_norm[0] * np.sqrt(tr.out_vars) + tr.out_means
     cov_diags = var_norm[0][:, None] * tr.out_vars[None, :]
     return EnsemblePrediction(means, var_norm[0], cov_diags)
-
-
-def mixture_moments(means: np.ndarray, variances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Moments of an equally weighted Gaussian mixture.
-
-    Scalar components: `means` (m,), `variances` (m,) -> (mean, variance).
-    Vector components: `means` (m, q), `variances` (m, q) diagonal covariances
-    -> ((q,) mean, (q, q) covariance) via the outer-product form.
-    """
-    means = np.asarray(means, dtype=float)
-    variances = np.asarray(variances, dtype=float)
-    if means.shape[0] < 1:
-        raise ValueError("mixture needs at least one component")
-    if means.ndim == 1:
-        mean = means.mean()
-        var = variances.mean() + (means**2).mean() - mean**2
-        return float(mean), float(var)
-    mean = means.mean(axis=0)
-    cov = np.diag(variances.mean(axis=0))
-    cov += np.einsum("mi,mj->ij", means, means) / means.shape[0]
-    cov -= np.outer(mean, mean)
-    return mean, cov

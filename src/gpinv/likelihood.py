@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .gp import GpEnsemble
+from .gp import GpEnsemble, TrainingSet
 
 
 @dataclass(frozen=True)
@@ -51,18 +51,6 @@ def true_misfit(theta: np.ndarray, forward_model, meas: MeasurementModel) -> flo
     return misfit_of_outputs(forward_model.evaluate(theta), meas)
 
 
-def gp_misfit(mean: np.ndarray, cov_diag: np.ndarray, meas: MeasurementModel) -> float:
-    """Surrogate misfit for one ensemble member's prediction at a point.
-
-    `mean` and `cov_diag` are that member's raw-scale predictive mean vector
-    and covariance diagonal (for example one row of an
-    :func:`gpinv.gp.ensemble_predict_vector` result).
-    """
-    mean = np.asarray(mean, dtype=float).reshape(-1)
-    cov_diag = np.asarray(cov_diag, dtype=float).reshape(-1)
-    return float(np.sum((meas.z - mean) ** 2 / (meas.noise_vars + cov_diag)))
-
-
 def gp_misfits(theta: np.ndarray, ens: GpEnsemble, meas: MeasurementModel) -> np.ndarray:
     """Surrogate misfit of every ensemble member at theta, shape (n_psi,)."""
     return _misfit_batch(np.asarray(theta, dtype=float)[None, :], ens, meas)[0]
@@ -70,21 +58,25 @@ def gp_misfits(theta: np.ndarray, ens: GpEnsemble, meas: MeasurementModel) -> np
 
 def _misfit_batch(thetas: np.ndarray, ens: GpEnsemble, meas: MeasurementModel) -> np.ndarray:
     """(B, n_psi) surrogate misfits at each row of thetas."""
-    means_norm, var_norm = ens.predict_batch(thetas)
-    tr = ens.training
-    means = means_norm * np.sqrt(tr.out_vars) + tr.out_means           # (B, J, q)
-    denom = meas.noise_vars[None, None, :] + var_norm[:, :, None] * tr.out_vars[None, None, :]
-    return np.sum((meas.z[None, None, :] - means) ** 2 / denom, axis=2)
+    return member_misfits(*ens.predict_batch(thetas), ens.training, meas)[0]
 
 
-def gp_misfit_dense(mean: np.ndarray, cov: np.ndarray, noise_cov: np.ndarray, z: np.ndarray) -> float:
-    """Reference quadratic form (z-m)^T (Sigma_E + Sigma_GP)^-1 (z-m).
+def member_misfits(means_norm: np.ndarray, var_norm: np.ndarray, training: TrainingSet,
+                   meas: MeasurementModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Surrogate misfits of ensemble members from their normalized predictions.
 
-    Slow dense-covariance variant kept for validating the diagonal fast path.
+    With zt = (z - mu) / s and a = noise_var / v per output (mu, s^2 = v the
+    output normalization), a member with mean m and variance V has
+    g = sum_q (zt - m)^2 / (a + V), equal to the raw-scale
+    sum_q (z - f)^2 / (noise_var + V v). `means_norm` is (..., q) and
+    `var_norm` (...,). Returns (g, zt - m, a + V).
     """
-    resid = np.asarray(z, dtype=float) - np.asarray(mean, dtype=float)
-    total = np.asarray(noise_cov, dtype=float) + np.asarray(cov, dtype=float)
-    return float(resid @ np.linalg.solve(total, resid))
+    zt = (meas.z - training.out_means) / np.sqrt(training.out_vars)
+    resid = zt - means_norm
+    den = meas.noise_vars / training.out_vars + var_norm[..., None]
+    terms = np.square(resid)
+    terms /= den
+    return terms.sum(axis=-1), resid, den
 
 
 def true_loglik(theta: np.ndarray, forward_model, meas: MeasurementModel) -> float:
@@ -110,12 +102,9 @@ def d_restricted_loglik(theta: np.ndarray, ens: GpEnsemble, meas: MeasurementMod
 def d_restricted_loglik_batch(thetas: np.ndarray, ens: GpEnsemble, meas: MeasurementModel) -> np.ndarray:
     """Vectorized surrogate log-likelihood over rows of thetas."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    means_norm, var_norm = ens.predict_batch(thetas)
-    tr = ens.training
-    means = means_norm * np.sqrt(tr.out_vars) + tr.out_means
-    denom = meas.noise_vars[None, None, :] + var_norm[:, :, None] * tr.out_vars[None, None, :]
-    g = np.sum((meas.z[None, None, :] - means) ** 2 / denom, axis=2)    # (B, J)
-    log_k = -0.5 * np.sum(np.log(2.0 * np.pi * denom), axis=2)          # (B, J)
+    g, _, den = member_misfits(*ens.predict_batch(thetas), ens.training, meas)   # (B, J)
+    log_k = (-0.5 * np.sum(np.log(2.0 * np.pi * ens.training.out_vars))
+             - 0.5 * np.log(den, out=den).sum(axis=2))                             # (B, J)
     g_star = np.min(g, axis=1)
     body = logsumexp(log_k - 0.5 * (g - g_star[:, None]), axis=1)
     return -0.5 * g_star + body - np.log(g.shape[1])

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InitializationError
+from .errors import IllConditionedKernelError, InitializationError
 from .gp import GpEnsemble, TrainingSet, _lml_batch, fit_single, HyperParams
 
 log = logging.getLogger(__name__)
@@ -244,7 +244,7 @@ def sample_hyperposterior(
     for row in psis:
         try:
             fits.append(fit_single(training, HyperParams.from_vector(row)))
-        except Exception:
+        except IllConditionedKernelError:
             failures.append(row)
     if not fits:
         raise InitializationError("no hyperparameter sample produced a usable fit")

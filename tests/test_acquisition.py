@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import OptimizeResult
 
 import gpinv.acquisition as acq
 from gpinv.acquisition import (
@@ -155,6 +156,22 @@ class TestSmoothedObjective:
 
 
 class TestGradGpMisfit:
+    def test_pred_grad_matches_central_differences(self):
+        state, rng = make_state(seed=15, n=8, q=3, n_psi=7)
+        ens = state.ensemble
+        h = 1e-6
+        for theta in rng.uniform(-1, 1, (10, 2)):
+            m, V, dm, dV = acq._pred_grad(ens, theta)
+            assert m.shape == (7, 3) and V.shape == (7,)
+            assert dm.shape == (7, 3, 2) and dV.shape == (7, 2)
+            for k in range(2):
+                e = np.zeros(2)
+                e[k] = h
+                mp, Vp, _, _ = acq._pred_grad(ens, theta + e)
+                mm, Vm, _, _ = acq._pred_grad(ens, theta - e)
+                np.testing.assert_allclose(dm[:, :, k], (mp - mm) / (2 * h), rtol=1e-5, atol=1e-7)
+                np.testing.assert_allclose(dV[:, k], (Vp - Vm) / (2 * h), rtol=1e-5, atol=1e-7)
+
     def test_variance_gradient_vanishes_at_training_inputs(self):
         state, _ = make_state(seed=7)
         ens = state.ensemble
@@ -212,6 +229,23 @@ class TestMultistartMaximize:
         np.testing.assert_allclose(result.theta, [1.0, 0.3], atol=1e-6)
         assert not result.degraded
         assert len(result.local_optima) == 3
+
+    def test_best_point_wins_even_without_convergence_flag(self, monkeypatch):
+        # L-BFGS-B can stop abnormally in its line search on a sharp maximum
+        # it has already reached; that point still beats a converged lesser one.
+        box = DesignBox([-1.0], [1.0])
+        outcomes = {0.0: (-1.0, True), 0.5: (-5.0, False)}
+
+        def fake_minimize(fun, x0, **kwargs):
+            value, success = outcomes[float(x0[0])]
+            return OptimizeResult(x=np.array(x0, dtype=float), fun=value, success=success)
+
+        monkeypatch.setattr(acq, "minimize", fake_minimize)
+        result = multistart_maximize(lambda theta: (0.0, np.zeros(1)),
+                                     np.array([[0.0], [0.5]]), box)
+        np.testing.assert_array_equal(result.theta, [0.5])
+        assert result.value == 5.0
+        assert not result.degraded
 
     def test_starts_outside_box_rejected(self):
         state, _ = make_state(seed=9)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import gpinv.adaptive
 from gpinv.acquisition import (
+    AcquisitionResult,
     AcquisitionState,
     expected_improvement,
     expected_improvement_batch,
@@ -138,6 +140,24 @@ class TestRunAdaptive:
         assert result.training.n_train == 3
         assert len(result.record.iterations) >= 1
         assert not result.record.iterations[-1].accepted
+
+    def test_duplicate_selection_ends_the_run(self, monkeypatch):
+        # Noise-free data at a design input make g_min exactly 0, so the
+        # relative stop cannot fire and a selected design point reaches the
+        # forward-evaluation step.
+        cfg = fast_config(seed=9, n_max=4)
+        meas = MeasurementModel(Rational1D().evaluate(cfg.initial_design[1]), [1e-4])
+        design_point = cfg.initial_design[2].copy()
+        monkeypatch.setattr(gpinv.adaptive, "maximize_acquisition",
+                            lambda state, starts: AcquisitionResult(design_point.copy(), 0.0))
+        model = Rational1D()
+        result = run_adaptive(model, meas, cfg)
+        record = result.record
+        assert record.termination == "duplicate-point"
+        assert model.n_evals == len(cfg.initial_design)
+        assert model.n_evals == record.n_forward_evals
+        assert len(record.iterations) == 1 and not record.iterations[0].accepted
+        np.testing.assert_array_equal(result.training.inputs, cfg.initial_design)
 
 
 class TestRunRecord:

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import gpinv.adaptive
+from gpinv.acquisition import AcquisitionResult
 from gpinv.cli import main, read_csv
 
 FAST_ONE_D = """
@@ -52,6 +54,16 @@ class TestRunAdaptive:
         hashes, doc = manifest_hashes(out)
         assert doc["status"] == "complete"
         assert set(hashes) >= {"design.csv", "record.json"}
+
+    def test_duplicate_point_run_is_partial(self, fast_cfg, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(gpinv.adaptive, "maximize_acquisition", lambda state, starts:
+                            AcquisitionResult(state.ensemble.training.inputs[0].copy(), 1.0))
+        monkeypatch.setattr(gpinv.adaptive, "expected_improvement", lambda theta, state: state.g_min)
+        out = tmp_path / "run"
+        assert main(["run-adaptive", "--config", fast_cfg, "--out", str(out)]) == 0
+        _, doc = manifest_hashes(out)
+        assert doc["status"] == "partial"
+        assert "terminated: duplicate-point" in capsys.readouterr().out
 
     def test_rerun_reproduces_hashes(self, fast_cfg, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

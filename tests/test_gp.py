@@ -2,21 +2,45 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from gpinv.errors import IllConditionedKernelError
 from gpinv.gp import (
     GpEnsemble,
     HyperParams,
     TrainingSet,
+    _back_subst,
+    _forward_subst,
     _lml_batch,
     ensemble_predict_vector,
     fit_single,
     log_marginal_likelihood,
-    mixture_moments,
     normalize_outputs,
     predict,
     sq_exp_cov,
 )
+
+
+def mixture_moments(means: np.ndarray, variances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Moments of an equally weighted Gaussian mixture.
+
+    Scalar components: `means` (m,), `variances` (m,) -> (mean, variance).
+    Vector components: `means` (m, q), `variances` (m, q) diagonal covariances
+    -> ((q,) mean, (q, q) covariance) via the outer-product form.
+    """
+    means = np.asarray(means, dtype=float)
+    variances = np.asarray(variances, dtype=float)
+    if means.shape[0] < 1:
+        raise ValueError("mixture needs at least one component")
+    if means.ndim == 1:
+        mean = means.mean()
+        var = variances.mean() + (means**2).mean() - mean**2
+        return float(mean), float(var)
+    mean = means.mean(axis=0)
+    cov = np.diag(variances.mean(axis=0))
+    cov += np.einsum("mi,mj->ij", means, means) / means.shape[0]
+    cov -= np.outer(mean, mean)
+    return mean, cov
 
 
 def make_training(rng, n, p, q):
@@ -269,6 +293,69 @@ class TestEnsemble:
         fit = fit_single(tr1, HyperParams(1.0, [1.0]))
         with pytest.raises(ValueError, match="share"):
             GpEnsemble([fit], tr2)
+
+
+def assert_normwise_close(actual, expected, tol=1e-12):
+    """Entries agree to tol times the largest entry of the oracle solution.
+
+    A near-singular factor amplifies rounding in the small solution entries,
+    so entrywise relative agreement is not what a stable solve promises.
+    """
+    np.testing.assert_allclose(actual, expected, rtol=0.0, atol=tol * np.abs(expected).max())
+
+
+class TestTriangularSolves:
+    @pytest.fixture
+    def factors(self):
+        """Stack of Cholesky factors; the last one is near-singular.
+
+        Two design rows coincide, so the factorization started at a 1e-20
+        shift fails and the jitter ladder escalates until it succeeds.
+        """
+        rng = np.random.default_rng(13)
+        X = rng.uniform(-1, 1, (6, 2))
+        X[5] = X[4]
+        tr = TrainingSet.from_data(X, rng.normal(0, 1, (6, 1)))
+        fits = [fit_single(tr, random_psi(rng, 2)) for _ in range(3)]
+        fits.append(fit_single(tr, HyperParams(1.0, [3.0, 3.0]), jitter=1e-20))
+        assert fits[-1].jitter > 1e-20
+        return np.array([fit.chol for fit in fits]), rng
+
+    def test_forward_matches_solve_triangular(self, factors):
+        L, rng = factors
+        R = rng.normal(0, 1, (L.shape[0], L.shape[1], 3))
+        X = _forward_subst(L, R)
+        for Lj, Rj, Xj in zip(L, R, X):
+            assert_normwise_close(Xj, solve_triangular(Lj, Rj, lower=True))
+
+    def test_backward_matches_solve_triangular(self, factors):
+        L, rng = factors
+        R = rng.normal(0, 1, (L.shape[0], L.shape[1], 3))
+        X = _back_subst(L, R)
+        for Lj, Rj, Xj in zip(L, R, X):
+            assert_normwise_close(Xj, solve_triangular(Lj, Rj, lower=True, trans="T"))
+
+    def test_right_hand_side_broadcasts_over_stack(self, factors):
+        L, rng = factors
+        R = rng.normal(0, 1, (L.shape[1], 2))
+        X = _forward_subst(L, R)
+        assert X.shape == (L.shape[0],) + R.shape
+        for Lj, Xj in zip(L, X):
+            assert_normwise_close(Xj, solve_triangular(Lj, R, lower=True))
+
+
+def test_predict_batch_matches_scalar_predict_per_member():
+    rng = np.random.default_rng(14)
+    tr = make_training(rng, 9, 2, 3)
+    fits = [fit_single(tr, random_psi(rng, 2)) for _ in range(6)]
+    thetas = rng.uniform(-2, 2, (7, 2))
+    means, variances = GpEnsemble(fits, tr).predict_batch(thetas)
+    assert means.shape == (7, 6, 3) and variances.shape == (7, 6)
+    for b, theta in enumerate(thetas):
+        for j, fit in enumerate(fits):
+            mean, var = predict(fit, theta)
+            np.testing.assert_allclose(means[b, j], mean, rtol=1e-12, atol=1e-14)
+            assert variances[b, j] == pytest.approx(var, rel=1e-12, abs=1e-14)
 
 
 class TestMixtureMoments:

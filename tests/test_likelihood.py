@@ -1,19 +1,59 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 from gpinv.gp import GpEnsemble, HyperParams, TrainingSet, ensemble_predict_vector, fit_single
 from gpinv.likelihood import (
     MeasurementModel,
     d_restricted_loglik,
-    gp_misfit,
-    gp_misfit_dense,
+    d_restricted_loglik_batch,
     gp_misfits,
     loglik_of_outputs,
+    member_misfits,
     misfit_of_outputs,
     true_loglik,
     true_misfit,
 )
+
+
+def gp_misfit(mean: np.ndarray, cov_diag: np.ndarray, meas: MeasurementModel) -> float:
+    """Surrogate misfit for one ensemble member's prediction at a point.
+
+    `mean` and `cov_diag` are that member's raw-scale predictive mean vector
+    and covariance diagonal (for example one row of an
+    :func:`gpinv.gp.ensemble_predict_vector` result).
+    """
+    mean = np.asarray(mean, dtype=float).reshape(-1)
+    cov_diag = np.asarray(cov_diag, dtype=float).reshape(-1)
+    return float(np.sum((meas.z - mean) ** 2 / (meas.noise_vars + cov_diag)))
+
+
+def gp_misfit_dense(mean: np.ndarray, cov: np.ndarray, noise_cov: np.ndarray, z: np.ndarray) -> float:
+    """Reference quadratic form (z-m)^T (Sigma_E + Sigma_GP)^-1 (z-m).
+
+    Slow dense-covariance variant kept for validating the diagonal fast path.
+    """
+    resid = np.asarray(z, dtype=float) - np.asarray(mean, dtype=float)
+    total = np.asarray(noise_cov, dtype=float) + np.asarray(cov, dtype=float)
+    return float(resid @ np.linalg.solve(total, resid))
+
+
+def raw_scale_misfits(means_norm, var_norm, tr, meas):
+    """Reference member misfits and Gaussian log-normalizers on the raw output scale."""
+    means = means_norm * np.sqrt(tr.out_vars) + tr.out_means
+    denom = meas.noise_vars + var_norm[..., None] * tr.out_vars
+    g = np.sum((meas.z - means) ** 2 / denom, axis=-1)
+    log_k = -0.5 * np.sum(np.log(2.0 * np.pi * denom), axis=-1)
+    return g, log_k
+
+
+def raw_scale_d_restricted(thetas, ens, meas):
+    """Reference mixture log-likelihood built from the raw-scale misfits."""
+    g, log_k = raw_scale_misfits(*ens.predict_batch(thetas), ens.training, meas)
+    g_star = np.min(g, axis=1)
+    body = logsumexp(log_k - 0.5 * (g - g_star[:, None]), axis=1)
+    return -0.5 * g_star + body - np.log(g.shape[1])
 
 
 class Lookup:
@@ -88,6 +128,26 @@ class TestGpMisfit:
             dense = gp_misfit_dense(pred.means[j], np.diag(pred.cov_diags[j]),
                                     np.diag(meas.noise_vars), meas.z)
             assert fast == pytest.approx(dense, rel=1e-10)
+
+
+class TestMemberMisfitKernel:
+    def test_matches_raw_scale_oracle(self):
+        ens, rng = small_ensemble(seed=8, n=7, q=3, n_psi=6)
+        tr = ens.training
+        meas = MeasurementModel(rng.normal(0, 1, tr.n_outputs), rng.uniform(0.05, 0.5, tr.n_outputs))
+        means, variances = ens.predict_batch(rng.uniform(-1, 1, (9, tr.input_dim)))
+        g, resid, den = member_misfits(means, variances, tr, meas)
+        expected, _ = raw_scale_misfits(means, variances, tr, meas)
+        assert g.shape == (9, 6) and resid.shape == den.shape == (9, 6, 3)
+        np.testing.assert_allclose(g, expected, rtol=1e-12)
+
+    def test_d_restricted_batch_matches_raw_scale_oracle(self):
+        ens, rng = small_ensemble(seed=9, n=7, q=3, n_psi=6)
+        tr = ens.training
+        meas = MeasurementModel(rng.normal(0, 1, tr.n_outputs), rng.uniform(0.05, 0.5, tr.n_outputs))
+        thetas = np.vstack([rng.uniform(-1, 1, (9, tr.input_dim)), tr.inputs[:2]])
+        np.testing.assert_allclose(d_restricted_loglik_batch(thetas, ens, meas),
+                                   raw_scale_d_restricted(thetas, ens, meas), rtol=1e-12)
 
 
 class TestTrueLoglik:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from gpinv.errors import InitializationError
-from gpinv.gp import TrainingSet
+import gpinv.mcmc
+from gpinv.errors import IllConditionedKernelError, InitializationError
+from gpinv.gp import TrainingSet, fit_single
 from gpinv.mcmc import (
     BoxPrior,
     WalkerEnsemble,
@@ -192,6 +193,30 @@ class TestSampleHyperposterior:
         a = sample_hyperposterior(training, prior, n_walkers=20, n_steps=30, seed=23)
         b = sample_hyperposterior(training, prior, n_walkers=20, n_steps=30, seed=23)
         np.testing.assert_array_equal(a.hyperparams_matrix(), b.hyperparams_matrix())
+
+    def test_ill_conditioned_fit_replaced_by_duplication(self, training, monkeypatch):
+        calls = []
+
+        def flaky_fit(tr, psi):
+            calls.append(psi)
+            if len(calls) == 3:
+                raise IllConditionedKernelError("cannot factorize", cond_estimate=1e17)
+            return fit_single(tr, psi)
+
+        monkeypatch.setattr(gpinv.mcmc, "fit_single", flaky_fit)
+        ens = sample_hyperposterior(training, BoxPrior([1e-8, 1e-8], [2.0, 1.0]),
+                                    n_walkers=10, n_steps=5, seed=24)
+        assert len(calls) == 10 and ens.n_psi == 10
+        assert any(fit is other for k, fit in enumerate(ens.fits) for other in ens.fits[:k])
+
+    def test_other_fit_errors_propagate(self, training, monkeypatch):
+        def broken_fit(tr, psi):
+            raise ValueError("not a conditioning problem")
+
+        monkeypatch.setattr(gpinv.mcmc, "fit_single", broken_fit)
+        with pytest.raises(ValueError, match="conditioning"):
+            sample_hyperposterior(training, BoxPrior([1e-8, 1e-8], [2.0, 1.0]),
+                                  n_walkers=10, n_steps=5, seed=25)
 
     def test_dimension_check(self, training):
         with pytest.raises(ValueError, match="dimension"):
