@@ -9,7 +9,6 @@ from .acquisition import (
     AcquisitionState,
     expected_improvement,
     expected_improvement_smoothed,
-    grad_gp_misfit,
     maximize_acquisition,
     smoothed_pos,
 )

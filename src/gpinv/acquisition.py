@@ -11,7 +11,6 @@ objective value.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -19,7 +18,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .designs import DesignBox, sobol
-from .gp import GpEnsemble, GpFit, _back_subst, _forward_subst
+from .gp import GpEnsemble, _back_subst, _forward_subst, _se_cov
 from .likelihood import MeasurementModel, _misfit_batch, member_misfits, misfit_of_outputs
 
 log = logging.getLogger(__name__)
@@ -96,7 +95,7 @@ def _pred_grad(ens: GpEnsemble, theta: np.ndarray):
     substitution through the stored Cholesky factors.
     """
     diff = theta[None, :] - ens.training.inputs              # (n, p)
-    cvec = ens._cross_cov(theta[None, :])                    # (J, 1, n)
+    cvec = _se_cov(theta[None, :], ens.training.inputs, ens._sigma2, ens._inv_l2)  # (J, 1, n)
     m_norm = (cvec @ ens._weights)[:, 0, :]
     half = _forward_subst(ens._L, cvec.transpose(0, 2, 1))   # (J, n, 1)
     V_norm = np.maximum(ens._sigma2 - np.sum(half[:, :, 0] ** 2, axis=1), 0.0)
@@ -119,8 +118,7 @@ def _misfits_and_grads(ens: GpEnsemble, meas: MeasurementModel, theta: np.ndarra
 def expected_improvement(theta: np.ndarray, state: AcquisitionState) -> float:
     """Ensemble mean of the exact hinge [g_min - g_j]+ at theta."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    g, _ = _misfits_and_grads(state.ensemble, state.meas, theta)
-    return float(np.mean(np.maximum(state.g_min - g, 0.0)))
+    return float(expected_improvement_batch(theta[None, :], state)[0])
 
 
 def expected_improvement_batch(thetas: np.ndarray, state: AcquisitionState) -> np.ndarray:
@@ -160,14 +158,6 @@ def expected_improvement_smoothed(theta: np.ndarray, state: AcquisitionState) ->
     return float(np.mean(value)), grad
 
 
-def grad_gp_misfit(theta: np.ndarray, fit: GpFit, meas: MeasurementModel) -> np.ndarray:
-    """Analytic gradient of one predictor's surrogate misfit at theta."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    single = GpEnsemble([fit], fit.training)
-    _, grad = _misfits_and_grads(single, meas, theta)
-    return grad[0]
-
-
 @dataclass
 class LocalOptimum:
     theta: np.ndarray
@@ -183,18 +173,15 @@ class AcquisitionResult:
     degraded: bool = False
 
 
-def multistart_maximize(value_and_grad, starts: np.ndarray, box: DesignBox,
-                        workers: int = 1) -> AcquisitionResult:
+def multistart_maximize(value_and_grad, starts: np.ndarray, box: DesignBox) -> AcquisitionResult:
     """Bound-constrained quasi-Newton ascent from every start, best result wins.
 
     `value_and_grad(theta) -> (value, gradient)` is maximized inside the box
-    by projected-gradient ascent with BFGS curvature. Starts run sequentially
-    by default (`workers` > 1 opts into a thread pool; results are collected
-    in start order either way, so the outcome is identical). Value ties go to
-    the earliest start. The best point wins whether or not its run reported
-    convergence: the line search can stop abnormally on a sharp maximum whose
-    gradient is already near zero. `degraded=True` flags that no start
-    converged.
+    by projected-gradient ascent with BFGS curvature, one start after
+    another. Value ties go to the earliest start. The best point wins whether
+    or not its run reported convergence: the line search can stop abnormally
+    on a sharp maximum whose gradient is already near zero. `degraded=True`
+    flags that no start converged.
     """
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     if starts.shape[0] < 1:
@@ -214,12 +201,7 @@ def multistart_maximize(value_and_grad, starts: np.ndarray, box: DesignBox,
         )
         return LocalOptimum(box.clip(res.x), float(-res.fun), bool(res.success))
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool_exec:
-            optima = list(pool_exec.map(ascend, starts))
-    else:
-        optima = [ascend(x0) for x0 in starts]
-
+    optima = [ascend(x0) for x0 in starts]
     best = max(optima, key=lambda o: o.value)
     degraded = not any(o.converged for o in optima)
     if degraded:
@@ -227,10 +209,8 @@ def multistart_maximize(value_and_grad, starts: np.ndarray, box: DesignBox,
     return AcquisitionResult(best.theta, best.value, optima, degraded)
 
 
-def maximize_acquisition(state: AcquisitionState, starts: Sequence[np.ndarray],
-                         workers: int = 1) -> AcquisitionResult:
+def maximize_acquisition(state: AcquisitionState, starts: Sequence[np.ndarray]) -> AcquisitionResult:
     """Multistart ascent of the smoothed expected improvement inside the box."""
     return multistart_maximize(
         lambda theta: expected_improvement_smoothed(theta, state), starts, state.bounds,
-        workers=workers,
     )

@@ -23,10 +23,10 @@ from .acquisition import (
     maximize_acquisition,
     screen_acquisition,
 )
-from .designs import DesignBox, latin_hypercube, sobol
+from .designs import DesignBox, sobol
 from .gp import GpEnsemble, TrainingSet
 from .likelihood import MeasurementModel, misfit_of_outputs
-from .mcmc import BoxPrior, sample_hyperposterior
+from .mcmc import sample_hyperposterior
 
 log = logging.getLogger(__name__)
 
@@ -38,7 +38,7 @@ class AdaptiveConfig:
     """Knobs for one adaptive run."""
 
     bounds: DesignBox
-    hyper_prior: BoxPrior
+    hyper_prior: DesignBox
     initial_design: np.ndarray            # (n0, p) points inside bounds
     n_max: int                            # added-point budget (iterations)
     eps_thresh: float = 0.01
@@ -47,8 +47,7 @@ class AdaptiveConfig:
     n_steps: int = 400
     starts: str = "sobol"                 # "sobol" or "grid" multistart seeding
     n_starts: int = 50
-    extra_starts: int = 100               # > 0: screen + second sweep before accepting a stop
-    confirm_before_stop: bool | None = None  # default: enabled for p >= 2
+    extra_starts: int = 100               # > 0 with p >= 2: screen + second sweep before accepting a stop
     seed: int = 0
 
     def __post_init__(self):
@@ -63,9 +62,8 @@ class AdaptiveConfig:
 
     @property
     def confirm(self) -> bool:
-        if self.confirm_before_stop is None:
-            return self.bounds.dim >= 2
-        return self.confirm_before_stop
+        """Whether a stop is checked by `confirm_stop` before it is accepted."""
+        return self.extra_starts > 0 and self.bounds.dim >= 2
 
 
 @dataclass
@@ -202,10 +200,6 @@ def confirm_stop(state: AcquisitionState, extra: np.ndarray) -> tuple[np.ndarray
     return ascent.theta, ascended
 
 
-def initial_design_lhs(n: int, bounds: DesignBox, seed: int) -> np.ndarray:
-    return latin_hypercube(n, bounds, seed=seed)
-
-
 def _iteration_seed(seed: int, k: int) -> int:
     return int(np.random.SeedSequence([seed, k]).generate_state(1)[0])
 
@@ -213,10 +207,10 @@ def _iteration_seed(seed: int, k: int) -> int:
 def run_adaptive(model, meas: MeasurementModel, cfg: AdaptiveConfig) -> AdaptiveResult:
     """Run the adaptive loop to termination.
 
-    A stop is accepted only after `confirm_stop` (when `cfg.confirm` and
-    `extra_starts` > 0): a batched exact-EI screen plus a second ascent, and
-    the run goes on if any screened or ascended point reaches the threshold.
-    Iterations that do not stop search from `starts` alone.
+    A stop is accepted only after `confirm_stop` (when `cfg.confirm`): a
+    batched exact-EI screen plus a second ascent, and the run goes on if any
+    screened or ascended point reaches the threshold. Iterations that do not
+    stop search from `starts` alone.
 
     Termination reasons: "threshold" (best improvement under
     eps_thresh * g_min), "zero-improvement" (every multistart found exactly
@@ -234,7 +228,7 @@ def run_adaptive(model, meas: MeasurementModel, cfg: AdaptiveConfig) -> Adaptive
     )
 
     starts = make_starts(cfg)
-    extra = make_extra_starts(cfg) if cfg.confirm and cfg.extra_starts > 0 else None
+    extra = make_extra_starts(cfg) if cfg.confirm else None
     ensemble = None
     for k in range(1, cfg.n_max + 1):
         tic = time.perf_counter()

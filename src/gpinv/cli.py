@@ -35,7 +35,6 @@ from .experiments import (
 from .forward_models import write_grid_field
 from .gp import GpEnsemble, HyperParams, TrainingSet, fit_single
 from .likelihood import misfit_of_outputs
-from .mcmc import BoxPrior
 from .posterior import hpd_region, sample_posterior
 
 log = logging.getLogger(__name__)
@@ -163,7 +162,7 @@ def cmd_sample_posterior(args) -> int:
     out = _prepare_out_dir(args.out, args.force)
     model = spec.build_model()
     meas = spec.measurement(model)
-    prior = BoxPrior(spec.bounds.lower, spec.bounds.upper)
+    prior = spec.bounds
     if args.likelihood == "surrogate":
         if not args.run_dir:
             raise UsageError("surrogate likelihood requires --run-dir from a previous run-adaptive")

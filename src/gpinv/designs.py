@@ -15,7 +15,7 @@ SOBOL_MAX_DIM = 21
 
 @dataclass(frozen=True)
 class DesignBox:
-    """Axis-aligned search region."""
+    """Axis-aligned box: the search region of a design, and the uniform prior of a sampler."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -39,6 +39,10 @@ class DesignBox:
     def from_unit(self, unit_points: np.ndarray) -> np.ndarray:
         """Map points in [0,1]^p into the box."""
         return self.lower + (self.upper - self.lower) * np.atleast_2d(unit_points)
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n points drawn uniformly from the box."""
+        return self.from_unit(rng.random((n, self.dim)))
 
     def clip(self, points: np.ndarray) -> np.ndarray:
         return np.clip(points, self.lower, self.upper)

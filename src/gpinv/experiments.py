@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .adaptive import AdaptiveConfig, initial_design_lhs
-from .designs import DesignBox
+from .adaptive import AdaptiveConfig
+from .designs import DesignBox, latin_hypercube
 from .forward_models import (
     PERMEABILITY_BOUNDS,
     PERMEABILITY_THETA_TRUE,
@@ -33,7 +33,6 @@ from .likelihood import (
     d_restricted_loglik_batch,
     loglik_of_outputs,
 )
-from .mcmc import BoxPrior
 
 
 @dataclass(frozen=True)
@@ -73,8 +72,8 @@ class ExperimentSpec:
         return DesignBox(np.array(self.bounds_lower), np.array(self.bounds_upper))
 
     @property
-    def hyper_prior(self) -> BoxPrior:
-        return BoxPrior(np.array(self.hyper_lower), np.array(self.hyper_upper))
+    def hyper_prior(self) -> DesignBox:
+        return DesignBox(np.array(self.hyper_lower), np.array(self.hyper_upper))
 
     def build_model(self) -> ForwardModel:
         if self.model_kind == "rational1d":
@@ -102,7 +101,7 @@ class ExperimentSpec:
             if self.model_kind == "rational1d":
                 initial_design = np.array([[-4.0], [0.0], [4.0]])
             else:
-                initial_design = initial_design_lhs(self.n_initial, self.bounds, seed=seed)
+                initial_design = latin_hypercube(self.n_initial, self.bounds, seed=seed)
         return AdaptiveConfig(
             bounds=self.bounds,
             hyper_prior=self.hyper_prior,
@@ -115,7 +114,6 @@ class ExperimentSpec:
             starts=self.starts,
             n_starts=self.n_starts,
             extra_starts=self.extra_starts,
-            confirm_before_stop=self.extra_starts > 0 and self.bounds.dim >= 2,
             seed=seed,
         )
 

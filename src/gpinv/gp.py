@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import IllConditionedKernelError
 
@@ -153,9 +153,14 @@ def sq_exp_cov(a: np.ndarray, b: np.ndarray, psi: HyperParams) -> float:
     return float(psi.sigma_c**2 * np.exp(-r2))
 
 
-def _cov_matrix(inputs: np.ndarray, psi: HyperParams) -> np.ndarray:
-    diff2 = (inputs[:, None, :] - inputs[None, :, :]) ** 2
-    return psi.sigma_c**2 * np.exp(-diff2 @ (1.0 / psi.lengthscales**2))
+def _se_cov(A: np.ndarray, B: np.ndarray, sigma2: np.ndarray, inv_l2: np.ndarray) -> np.ndarray:
+    """(J, |A|, |B|) squared-exponential covariances between the rows of A and B,
+    one slab per row of sigma2 (J,) and inv_l2 = 1/l^2 (J, p)."""
+    diff2 = (A[:, None, :] - B[None, :, :]) ** 2  # (|A|, |B|, p)
+    K = (inv_l2 @ diff2.reshape(-1, diff2.shape[2]).T).reshape(-1, *diff2.shape[:2])
+    np.exp(np.negative(K, out=K), out=K)
+    K *= sigma2[:, None, None]
+    return K
 
 
 @dataclass(frozen=True)
@@ -181,37 +186,51 @@ def fit_single(training: TrainingSet, psi: HyperParams, jitter: float = BASE_JIT
         raise ValueError(
             f"hyperparameter dimension {psi.input_dim} != input dimension {training.input_dim}"
         )
-    C = _cov_matrix(training.inputs, psi)
-    levels = [0.0] if jitter == 0.0 else _jitter_ladder(jitter)
-    n = training.n_train
-    for level in levels:
-        shift = level * psi.sigma_c**2
-        try:
-            L = cholesky(C + shift * np.eye(n), lower=True)
-        except np.linalg.LinAlgError:
-            continue
-        if level > jitter:
-            log.debug("jitter escalated to %.1e for n_train=%d", level, n)
-        weights = cho_solve((L, True), training.scaled_outputs)
-        return GpFit(L, weights, psi, training, shift)
-    cond = _condition_estimate(C)
-    raise IllConditionedKernelError(
-        f"covariance factorization failed after jitter escalation to {MAX_JITTER:g} "
-        f"(n_train={n}, cond~{cond:.2e})",
-        cond_estimate=cond,
-    )
+    Psi = psi.as_vector()[None, :]
+    L, shift = _factorize(training.inputs, Psi, jitter)
+    if np.isnan(shift[0]):
+        cond = _condition_estimate(training.inputs, Psi)
+        raise IllConditionedKernelError(
+            f"covariance factorization failed after jitter escalation to {MAX_JITTER:g} "
+            f"(n_train={training.n_train}, cond~{cond:.2e})",
+            cond_estimate=cond,
+        )
+    if shift[0] > jitter * psi.sigma_c**2:
+        log.debug("jitter escalated to a shift of %.1e for n_train=%d", shift[0], training.n_train)
+    weights = cho_solve((L[0], True), training.scaled_outputs)
+    return GpFit(L[0], weights, psi, training, float(shift[0]))
 
 
-def _jitter_ladder(start: float) -> list[float]:
-    levels = []
-    level = start
-    while level <= MAX_JITTER * (1.0 + 1e-12):
-        levels.append(level)
+def _factorize(X: np.ndarray, Psi: np.ndarray, jitter: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factors of the covariance of X for every row of Psi = [sigma_c, l_1..l_p].
+
+    Every row is tried at the relative shift `jitter` (absolute shift
+    jitter * sigma_c^2); the rows that fail escalate together by factors of
+    JITTER_GROWTH up to MAX_JITTER, and jitter = 0 tries the raw covariance
+    alone. Returns the factor stack (m, n, n) and the absolute shift per row
+    (m,), both NaN for a row that no level factorized.
+    """
+    sigma2 = Psi[:, 0] ** 2
+    C = _se_cov(X, X, sigma2, 1.0 / Psi[:, 1:] ** 2)
+    eye = np.eye(X.shape[0])
+    level = jitter
+    shift = level * sigma2
+    L, ok = _batched_cholesky(C + shift[:, None, None] * eye)
+    while not ok.all():
+        failed = np.flatnonzero(~ok)
         level *= JITTER_GROWTH
-    return levels
+        if not 0.0 < level <= MAX_JITTER * (1.0 + 1e-12):
+            L[failed] = np.nan
+            shift[failed] = np.nan
+            break
+        shift[failed] = level * sigma2[failed]
+        L[failed], ok[failed] = _batched_cholesky(C[failed] + shift[failed, None, None] * eye)
+    return L, shift
 
 
-def _condition_estimate(C: np.ndarray) -> float:
+def _condition_estimate(X: np.ndarray, Psi: np.ndarray) -> float:
+    """2-norm condition number of the unshifted covariance of X for the one row of Psi."""
+    C = _se_cov(X, X, Psi[:, 0] ** 2, 1.0 / Psi[:, 1:] ** 2)[0]
     try:
         return float(np.linalg.cond(C))
     except np.linalg.LinAlgError:
@@ -233,19 +252,19 @@ def predict(fit: GpFit, theta: np.ndarray) -> tuple[np.ndarray, float]:
     return means, max(variance, 0.0)
 
 
-def log_marginal_likelihood(training: TrainingSet, psi: HyperParams, jitter: float = BASE_JITTER) -> float:
+def log_marginal_likelihood(training: TrainingSet, psi: HyperParams) -> float:
     """Sum over outputs of log N(scaled_outputs_i | 0, C_psi), via Cholesky."""
-    value = _lml_batch(training, psi.as_vector()[None, :], jitter=jitter)[0]
+    Psi = psi.as_vector()[None, :]
+    value = _lml_batch(training, Psi)[0]
     if not np.isfinite(value):
-        C = _cov_matrix(training.inputs, psi)
         raise IllConditionedKernelError(
             "covariance factorization failed in marginal likelihood",
-            cond_estimate=_condition_estimate(C),
+            cond_estimate=_condition_estimate(training.inputs, Psi),
         )
     return float(value)
 
 
-def _lml_batch(training: TrainingSet, Psi: np.ndarray, jitter: float = BASE_JITTER) -> np.ndarray:
+def _lml_batch(training: TrainingSet, Psi: np.ndarray) -> np.ndarray:
     """Vectorized log marginal likelihood over rows of Psi = [sigma_c, l_1..l_p].
 
     Rows whose covariance cannot be factorized anywhere on the jitter ladder
@@ -253,32 +272,17 @@ def _lml_batch(training: TrainingSet, Psi: np.ndarray, jitter: float = BASE_JITT
     states. Invalid (non-positive) hyperparameter rows are -inf as well.
     """
     Psi = np.atleast_2d(np.asarray(Psi, dtype=float))
-    m = Psi.shape[0]
-    out = np.full(m, -np.inf)
+    out = np.full(Psi.shape[0], -np.inf)
     valid = np.all(Psi > 0.0, axis=1)
     if not np.any(valid):
         return out
-    sigma2 = Psi[valid, 0] ** 2
-    inv_l2 = 1.0 / Psi[valid, 1:] ** 2
-    X = training.inputs
+    L, shift = _factorize(training.inputs, Psi[valid], BASE_JITTER)
     Y = training.scaled_outputs
     n, q = Y.shape
-    diff2 = (X[:, None, :] - X[None, :, :]) ** 2          # (n, n, p)
-    Cs = sigma2[:, None, None] * np.exp(-np.moveaxis(diff2 @ inv_l2.T, 2, 0))
-    eye = np.eye(n)
-    vals = np.full(Cs.shape[0], -np.inf)
-    pending = np.arange(Cs.shape[0])
-    level = jitter if jitter > 0.0 else BASE_JITTER
-    while pending.size and level <= MAX_JITTER * (1.0 + 1e-12):
-        shifted = Cs[pending] + (level * sigma2[pending])[:, None, None] * eye
-        L, ok = _batched_cholesky(shifted)
-        if np.any(ok):
-            quad = np.sum(_forward_subst(L[ok], Y) ** 2, axis=(1, 2))
-            logdet = 2.0 * np.sum(np.log(np.diagonal(L[ok], axis1=1, axis2=2)), axis=1)
-            vals[pending[ok]] = -0.5 * quad - 0.5 * q * (logdet + n * LOG_2PI)
-        pending = pending[~ok]
-        level *= JITTER_GROWTH
-    out[valid] = vals
+    quad = np.sum(_forward_subst(L, Y) ** 2, axis=(1, 2))
+    logdet = 2.0 * np.sum(np.log(np.diagonal(L, axis1=1, axis2=2)), axis=1)
+    vals = -0.5 * quad - 0.5 * q * (logdet + n * LOG_2PI)
+    out[valid] = np.where(np.isnan(shift), -np.inf, vals)
     return out
 
 
@@ -366,20 +370,13 @@ class GpEnsemble:
         Works in (J, B, n) layout: mean = c^T C^-1 y from the stored weights,
         variance = sigma_c^2 - |L^-1 c|^2 from the Cholesky factor.
         """
-        cvec = self._cross_cov(np.atleast_2d(np.asarray(thetas, dtype=float)))  # (J, B, n)
+        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+        cvec = _se_cov(thetas, self.training.inputs, self._sigma2, self._inv_l2)  # (J, B, n)
         means = cvec @ self._weights                                             # (J, B, q)
         half = _forward_subst(self._L, cvec.transpose(0, 2, 1))                  # (J, n, B)
         half *= half
         variances = self._sigma2[:, None] - half.sum(axis=1)
         return means.transpose(1, 0, 2), np.maximum(variances.T, 0.0)
-
-    def _cross_cov(self, thetas: np.ndarray) -> np.ndarray:
-        """(J, B, n) covariances between each row of thetas and the design."""
-        diff2 = (thetas[:, None, :] - self.training.inputs[None, :, :]) ** 2    # (B, n, p)
-        cvec = (self._inv_l2 @ diff2.reshape(-1, diff2.shape[2]).T).reshape(-1, *diff2.shape[:2])
-        np.exp(np.negative(cvec, out=cvec), out=cvec)
-        cvec *= self._sigma2[:, None, None]
-        return cvec
 
 
 def ensemble_predict_vector(ens: GpEnsemble, theta: np.ndarray) -> EnsemblePrediction:

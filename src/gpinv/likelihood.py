@@ -17,6 +17,10 @@ from scipy.special import logsumexp
 
 from .gp import GpEnsemble, TrainingSet
 
+# Rows per predict call in d_restricted_loglik_batch: temporaries grow with
+# rows x members x outputs, and a posterior's start-up pool scores thousands.
+DENSITY_BLOCK = 100
+
 
 @dataclass(frozen=True)
 class MeasurementModel:
@@ -100,11 +104,15 @@ def d_restricted_loglik(theta: np.ndarray, ens: GpEnsemble, meas: MeasurementMod
 
 
 def d_restricted_loglik_batch(thetas: np.ndarray, ens: GpEnsemble, meas: MeasurementModel) -> np.ndarray:
-    """Vectorized surrogate log-likelihood over rows of thetas."""
+    """Vectorized surrogate log-likelihood over rows of thetas, DENSITY_BLOCK rows at a time."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    g, _, den = member_misfits(*ens.predict_batch(thetas), ens.training, meas)   # (B, J)
-    log_k = (-0.5 * np.sum(np.log(2.0 * np.pi * ens.training.out_vars))
-             - 0.5 * np.log(den, out=den).sum(axis=2))                             # (B, J)
-    g_star = np.min(g, axis=1)
-    body = logsumexp(log_k - 0.5 * (g - g_star[:, None]), axis=1)
-    return -0.5 * g_star + body - np.log(g.shape[1])
+    log_norm = -0.5 * np.sum(np.log(2.0 * np.pi * ens.training.out_vars))
+    out = np.empty(thetas.shape[0])
+    for lo in range(0, thetas.shape[0], DENSITY_BLOCK):
+        block = thetas[lo:lo + DENSITY_BLOCK]
+        g, _, den = member_misfits(*ens.predict_batch(block), ens.training, meas)  # (B, J)
+        log_k = log_norm - 0.5 * np.log(den, out=den).sum(axis=2)                  # (B, J)
+        g_star = np.min(g, axis=1)
+        body = logsumexp(log_k - 0.5 * (g - g_star[:, None]), axis=1)
+        out[lo:lo + DENSITY_BLOCK] = -0.5 * g_star + body - np.log(g.shape[1])
+    return out

@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from .designs import DesignBox
 from .errors import IllConditionedKernelError, InitializationError
 from .gp import GpEnsemble, TrainingSet, _lml_batch, fit_single, HyperParams
 
@@ -28,31 +29,8 @@ log = logging.getLogger(__name__)
 LogProb = Callable[[np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
-class BoxPrior:
-    """Uniform prior over an axis-aligned box."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "lower", np.atleast_1d(np.asarray(self.lower, dtype=float)))
-        object.__setattr__(self, "upper", np.atleast_1d(np.asarray(self.upper, dtype=float)))
-        if self.lower.shape != self.upper.shape:
-            raise ValueError("bound vectors must have equal length")
-        if not np.all(self.lower < self.upper):
-            raise ValueError("lower bounds must be strictly below upper bounds")
-
-    @property
-    def dim(self) -> int:
-        return self.lower.shape[0]
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(points)
-        return np.all((points >= self.lower) & (points <= self.upper), axis=1)
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.lower + (self.upper - self.lower) * rng.random((n, self.dim))
+# Uniform priors are boxes; the name stays for callers that build BoxPrior(lower, upper).
+BoxPrior = DesignBox
 
 
 @dataclass
@@ -125,7 +103,7 @@ def stretch_step(
     return accepted
 
 
-def _restrict_to_box(log_prob: LogProb, prior: BoxPrior) -> LogProb:
+def _restrict_to_box(log_prob: LogProb, prior: DesignBox) -> LogProb:
     """Short-circuit rows outside the box to -inf without evaluating them."""
 
     def restricted(points: np.ndarray) -> np.ndarray:
@@ -141,7 +119,7 @@ def _restrict_to_box(log_prob: LogProb, prior: BoxPrior) -> LogProb:
 
 def _init_ensemble(
     log_prob: LogProb,
-    prior: BoxPrior,
+    prior: DesignBox,
     n_walkers: int,
     rng: np.random.Generator,
     init_positions: np.ndarray | None = None,
@@ -173,7 +151,7 @@ def _init_ensemble(
 
 def run_chain(
     log_prob: LogProb,
-    prior: BoxPrior,
+    prior: DesignBox,
     n_walkers: int,
     n_steps: int,
     seed: int,
@@ -206,7 +184,7 @@ def run_chain(
 
 def run_sampler(
     log_prob: LogProb,
-    prior: BoxPrior,
+    prior: DesignBox,
     n_walkers: int = 200,
     n_steps: int = 400,
     seed: int = 0,
@@ -219,7 +197,7 @@ def run_sampler(
 
 def sample_hyperposterior(
     training: TrainingSet,
-    prior: BoxPrior,
+    prior: DesignBox,
     n_walkers: int = 200,
     n_steps: int = 400,
     seed: int = 0,

@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mcmc import BoxPrior, LogProb, run_chain
+from .designs import DesignBox
+from .mcmc import LogProb, run_chain
 
 DEFAULT_N_SAMPLES = 20_000
 DEFAULT_N_WALKERS = 100
@@ -31,7 +32,7 @@ class PosteriorSampleSet:
 
 def sample_posterior(
     loglik: LogProb,
-    prior: BoxPrior,
+    prior: DesignBox,
     n_samples: int = DEFAULT_N_SAMPLES,
     seed: int = 0,
     n_walkers: int = DEFAULT_N_WALKERS,
@@ -74,7 +75,7 @@ def sample_posterior(
     )
 
 
-def _best_of_pool(loglik: LogProb, prior: BoxPrior, n_walkers: int,
+def _best_of_pool(loglik: LogProb, prior: DesignBox, n_walkers: int,
                   pool_factor: int, seed: int) -> np.ndarray:
     """Top-n_walkers points of a uniform candidate pool (stable under ties)."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9001]))

@@ -10,7 +10,6 @@ from gpinv.acquisition import (
     expected_improvement,
     expected_improvement_batch,
     expected_improvement_smoothed,
-    grad_gp_misfit,
     maximize_acquisition,
     multistart_maximize,
     screen_acquisition,
@@ -95,8 +94,8 @@ class TestExpectedImprovement:
 
     def test_hand_arithmetic_average(self, monkeypatch):
         state, _ = make_state(seed=3, n_psi=2)
-        monkeypatch.setattr(acq, "_misfits_and_grads",
-                            lambda ens, meas, theta: (np.array([4.0, 16.0]), np.zeros((2, 2))))
+        monkeypatch.setattr(acq, "_misfit_batch",
+                            lambda thetas, ens, meas: np.array([[4.0, 16.0]]))
         fixed = AcquisitionState(state.ensemble, state.meas, 10.0, state.bounds, state.eta)
         assert expected_improvement(np.zeros(2), fixed) == pytest.approx(3.0)
 
@@ -122,8 +121,8 @@ class TestExpectedImprovement:
     def test_maximum_achievable_improvement(self, monkeypatch):
         # Every member predicting the data exactly yields I = g_min.
         state, _ = make_state(seed=4, n_psi=3)
-        monkeypatch.setattr(acq, "_misfits_and_grads",
-                            lambda ens, meas, theta: (np.zeros(3), np.zeros((3, 2))))
+        monkeypatch.setattr(acq, "_misfit_batch",
+                            lambda thetas, ens, meas: np.zeros((1, 3)))
         fixed = AcquisitionState(state.ensemble, state.meas, 7.5, state.bounds, state.eta)
         assert expected_improvement(np.zeros(2), fixed) == pytest.approx(7.5)
 
@@ -188,8 +187,8 @@ class TestGradGpMisfit:
             meas = MeasurementModel(rng.normal(0, 1, 2), np.full(2, 0.25))
             for _ in range(20):
                 theta = rng.uniform(-1, 1, 2)
-                grad = grad_gp_misfit(theta, fit, meas)
                 ens1 = GpEnsemble([fit], tr)
+                grad = acq._misfits_and_grads(ens1, meas, theta)[1][0]
                 fd = np.zeros(2)
                 for k in range(2):
                     e = np.zeros(2)

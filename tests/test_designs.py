@@ -23,6 +23,13 @@ class TestDesignBox:
         np.testing.assert_allclose(pts, [[-2, 0], [2, 10], [0, 5]])
         assert np.all(box.contains(pts))
 
+    def test_sample_is_uniform_in_box(self):
+        box = DesignBox([-2.0, 0.0, 5.0], [2.0, 10.0, 5.5])
+        pts = box.sample(np.random.default_rng(3), 500)
+        expected = box.lower + (box.upper - box.lower) * np.random.default_rng(3).random((500, 3))
+        np.testing.assert_array_equal(pts, expected)
+        assert np.all(box.contains(pts))
+
     def test_clip(self):
         box = DesignBox([0.0], [1.0])
         np.testing.assert_allclose(box.clip(np.array([[-1.0], [2.0]])), [[0.0], [1.0]])

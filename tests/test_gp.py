@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
+import gpinv.gp
 from gpinv.errors import IllConditionedKernelError
 from gpinv.gp import (
     GpEnsemble,
     HyperParams,
     TrainingSet,
     _back_subst,
+    _factorize,
     _forward_subst,
     _lml_batch,
     ensemble_predict_vector,
@@ -149,6 +151,46 @@ class TestFitSingle:
         C = np.array([[sq_exp_cov(a, b, psi) for b in tr.inputs] for a in tr.inputs])
         np.testing.assert_allclose(fit.chol @ fit.chol.T, C + fit.jitter * np.eye(8),
                                    rtol=1e-10, atol=1e-12)
+
+
+class TestFactorize:
+    """One stack with a row that factorizes at the first level of the jitter
+    ladder and a row whose covariance is exactly singular: its length-scale
+    of 1e100 hides the only difference between design rows 0 and 1."""
+
+    @pytest.fixture
+    def stack(self):
+        rng = np.random.default_rng(13)
+        X = rng.uniform(-1, 1, (6, 2))
+        X[1] = X[0] + np.array([0.0, 0.5])
+        tr = TrainingSet.from_data(X, rng.normal(0, 1, (6, 1)))
+        return tr, np.array([[1.0, 0.5, 0.5], [1.0, 0.5, 1e100]])
+
+    def test_first_level_and_escalated_rows(self, stack):
+        tr, Psi = stack
+        L, shift = _factorize(tr.inputs, Psi, 1e-20)
+        assert shift[0] == 1e-20
+        assert shift[1] > 1e-20
+        for row, L_row, shift_row in zip(Psi, L, shift):
+            psi = HyperParams.from_vector(row)
+            C = np.array([[sq_exp_cov(a, b, psi) for b in tr.inputs] for a in tr.inputs])
+            np.testing.assert_allclose(L_row @ L_row.T, C + shift_row * np.eye(6), rtol=1e-10, atol=1e-12)
+        escalated = fit_single(tr, HyperParams.from_vector(Psi[1]), jitter=1e-20)
+        assert escalated.jitter == shift[1]
+        np.testing.assert_array_equal(escalated.chol, L[1])
+
+    def test_raw_factorization_failure(self, stack, monkeypatch):
+        tr, Psi = stack
+        L, shift = _factorize(tr.inputs, Psi, 0.0)
+        assert shift[0] == 0.0 and np.isnan(shift[1])
+        assert np.all(np.isfinite(L[0])) and np.all(np.isnan(L[1]))
+        with pytest.raises(IllConditionedKernelError) as err:
+            fit_single(tr, HyperParams.from_vector(Psi[1]), jitter=0.0)
+        assert err.value.cond_estimate > 1e10
+        # A ladder that starts at 0 leaves the singular row no level: -inf.
+        monkeypatch.setattr(gpinv.gp, "BASE_JITTER", 0.0)
+        lml = _lml_batch(tr, Psi)
+        assert np.isfinite(lml[0]) and lml[1] == -np.inf
 
 
 class TestPredict:

@@ -149,6 +149,14 @@ class TestMemberMisfitKernel:
         np.testing.assert_allclose(d_restricted_loglik_batch(thetas, ens, meas),
                                    raw_scale_d_restricted(thetas, ens, meas), rtol=1e-12)
 
+    def test_d_restricted_batch_blocks_match_single_rows(self):
+        ens, rng = small_ensemble(seed=10, n=7, q=3, n_psi=6)
+        tr = ens.training
+        meas = MeasurementModel(rng.normal(0, 1, tr.n_outputs), rng.uniform(0.05, 0.5, tr.n_outputs))
+        thetas = rng.uniform(-1, 1, (250, tr.input_dim))
+        single = [d_restricted_loglik(theta, ens, meas) for theta in thetas]
+        np.testing.assert_allclose(d_restricted_loglik_batch(thetas, ens, meas), single, rtol=1e-12)
+
 
 class TestTrueLoglik:
     def test_exact_standard_normal(self):
