@@ -25,7 +25,7 @@ from .acquisition import (
 )
 from .designs import DesignBox, sobol
 from .gp import GpEnsemble, TrainingSet
-from .likelihood import MeasurementModel, misfit_of_outputs
+from .likelihood import MeasurementModel
 from .mcmc import sample_hyperposterior
 
 log = logging.getLogger(__name__)
@@ -236,20 +236,19 @@ def run_adaptive(model, meas: MeasurementModel, cfg: AdaptiveConfig) -> Adaptive
             training, cfg.hyper_prior, cfg.n_walkers, cfg.n_steps,
             seed=_iteration_seed(cfg.seed, k),
         )
-        g_min = min(misfit_of_outputs(row, meas) for row in training.raw_outputs)
         state = AcquisitionState.from_ensemble(ensemble, meas, cfg.bounds, eta=cfg.eta)
         theta = maximize_acquisition(state, starts).theta
         improvement = expected_improvement(theta, state)
-        stop = improvement < cfg.eps_thresh * g_min
+        stop = improvement < cfg.eps_thresh * state.g_min
         if stop and extra is not None:
             confirm_theta, confirm_improvement = confirm_stop(state, extra)
             if confirm_improvement > improvement:
                 theta, improvement = confirm_theta, confirm_improvement
-                stop = improvement < cfg.eps_thresh * g_min
+                stop = improvement < cfg.eps_thresh * state.g_min
 
-        psis = ensemble.hyperparams_matrix()
+        psis = ensemble.hyperparams
         entry = IterationRecord(
-            k=k, theta=theta.copy(), improvement=improvement, g_min=g_min,
+            k=k, theta=theta.copy(), improvement=improvement, g_min=state.g_min,
             psi_mean=psis.mean(axis=0), psi_std=psis.std(axis=0),
             accepted=False, wall_time_s=time.perf_counter() - tic,
         )
@@ -258,7 +257,7 @@ def run_adaptive(model, meas: MeasurementModel, cfg: AdaptiveConfig) -> Adaptive
         if stop:
             record.termination = "zero-improvement" if improvement == 0.0 else "threshold"
             log.info("iteration %d: stopping (%s), I=%.3e, g_min=%.4f",
-                     k, record.termination, improvement, g_min)
+                     k, record.termination, improvement, state.g_min)
             return AdaptiveResult(ensemble, training, record)
 
         if training.has_input(theta):
@@ -275,7 +274,7 @@ def run_adaptive(model, meas: MeasurementModel, cfg: AdaptiveConfig) -> Adaptive
         training = training.augmented(theta, new_outputs)
         entry.accepted = True
         entry.wall_time_s = time.perf_counter() - tic
-        log.info("iteration %d: added %s, I=%.3e, g_min=%.4f", k, theta, improvement, g_min)
+        log.info("iteration %d: added %s, I=%.3e, g_min=%.4f", k, theta, improvement, state.g_min)
 
     record.termination = "budget"
     ensemble = sample_hyperposterior(

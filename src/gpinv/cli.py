@@ -33,7 +33,7 @@ from .experiments import (
     true_loglik_rows,
 )
 from .forward_models import write_grid_field
-from .gp import GpEnsemble, HyperParams, TrainingSet, fit_single
+from .gp import GpEnsemble, TrainingSet
 from .likelihood import misfit_of_outputs
 from .posterior import hpd_region, sample_posterior
 
@@ -120,7 +120,7 @@ def _write_run_outputs(out: Path, spec: ExperimentSpec, result: AdaptiveResult, 
     write_csv(out / "design.csv",
               _theta_names(p) + [f"f_{i + 1}" for i in range(q)],
               np.hstack([result.training.inputs, result.training.raw_outputs]))
-    write_csv(out / "hyperposterior.csv", _psi_names(p), result.ensemble.hyperparams_matrix())
+    write_csv(out / "hyperposterior.csv", _psi_names(p), result.ensemble.hyperparams)
     write_csv(out / "measurement.csv", ["z", "noise_var"],
               np.column_stack([meas.z, meas.noise_vars]))
     (out / "record.json").write_text(result.record.to_json())
@@ -153,8 +153,7 @@ def load_surrogate(run_dir: Path) -> tuple[GpEnsemble, TrainingSet]:
     header, psis = read_csv(run_dir / "hyperposterior.csv")
     p = len(header) - 1
     training = TrainingSet.from_data(design[:, :p], design[:, p:])
-    fits = [fit_single(training, HyperParams.from_vector(row)) for row in psis]
-    return GpEnsemble(fits, training), training
+    return GpEnsemble(training, psis), training
 
 
 def cmd_sample_posterior(args) -> int:

@@ -9,12 +9,14 @@ class IllConditionedKernelError(GpinvError):
     """Covariance matrix could not be factorized even after jitter escalation.
 
     Carries ``cond_estimate``, a cheap estimate of the condition number of the
-    offending matrix (may be ``inf`` for exactly singular systems).
+    offending matrix (may be ``inf`` for exactly singular systems), and ``failed``,
+    the mask of the rows that failed in a stacked factorization.
     """
 
-    def __init__(self, message, cond_estimate=float("inf")):
+    def __init__(self, message, cond_estimate=float("inf"), failed=None):
         super().__init__(message)
         self.cond_estimate = cond_estimate
+        self.failed = failed
 
 
 class SolverError(GpinvError):

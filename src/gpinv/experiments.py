@@ -220,8 +220,6 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
 
 
 def _coerce(raw: str, current):
-    if isinstance(current, bool):
-        return raw.strip().lower() in ("1", "true", "yes", "on")
     if isinstance(current, int):
         return int(raw)
     if isinstance(current, float):

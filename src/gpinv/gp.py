@@ -12,8 +12,8 @@ factor per hyperparameter vector sufficient.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
@@ -189,12 +189,7 @@ def fit_single(training: TrainingSet, psi: HyperParams, jitter: float = BASE_JIT
     Psi = psi.as_vector()[None, :]
     L, shift = _factorize(training.inputs, Psi, jitter)
     if np.isnan(shift[0]):
-        cond = _condition_estimate(training.inputs, Psi)
-        raise IllConditionedKernelError(
-            f"covariance factorization failed after jitter escalation to {MAX_JITTER:g} "
-            f"(n_train={training.n_train}, cond~{cond:.2e})",
-            cond_estimate=cond,
-        )
+        raise _factorization_error(training.inputs, Psi, jitter, np.isnan(shift))
     if shift[0] > jitter * psi.sigma_c**2:
         log.debug("jitter escalated to a shift of %.1e for n_train=%d", shift[0], training.n_train)
     weights = cho_solve((L[0], True), training.scaled_outputs)
@@ -213,19 +208,39 @@ def _factorize(X: np.ndarray, Psi: np.ndarray, jitter: float) -> tuple[np.ndarra
     sigma2 = Psi[:, 0] ** 2
     C = _se_cov(X, X, sigma2, 1.0 / Psi[:, 1:] ** 2)
     eye = np.eye(X.shape[0])
-    level = jitter
-    shift = level * sigma2
+    levels = _jitter_levels(jitter)
+    shift = levels[0] * sigma2
     L, ok = _batched_cholesky(C + shift[:, None, None] * eye)
-    while not ok.all():
-        failed = np.flatnonzero(~ok)
-        level *= JITTER_GROWTH
-        if not 0.0 < level <= MAX_JITTER * (1.0 + 1e-12):
-            L[failed] = np.nan
-            shift[failed] = np.nan
+    for level in levels[1:]:
+        if ok.all():
             break
+        failed = np.flatnonzero(~ok)
         shift[failed] = level * sigma2[failed]
         L[failed], ok[failed] = _batched_cholesky(C[failed] + shift[failed, None, None] * eye)
+    L[~ok] = np.nan
+    shift[~ok] = np.nan
     return L, shift
+
+
+def _jitter_levels(jitter: float) -> list[float]:
+    """Relative shifts tried from `jitter`: x JITTER_GROWTH up to MAX_JITTER; 0 tries 0 alone."""
+    levels = [jitter]
+    while 0.0 < levels[-1] * JITTER_GROWTH <= MAX_JITTER * (1.0 + 1e-12):
+        levels.append(levels[-1] * JITTER_GROWTH)
+    return levels
+
+
+def _factorization_error(X: np.ndarray, Psi: np.ndarray, jitter: float,
+                         failed: np.ndarray) -> IllConditionedKernelError:
+    """Error for the `failed` rows of Psi: the last jitter level tried, cond of the first row."""
+    first = int(np.flatnonzero(failed)[0])
+    cond = _condition_estimate(X, Psi[first:first + 1])
+    return IllConditionedKernelError(
+        f"covariance factorization failed for {failed.sum()} of {failed.size} rows at "
+        f"relative jitter {_jitter_levels(jitter)[-1]:g}, the last level tried "
+        f"(n_train={X.shape[0]}, cond~{cond:.2e})",
+        cond_estimate=cond, failed=failed,
+    )
 
 
 def _condition_estimate(X: np.ndarray, Psi: np.ndarray) -> float:
@@ -257,10 +272,7 @@ def log_marginal_likelihood(training: TrainingSet, psi: HyperParams) -> float:
     Psi = psi.as_vector()[None, :]
     value = _lml_batch(training, Psi)[0]
     if not np.isfinite(value):
-        raise IllConditionedKernelError(
-            "covariance factorization failed in marginal likelihood",
-            cond_estimate=_condition_estimate(training.inputs, Psi),
-        )
+        raise _factorization_error(training.inputs, Psi, BASE_JITTER, np.array([True]))
     return float(value)
 
 
@@ -330,39 +342,33 @@ class EnsemblePrediction(NamedTuple):
     cov_diags: np.ndarray       # (n_psi, q), diagonal of the rescaled covariance
 
 
-@dataclass
 class GpEnsemble:
-    """A bag of fitted predictors over one training set.
+    """Fitted predictors for J hyperparameter rows [sigma_c, l_1..l_p] over one training set.
 
-    The stacked arrays are read-only caches that let downstream code evaluate
-    all members at once instead of looping over fits.
-    """
+    One `_factorize` call gives the factor stack `_L` (J, n, n); the core's
+    substitutions give the weights `_weights` (J, n, q). A row that no jitter
+    level factorizes raises IllConditionedKernelError with the `failed` mask."""
 
-    fits: Sequence[GpFit]
-    training: TrainingSet
-    _sigma2: np.ndarray = field(init=False, repr=False)
-    _inv_l2: np.ndarray = field(init=False, repr=False)
-    _weights: np.ndarray = field(init=False, repr=False)
-    _L: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if len(self.fits) < 1:
-            raise ValueError("ensemble needs at least one fit")
-        for fit in self.fits:
-            if fit.training is not self.training:
-                raise ValueError("all fits must share the ensemble's training set")
-        self._sigma2 = np.array([f.hyperparams.sigma_c**2 for f in self.fits])
-        self._inv_l2 = np.array([1.0 / f.hyperparams.lengthscales**2 for f in self.fits])
-        self._weights = np.array([f.weights for f in self.fits])  # (J, n, q)
-        self._L = np.array([f.chol for f in self.fits])           # (J, n, n)
+    def __init__(self, training: TrainingSet, hyperparams: np.ndarray):
+        hyperparams = np.atleast_2d(np.asarray(hyperparams, dtype=float))
+        if len(hyperparams) < 1 or hyperparams.shape[1] != training.input_dim + 1:
+            raise ValueError(f"need (J >= 1, {training.input_dim + 1}) hyperparameter rows, "
+                             f"got {hyperparams.shape}")
+        if not np.all(hyperparams > 0.0):
+            raise ValueError("hyperparameters must be positive")
+        L, shift = _factorize(training.inputs, hyperparams, BASE_JITTER)
+        if np.any(np.isnan(shift)):
+            raise _factorization_error(training.inputs, hyperparams, BASE_JITTER, np.isnan(shift))
+        self.training = training
+        self.hyperparams = hyperparams
+        self._sigma2 = hyperparams[:, 0] ** 2
+        self._inv_l2 = 1.0 / hyperparams[:, 1:] ** 2
+        self._L = L
+        self._weights = _back_subst(L, _forward_subst(L, training.scaled_outputs))
 
     @property
     def n_psi(self) -> int:
-        return len(self.fits)
-
-    def hyperparams_matrix(self) -> np.ndarray:
-        """(n_psi, p+1) matrix of [sigma_c, l_1..l_p] rows."""
-        return np.array([f.hyperparams.as_vector() for f in self.fits])
+        return self.hyperparams.shape[0]
 
     def predict_batch(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Normalized predictive means (B, J, q) and variances (B, J) at each row.

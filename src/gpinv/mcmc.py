@@ -22,7 +22,8 @@ import numpy as np
 
 from .designs import DesignBox
 from .errors import IllConditionedKernelError, InitializationError
-from .gp import GpEnsemble, TrainingSet, _lml_batch, fit_single, HyperParams
+# perfbench/tracing.py patches gpinv.mcmc.fit_single, so the name stays imported here.
+from .gp import GpEnsemble, TrainingSet, _lml_batch, fit_single
 
 log = logging.getLogger(__name__)
 
@@ -202,12 +203,12 @@ def sample_hyperposterior(
     n_steps: int = 400,
     seed: int = 0,
 ) -> GpEnsemble:
-    """Draw hyperparameter samples from their posterior and fit each one.
+    """Draw hyperparameter samples from their posterior and fit the ensemble.
 
     The target is the product of the per-output marginal likelihoods times the
-    box indicator. One fit per final walker; the rare fit failure is replaced
-    by duplicating a uniformly chosen successful walker so the ensemble size
-    stays fixed.
+    box indicator. The final walkers are factorized as one stack; a row that
+    no jitter level factorizes is replaced by duplicating a uniformly chosen
+    factorized row, so the ensemble size stays fixed.
     """
     if prior.dim != training.input_dim + 1:
         raise ValueError(
@@ -218,17 +219,15 @@ def sample_hyperposterior(
         return _lml_batch(training, psis)
 
     psis = run_sampler(target, prior, n_walkers, n_steps, seed)
-    fits, failures = [], []
-    for row in psis:
-        try:
-            fits.append(fit_single(training, HyperParams.from_vector(row)))
-        except IllConditionedKernelError:
-            failures.append(row)
-    if not fits:
+    try:
+        return GpEnsemble(training, psis)
+    except IllConditionedKernelError as err:
+        failed = err.failed
+    rows = list(psis[~failed])
+    if not rows:
         raise InitializationError("no hyperparameter sample produced a usable fit")
-    if failures:
-        rng = np.random.default_rng(np.random.SeedSequence([seed, len(fits)]))
-        log.warning("replacing %d failed hyperparameter fits by duplication", len(failures))
-        for _ in failures:
-            fits.append(fits[int(rng.integers(0, len(fits)))])
-    return GpEnsemble(fits, training)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, len(rows)]))
+    log.warning("replacing %d failed hyperparameter fits by duplication", failed.sum())
+    for _ in range(failed.sum()):
+        rows.append(rows[int(rng.integers(0, len(rows)))])
+    return GpEnsemble(training, np.array(rows))

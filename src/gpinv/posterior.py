@@ -11,6 +11,7 @@ from .mcmc import LogProb, run_chain
 
 DEFAULT_N_SAMPLES = 20_000
 DEFAULT_N_WALKERS = 100
+POOL_FACTOR = 20  # walkers start at the best of POOL_FACTOR * n_walkers uniform draws
 
 
 @dataclass
@@ -37,7 +38,6 @@ def sample_posterior(
     seed: int = 0,
     n_walkers: int = DEFAULT_N_WALKERS,
     source: str = "custom",
-    pool_factor: int = 20,
 ) -> PosteriorSampleSet:
     """Ensemble-MCMC samples from p(theta) proportional to exp(loglik) in the box.
 
@@ -46,16 +46,13 @@ def sample_posterior(
     follows the row-batched convention of :mod:`gpinv.mcmc`.
 
     Walkers start at the best of a uniform candidate pool of
-    pool_factor * n_walkers points, so sharply concentrated targets do not
-    leave walkers stranded behind likelihood barriers. Set pool_factor=1 to
-    start at plain uniform draws.
+    POOL_FACTOR * n_walkers points, so sharply concentrated targets do not
+    leave walkers stranded behind likelihood barriers.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    if pool_factor < 1:
-        raise ValueError("pool_factor must be at least 1")
     kept_steps = -(-n_samples // n_walkers)
-    init = _best_of_pool(loglik, prior, n_walkers, pool_factor, seed)
+    init = _best_of_pool(loglik, prior, n_walkers, seed)
     chain, acceptance = run_chain(
         loglik, prior, n_walkers, 2 * kept_steps, seed=seed,
         keep_every_step=True, init_positions=init,
@@ -70,16 +67,15 @@ def sample_posterior(
             "burn_in_steps": kept_steps,
             "kept_steps": kept_steps,
             "acceptance_rate": acceptance,
-            "init": f"best-of-pool({pool_factor * n_walkers})",
+            "init": f"best-of-pool({POOL_FACTOR * n_walkers})",
         },
     )
 
 
-def _best_of_pool(loglik: LogProb, prior: DesignBox, n_walkers: int,
-                  pool_factor: int, seed: int) -> np.ndarray:
+def _best_of_pool(loglik: LogProb, prior: DesignBox, n_walkers: int, seed: int) -> np.ndarray:
     """Top-n_walkers points of a uniform candidate pool (stable under ties)."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9001]))
-    pool = prior.sample(rng, pool_factor * n_walkers)
+    pool = prior.sample(rng, POOL_FACTOR * n_walkers)
     values = np.asarray(loglik(pool), dtype=float)
     values = np.where(np.isnan(values), -np.inf, values)
     order = np.argsort(-values, kind="stable")

@@ -29,7 +29,7 @@ from gpinv.experiments import (
     true_loglik_rows,
 )
 from gpinv.forward_models import DarcyPermeability2D, GridSolverConfig, HeatSource2D
-from gpinv.gp import GpEnsemble, HyperParams, TrainingSet, ensemble_predict_vector, fit_single
+from gpinv.gp import GpEnsemble, HyperParams, TrainingSet, ensemble_predict_vector
 from gpinv.likelihood import MeasurementModel, d_restricted_loglik, gp_misfits, misfit_of_outputs
 from gpinv.mcmc import BoxPrior, run_chain, run_sampler
 from gpinv.posterior import hpd_region, sample_posterior
@@ -75,10 +75,9 @@ def random_ensemble(rng, n, p, q, n_psi):
         spacing = dists.min(axis=1).mean()
     else:
         spacing = 1.0
-    fits = [fit_single(tr, HyperParams(rng.uniform(0.5, 2.0),
-                                       spacing * rng.uniform(0.6, 1.6, p)))
+    psis = [HyperParams(rng.uniform(0.5, 2.0), spacing * rng.uniform(0.6, 1.6, p)).as_vector()
             for _ in range(n_psi)]
-    return GpEnsemble(fits, tr)
+    return GpEnsemble(tr, psis)
 
 
 def test_criterion_1_interpolation_suite():

@@ -23,9 +23,9 @@ from gpinv.likelihood import MeasurementModel
 def make_state(seed=0, n=6, p=2, q=2, n_psi=6, eta=1e-4):
     rng = np.random.default_rng(seed)
     tr = TrainingSet.from_data(rng.uniform(-1, 1, (n, p)), rng.normal(0, 1, (n, q)))
-    fits = [fit_single(tr, HyperParams(rng.uniform(0.5, 2), rng.uniform(0.3, 1.5, p)))
+    psis = [HyperParams(rng.uniform(0.5, 2), rng.uniform(0.3, 1.5, p)).as_vector()
             for _ in range(n_psi)]
-    ens = GpEnsemble(fits, tr)
+    ens = GpEnsemble(tr, psis)
     meas = MeasurementModel(rng.normal(0, 1, q), np.full(q, 0.25))
     box = DesignBox(np.full(p, -1.0), np.full(p, 1.0))
     return AcquisitionState.from_ensemble(ens, meas, box, eta=eta), rng
@@ -183,11 +183,11 @@ class TestGradGpMisfit:
         h = 1e-5
         for _ in range(5):
             tr = TrainingSet.from_data(rng.uniform(-1, 1, (5, 2)), rng.normal(0, 1, (5, 2)))
-            fit = fit_single(tr, HyperParams(rng.uniform(0.5, 2), rng.uniform(0.4, 1.5, 2)))
+            psi = HyperParams(rng.uniform(0.5, 2), rng.uniform(0.4, 1.5, 2))
             meas = MeasurementModel(rng.normal(0, 1, 2), np.full(2, 0.25))
             for _ in range(20):
                 theta = rng.uniform(-1, 1, 2)
-                ens1 = GpEnsemble([fit], tr)
+                ens1 = GpEnsemble(tr, psi.as_vector())
                 grad = acq._misfits_and_grads(ens1, meas, theta)[1][0]
                 fd = np.zeros(2)
                 for k in range(2):
@@ -205,9 +205,8 @@ class TestGradGpMisfit:
             inputs=np.array([[0.0]]), raw_outputs=np.array([[2.0]]),
             out_means=np.zeros(1), out_vars=np.ones(1), scaled_outputs=np.array([[2.0]]),
         )
-        fit = fit_single(tr, HyperParams(1.0, [1.0]))
-        ens = GpEnsemble([fit], tr)
-        v1 = fit.weights[0, 0]
+        ens = GpEnsemble(tr, [1.0, 1.0])
+        v1 = fit_single(tr, HyperParams(1.0, [1.0])).weights[0, 0]
         for theta in (0.3, -0.7, 1.2):
             _, _, dm, _ = acq._pred_grad(ens, np.array([theta]))
             assert dm[0, 0, 0] == pytest.approx(-2 * theta * np.exp(-theta**2) * v1, rel=1e-10)

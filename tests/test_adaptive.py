@@ -19,7 +19,7 @@ from gpinv.adaptive import (
 )
 from gpinv.designs import DesignBox
 from gpinv.forward_models import Rational1D, generate_measurements
-from gpinv.gp import GpEnsemble, HyperParams, TrainingSet, fit_single
+from gpinv.gp import GpEnsemble, TrainingSet
 from gpinv.likelihood import MeasurementModel
 from gpinv.mcmc import BoxPrior
 
@@ -194,10 +194,9 @@ class TestConfirmStop:
         axis = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
         design = np.array([[a, b] for a in axis for b in axis])
         tr = TrainingSet.from_data(design, design.copy())
-        fits = [fit_single(tr, HyperParams(s, l))
-                for s, l in [(1.0, [0.6, 0.6]), (1.2, [0.7, 0.5]), (0.9, [0.5, 0.7])]]
+        psis = [[1.0, 0.6, 0.6], [1.2, 0.7, 0.5], [0.9, 0.5, 0.7]]
         meas = MeasurementModel(np.array([0.12, 0.52]), np.full(2, 0.01**2))
-        state = AcquisitionState.from_ensemble(GpEnsemble(fits, tr), meas, box)
+        state = AcquisitionState.from_ensemble(GpEnsemble(tr, psis), meas, box)
         cfg = AdaptiveConfig(bounds=box, hyper_prior=BoxPrior([1e-8] * 3, [2.0, 1.0, 1.0]),
                              initial_design=design, n_max=1)
         return state, make_starts(cfg), make_extra_starts(cfg), cfg.eps_thresh * state.g_min

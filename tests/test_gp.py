@@ -192,6 +192,27 @@ class TestFactorize:
         lml = _lml_batch(tr, Psi)
         assert np.isfinite(lml[0]) and lml[1] == -np.inf
 
+    def test_raw_failure_names_the_level_tried(self, stack, monkeypatch):
+        tr, Psi = stack
+        # jitter = 0 tries the raw covariance alone; there is no escalation to name.
+        with pytest.raises(IllConditionedKernelError, match="relative jitter 0, the last level tried"):
+            fit_single(tr, HyperParams.from_vector(Psi[1]), jitter=0.0)
+        monkeypatch.setattr(gpinv.gp, "BASE_JITTER", 0.0)
+        with pytest.raises(IllConditionedKernelError,
+                           match="1 of 2 rows at relative jitter 0, the last level tried") as err:
+            GpEnsemble(tr, Psi)
+        np.testing.assert_array_equal(err.value.failed, [False, True])
+
+    def test_exhausted_ladder_names_max_jitter(self, stack, monkeypatch):
+        tr, Psi = stack
+        monkeypatch.setattr(gpinv.gp, "_batched_cholesky",
+                            lambda mats: (np.zeros_like(mats), np.zeros(mats.shape[0], dtype=bool)))
+        with pytest.raises(IllConditionedKernelError, match="relative jitter 1e-06, the last level tried"):
+            fit_single(tr, HyperParams.from_vector(Psi[0]))
+        with pytest.raises(IllConditionedKernelError, match="2 of 2 rows at relative jitter 1e-06") as err:
+            GpEnsemble(tr, Psi)
+        assert err.value.failed.all()
+
 
 class TestPredict:
     def test_interpolates_training_points(self):
@@ -299,8 +320,7 @@ class TestEnsemble:
     def test_training_point_reproduction(self):
         rng = np.random.default_rng(7)
         tr = make_training(rng, 7, 2, 3)
-        fits = [fit_single(tr, random_psi(rng, 2)) for _ in range(5)]
-        ens = GpEnsemble(fits, tr)
+        ens = GpEnsemble(tr, [random_psi(rng, 2).as_vector() for _ in range(5)])
         for j in range(tr.n_train):
             pred = ensemble_predict_vector(ens, tr.inputs[j])
             np.testing.assert_allclose(pred.means, np.tile(tr.raw_outputs[j], (5, 1)), atol=1e-6)
@@ -311,7 +331,7 @@ class TestEnsemble:
         tr = make_training(rng, 5, 1, 2)
         psi = random_psi(rng, 1)
         fit = fit_single(tr, psi)
-        ens = GpEnsemble([fit], tr)
+        ens = GpEnsemble(tr, psi.as_vector())
         theta = np.array([0.37])
         pred = ensemble_predict_vector(ens, theta)
         means_norm, var = predict(fit, theta)
@@ -322,19 +342,12 @@ class TestEnsemble:
     def test_mixture_mean_is_average(self):
         rng = np.random.default_rng(9)
         tr = make_training(rng, 6, 2, 2)
-        ens = GpEnsemble([fit_single(tr, random_psi(rng, 2)) for _ in range(4)], tr)
+        ens = GpEnsemble(tr, [random_psi(rng, 2).as_vector() for _ in range(4)])
         theta = rng.uniform(-2, 2, 2)
         pred = ensemble_predict_vector(ens, theta)
         mean, _ = mixture_moments(pred.means, pred.cov_diags)
         np.testing.assert_allclose(mean, pred.means.mean(axis=0), rtol=1e-12)
 
-    def test_mismatched_training_rejected(self):
-        rng = np.random.default_rng(10)
-        tr1 = make_training(rng, 4, 1, 1)
-        tr2 = make_training(rng, 4, 1, 1)
-        fit = fit_single(tr1, HyperParams(1.0, [1.0]))
-        with pytest.raises(ValueError, match="share"):
-            GpEnsemble([fit], tr2)
 
 
 def assert_normwise_close(actual, expected, tol=1e-12):
@@ -389,15 +402,36 @@ class TestTriangularSolves:
 def test_predict_batch_matches_scalar_predict_per_member():
     rng = np.random.default_rng(14)
     tr = make_training(rng, 9, 2, 3)
-    fits = [fit_single(tr, random_psi(rng, 2)) for _ in range(6)]
+    psis = [random_psi(rng, 2) for _ in range(6)]
+    fits = [fit_single(tr, psi) for psi in psis]
     thetas = rng.uniform(-2, 2, (7, 2))
-    means, variances = GpEnsemble(fits, tr).predict_batch(thetas)
+    means, variances = GpEnsemble(tr, [psi.as_vector() for psi in psis]).predict_batch(thetas)
     assert means.shape == (7, 6, 3) and variances.shape == (7, 6)
     for b, theta in enumerate(thetas):
         for j, fit in enumerate(fits):
             mean, var = predict(fit, theta)
             np.testing.assert_allclose(means[b, j], mean, rtol=1e-12, atol=1e-14)
             assert variances[b, j] == pytest.approx(var, rel=1e-12, abs=1e-14)
+
+
+def test_ensemble_members_match_fit_single(monkeypatch):
+    """Every member of the factor stack agrees with the one-row reference fit.
+
+    The ladder starts at 1e-20, so the row whose length-scale of 1e100 makes
+    the covariance singular escalates while the others factorize at once.
+    """
+    rng = np.random.default_rng(13)
+    X = rng.uniform(-1, 1, (6, 2))
+    X[1] = X[0] + np.array([0.0, 0.5])
+    tr = TrainingSet.from_data(X, rng.normal(0, 1, (6, 2)))
+    psis = [random_psi(rng, 2) for _ in range(3)] + [HyperParams(1.0, [0.5, 1e100])]
+    monkeypatch.setattr(gpinv.gp, "BASE_JITTER", 1e-20)
+    ens = GpEnsemble(tr, [psi.as_vector() for psi in psis])
+    fits = [fit_single(tr, psi, jitter=1e-20) for psi in psis]
+    assert fits[0].jitter == 1e-20 * psis[0].sigma_c**2 and fits[-1].jitter > 1e-20
+    for L, weights, fit in zip(ens._L, ens._weights, fits):
+        assert_normwise_close(L, fit.chol)
+        assert_normwise_close(weights, fit.weights)
 
 
 class TestMixtureMoments:
@@ -429,7 +463,7 @@ class TestMixtureMoments:
 def test_normalization_round_trip_at_training_inputs():
     rng = np.random.default_rng(12)
     tr = make_training(rng, 9, 2, 4)
-    ens = GpEnsemble([fit_single(tr, random_psi(rng, 2)) for _ in range(3)], tr)
+    ens = GpEnsemble(tr, [random_psi(rng, 2).as_vector() for _ in range(3)])
     for j in range(tr.n_train):
         pred = ensemble_predict_vector(ens, tr.inputs[j])
         np.testing.assert_allclose(pred.means, np.tile(tr.raw_outputs[j], (3, 1)), atol=1e-7)

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
-from gpinv.gp import GpEnsemble, HyperParams, TrainingSet, ensemble_predict_vector, fit_single
+from gpinv.gp import GpEnsemble, HyperParams, TrainingSet, ensemble_predict_vector
 from gpinv.likelihood import (
     MeasurementModel,
     d_restricted_loglik,
@@ -69,9 +69,9 @@ class Lookup:
 def small_ensemble(seed=0, n=6, p=2, q=2, n_psi=5):
     rng = np.random.default_rng(seed)
     tr = TrainingSet.from_data(rng.uniform(-1, 1, (n, p)), rng.normal(0, 1, (n, q)))
-    fits = [fit_single(tr, HyperParams(rng.uniform(0.5, 2), rng.uniform(0.3, 1.5, p)))
+    psis = [HyperParams(rng.uniform(0.5, 2), rng.uniform(0.3, 1.5, p)).as_vector()
             for _ in range(n_psi)]
-    return GpEnsemble(fits, tr), rng
+    return GpEnsemble(tr, psis), rng
 
 
 class TestMeasurementModel:

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+import gpinv.gp
 import gpinv.mcmc
-from gpinv.errors import IllConditionedKernelError, InitializationError
-from gpinv.gp import TrainingSet, fit_single
+from gpinv.errors import InitializationError
+from gpinv.gp import TrainingSet
 from gpinv.mcmc import (
     BoxPrior,
     WalkerEnsemble,
@@ -179,41 +180,67 @@ class TestSampleHyperposterior:
         prior = BoxPrior([1e-8, 1e-8], [12.0, 5.0])
         ens = sample_hyperposterior(training, prior, n_walkers=100, n_steps=60, seed=21)
         assert ens.n_psi == 100
-        psis = ens.hyperparams_matrix()
+        psis = ens.hyperparams
         assert np.all(psis > 1e-8 - 1e-15)
         assert np.all(psis <= [12.0, 5.0])
 
-    def test_fits_share_training(self, training):
+    def test_ensemble_keeps_training(self, training):
         prior = BoxPrior([1e-8, 1e-8], [2.0, 1.0])
         ens = sample_hyperposterior(training, prior, n_walkers=20, n_steps=30, seed=22)
-        assert all(fit.training is training for fit in ens.fits)
+        assert ens.training is training
 
     def test_determinism(self, training):
         prior = BoxPrior([1e-8, 1e-8], [12.0, 5.0])
         a = sample_hyperposterior(training, prior, n_walkers=20, n_steps=30, seed=23)
         b = sample_hyperposterior(training, prior, n_walkers=20, n_steps=30, seed=23)
-        np.testing.assert_array_equal(a.hyperparams_matrix(), b.hyperparams_matrix())
+        np.testing.assert_array_equal(a.hyperparams, b.hyperparams)
+
+    @staticmethod
+    def factorize_after_sampling(monkeypatch, factorize):
+        """Swap gpinv.gp._factorize for `factorize` once the walkers are final,
+        so the sampler's likelihood runs unchanged and only the ensemble sees it."""
+        real_sampler = gpinv.mcmc.run_sampler
+
+        def sampler(*args, **kwargs):
+            psis = real_sampler(*args, **kwargs)
+            monkeypatch.setattr(gpinv.gp, "_factorize", factorize)
+            return psis
+
+        monkeypatch.setattr(gpinv.mcmc, "run_sampler", sampler)
 
     def test_ill_conditioned_fit_replaced_by_duplication(self, training, monkeypatch):
         calls = []
+        real_factorize = gpinv.gp._factorize
 
-        def flaky_fit(tr, psi):
-            calls.append(psi)
-            if len(calls) == 3:
-                raise IllConditionedKernelError("cannot factorize", cond_estimate=1e17)
-            return fit_single(tr, psi)
+        def flaky_factorize(X, Psi, jitter):
+            calls.append(Psi.copy())
+            L, shift = real_factorize(X, Psi, jitter)
+            if len(calls) == 1:
+                L[2], shift[2] = np.nan, np.nan
+            return L, shift
 
-        monkeypatch.setattr(gpinv.mcmc, "fit_single", flaky_fit)
+        self.factorize_after_sampling(monkeypatch, flaky_factorize)
         ens = sample_hyperposterior(training, BoxPrior([1e-8, 1e-8], [2.0, 1.0]),
                                     n_walkers=10, n_steps=5, seed=24)
-        assert len(calls) == 10 and ens.n_psi == 10
-        assert any(fit is other for k, fit in enumerate(ens.fits) for other in ens.fits[:k])
+        assert len(calls) == 2 and len(calls[0]) == 10 and ens.n_psi == 10
+        assert not any(np.array_equal(row, calls[0][2]) for row in ens.hyperparams)
+        assert any(np.array_equal(row, other)
+                   for k, row in enumerate(ens.hyperparams) for other in ens.hyperparams[:k])
+
+    def test_no_factorized_row_raises(self, training, monkeypatch):
+        def failing_factorize(X, Psi, jitter):
+            return np.full((len(Psi), len(X), len(X)), np.nan), np.full(len(Psi), np.nan)
+
+        self.factorize_after_sampling(monkeypatch, failing_factorize)
+        with pytest.raises(InitializationError, match="usable fit"):
+            sample_hyperposterior(training, BoxPrior([1e-8, 1e-8], [2.0, 1.0]),
+                                  n_walkers=10, n_steps=5, seed=24)
 
     def test_other_fit_errors_propagate(self, training, monkeypatch):
-        def broken_fit(tr, psi):
+        def broken_factorize(X, Psi, jitter):
             raise ValueError("not a conditioning problem")
 
-        monkeypatch.setattr(gpinv.mcmc, "fit_single", broken_fit)
+        self.factorize_after_sampling(monkeypatch, broken_factorize)
         with pytest.raises(ValueError, match="conditioning"):
             sample_hyperposterior(training, BoxPrior([1e-8, 1e-8], [2.0, 1.0]),
                                   n_walkers=10, n_steps=5, seed=25)
