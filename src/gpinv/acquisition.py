@@ -1,6 +1,10 @@
 """Expected improvement in fit: objective, smoothed variant, gradients, and
 the multistart bound-constrained maximizer that picks the next training input.
 
+The maximizer runs L-BFGS-B from every start in lockstep: each start keeps
+its own iterates, and every start that waits for a value and gradient is
+scored in one batched call of the smoothed objective.
+
 The improvement at a point is the ensemble average of the positive part of
 (best misfit so far) - (that member's surrogate misfit). The hinge is
 replaced by a twice continuously differentiable ramp during optimization so
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import _lbfgsb
 
 from .designs import DesignBox, sobol
 from .gp import GpEnsemble, _back_subst, _forward_subst, _se_cov
@@ -86,35 +90,6 @@ class AcquisitionState:
         return cls(ens, meas, g_min, bounds, eta)
 
 
-def _pred_grad(ens: GpEnsemble, theta: np.ndarray):
-    """Normalized means/variance and their gradients for every ensemble member.
-
-    Returns (m_norm (J,q), V_norm (J,), dm (J,q,p), dV (J,p)). The kernel's
-    exponent carries 1/l^2 with no factor 2, so differentiation brings down
-    -2 (theta - x_n) / l^2. C^-1 c comes from a forward and a backward
-    substitution through the stored Cholesky factors.
-    """
-    diff = theta[None, :] - ens.training.inputs              # (n, p)
-    cvec = _se_cov(theta[None, :], ens.training.inputs, ens._sigma2, ens._inv_l2)  # (J, 1, n)
-    m_norm = (cvec @ ens._weights)[:, 0, :]
-    half = _forward_subst(ens._L, cvec.transpose(0, 2, 1))   # (J, n, 1)
-    V_norm = np.maximum(ens._sigma2 - np.sum(half[:, :, 0] ** 2, axis=1), 0.0)
-    grad_c = -2.0 * cvec * diff.T[None, :, :] * ens._inv_l2[:, :, None]  # (J, p, n)
-    dm = (grad_c @ ens._weights).transpose(0, 2, 1)
-    dV = -2.0 * (grad_c @ _back_subst(ens._L, half))[:, :, 0]
-    return m_norm, V_norm, dm, dV
-
-
-def _misfits_and_grads(ens: GpEnsemble, meas: MeasurementModel, theta: np.ndarray):
-    """Per-member surrogate misfits (J,) and their gradients (J, p) at theta."""
-    m_norm, V_norm, dm, dV = _pred_grad(ens, theta)
-    g, resid, den = member_misfits(m_norm, V_norm, ens.training, meas)
-    coeff_mean = -2.0 * resid / den                          # (J, q)
-    coeff_var = -np.sum(resid**2 / den**2, axis=1)           # (J,)
-    grad = (coeff_mean[:, None, :] @ dm)[:, 0, :] + coeff_var[:, None] * dV
-    return g, grad
-
-
 def expected_improvement(theta: np.ndarray, state: AcquisitionState) -> float:
     """Ensemble mean of the exact hinge [g_min - g_j]+ at theta."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -149,13 +124,51 @@ def screen_acquisition(state: AcquisitionState) -> tuple[np.ndarray, np.ndarray]
     return candidates, expected_improvement_batch(candidates, state)
 
 
+def _misfit_grads_batch(thetas: np.ndarray, ens: GpEnsemble, meas: MeasurementModel):
+    """Per-member surrogate misfits (B, J) and their gradients (B, J, p) at each row.
+
+    Works in (J, B, n) layout like `predict_batch`. The chain rule runs
+    through the cross-covariance c alone, so the misfit coefficients fold
+    into one n-vector per member and row,
+    w = c * (W coeff_mean - 2 coeff_var C^-1 c), and the gradient is
+    -2 inv_l2 * (w^T (theta - x_n)): one matmul, no (J, B, p, q) tensor of
+    mean derivatives. C^-1 c comes from a forward and a backward
+    substitution through the stored Cholesky factors.
+    """
+    X = ens.training.inputs
+    cvec = _se_cov(thetas, X, ens._sigma2, ens._inv_l2)                  # (J, B, n)
+    means = cvec @ ens._weights                                           # (J, B, q)
+    half = _forward_subst(ens._L, cvec.transpose(0, 2, 1))                # (J, n, B)
+    var = np.maximum(ens._sigma2[:, None] - np.sum(half**2, axis=1), 0.0)
+    g, resid, den = member_misfits(means, var, ens.training, meas)       # (J, B), (J, B, q) x2
+    coeff_mean = -2.0 * resid / den
+    coeff_var = -np.sum(resid**2 / den**2, axis=2)
+    cinv_c = _back_subst(ens._L, half).transpose(0, 2, 1)                 # (J, B, n)
+    w = cvec * (coeff_mean @ ens._weights.transpose(0, 2, 1) - 2.0 * coeff_var[..., None] * cinv_c)
+    diff = thetas[:, None, :] - X[None, :, :]                             # (B, n, p)
+    dg = -2.0 * (w.transpose(1, 0, 2) @ diff) * ens._inv_l2               # (B, J, p)
+    return g.T, dg
+
+
+def expected_improvement_smoothed_batch(thetas: np.ndarray, state: AcquisitionState
+                                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Smoothed objective values (B,) and analytic gradients (B, p), SCREEN_BLOCK rows at a time."""
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    values = np.empty(thetas.shape[0])
+    grads = np.empty(thetas.shape)
+    for lo in range(0, thetas.shape[0], SCREEN_BLOCK):
+        g, dg = _misfit_grads_batch(thetas[lo:lo + SCREEN_BLOCK], state.ensemble, state.meas)
+        value, slope = smoothed_pos(state.g_min - g, state.eta)
+        values[lo:lo + SCREEN_BLOCK] = np.mean(value, axis=1)
+        grads[lo:lo + SCREEN_BLOCK] = -(slope[:, None, :] @ dg)[:, 0, :] / g.shape[1]
+    return values, grads
+
+
 def expected_improvement_smoothed(theta: np.ndarray, state: AcquisitionState) -> tuple[float, np.ndarray]:
     """Smoothed objective value and its analytic gradient at theta."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    g, dg = _misfits_and_grads(state.ensemble, state.meas, theta)
-    value, slope = smoothed_pos(state.g_min - g, state.eta)
-    grad = -(np.atleast_1d(slope) @ dg) / g.shape[0]
-    return float(np.mean(value)), grad
+    values, grads = expected_improvement_smoothed_batch(theta[None, :], state)
+    return float(values[0]), grads[0]
 
 
 @dataclass
@@ -173,35 +186,98 @@ class AcquisitionResult:
     degraded: bool = False
 
 
-def multistart_maximize(value_and_grad, starts: np.ndarray, box: DesignBox) -> AcquisitionResult:
+# scipy's L-BFGS-B reverse-communication task codes (task[0] of setulb).
+_FG, _NEW_X, _CONVERGENCE, _STOP = 3, 1, 4, 5
+_MAXITER_REACHED, _MAXFUN_REACHED = 504, 502
+
+
+class _LbfgsbStart:
+    """One start's L-BFGS-B state: setulb's workspace plus the last evaluation.
+
+    The settings and the loop are those of scipy's `_minimize_lbfgsb` with
+    ftol=STEP_TOL and gtol=GRAD_TOL, so a start takes the same iterates as
+    `minimize(method="L-BFGS-B")` given the same objective values.
+    """
+
+    MAXCOR, MAXLS, MAXFUN, MAXITER = 10, 20, 15000, 500
+
+    def __init__(self, x0: np.ndarray, f0: float, g0: np.ndarray, box: DesignBox):
+        n, m = x0.shape[0], self.MAXCOR
+        self.lower = np.ascontiguousarray(box.lower, dtype=np.float64)
+        self.upper = np.ascontiguousarray(box.upper, dtype=np.float64)
+        self.nbd = np.full(n, 2, dtype=np.int32)  # both bounds finite
+        self.x = np.array(x0, dtype=np.float64)
+        self.f = np.array(0.0)
+        self.g = np.zeros(n)
+        self.wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+        self.iwa = np.zeros(3 * n, dtype=np.int32)
+        self.task = np.zeros(2, dtype=np.int32)
+        self.ln_task = np.zeros(2, dtype=np.int32)
+        self.lsave = np.zeros(4, dtype=np.int32)
+        self.isave = np.zeros(44, dtype=np.int32)
+        self.dsave = np.zeros(29)
+        self.n_iterations = 0
+        # scipy evaluates at x0 before the first setulb call and reuses it there
+        self.eval_x, self.eval_f, self.eval_g, self.nfev = self.x.copy(), f0, g0, 1
+
+    def record(self, f: float, g: np.ndarray) -> None:
+        """Take f and g at the current x and keep them, as scipy's ScalarFunction does."""
+        self.eval_x, self.eval_f, self.eval_g = self.x.copy(), f, g
+        self.f, self.g = f, g.copy()
+        self.nfev += 1
+
+    def advance(self) -> bool:
+        """Run setulb until it wants f and g at a new x (True) or stops (False)."""
+        factr = STEP_TOL / np.finfo(float).eps
+        while True:
+            _lbfgsb.setulb(self.MAXCOR, self.x, self.lower, self.upper, self.nbd, self.f, self.g,
+                           factr, GRAD_TOL, self.wa, self.iwa, self.task, self.lsave,
+                           self.isave, self.dsave, self.MAXLS, self.ln_task)
+            if self.task[0] == _FG:
+                if not np.array_equal(self.x, self.eval_x):
+                    return True
+                self.f, self.g = self.eval_f, self.eval_g.copy()
+            elif self.task[0] == _NEW_X:
+                self.n_iterations += 1
+                if self.n_iterations >= self.MAXITER:
+                    self.task[:] = _STOP, _MAXITER_REACHED
+                elif self.nfev > self.MAXFUN:
+                    self.task[:] = _STOP, _MAXFUN_REACHED
+            else:
+                return False
+
+
+def multistart_maximize_batch(values_and_grads, starts: np.ndarray, box: DesignBox) -> AcquisitionResult:
     """Bound-constrained quasi-Newton ascent from every start, best result wins.
 
-    `value_and_grad(theta) -> (value, gradient)` is maximized inside the box
-    by projected-gradient ascent with BFGS curvature, one start after
-    another. Value ties go to the earliest start. The best point wins whether
-    or not its run reported convergence: the line search can stop abnormally
-    on a sharp maximum whose gradient is already near zero. `degraded=True`
-    flags that no start converged.
+    `values_and_grads(X) -> (values (B,), gradients (B, p))` is maximized
+    inside the box by L-BFGS-B from every start in lockstep. Each start keeps
+    its own iterates; only the evaluations are shared: every round scores,
+    in one call, all starts that wait for a value at a new point. A start's
+    value is the last one evaluated, as `minimize` reports it. Value ties go
+    to the earliest start. The best point wins whether or not its run
+    reported convergence: the line search can stop abnormally on a sharp
+    maximum whose gradient is already near zero. `degraded=True` flags that
+    no start converged.
     """
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     if starts.shape[0] < 1:
         raise ValueError("need at least one start")
     if not np.all(box.contains(starts)):
         raise ValueError("all starts must lie inside the search box")
-    bounds = list(zip(box.lower, box.upper))
 
-    def negative(theta):
-        value, grad = value_and_grad(theta)
-        return -value, -np.asarray(grad, dtype=float)
+    def negated(X):
+        values, grads = values_and_grads(X)
+        return -np.asarray(values, dtype=float), -np.asarray(grads, dtype=float)
 
-    def ascend(x0) -> LocalOptimum:
-        res = minimize(
-            negative, x0, jac=True, method="L-BFGS-B", bounds=bounds,
-            options={"ftol": STEP_TOL, "gtol": GRAD_TOL, "maxiter": 500},
-        )
-        return LocalOptimum(box.clip(res.x), float(-res.fun), bool(res.success))
-
-    optima = [ascend(x0) for x0 in starts]
+    runs = [_LbfgsbStart(x0, float(f), g, box) for x0, f, g in zip(starts, *negated(starts.copy()))]
+    pending = [run for run in runs if run.advance()]
+    while pending:
+        for run, f, g in zip(pending, *negated(np.array([run.x for run in pending]))):
+            run.record(float(f), g)
+        pending = [run for run in pending if run.advance()]
+    optima = [LocalOptimum(box.clip(run.x), -float(run.f), bool(run.task[0] == _CONVERGENCE))
+              for run in runs]
     best = max(optima, key=lambda o: o.value)
     degraded = not any(o.converged for o in optima)
     if degraded:
@@ -209,8 +285,17 @@ def multistart_maximize(value_and_grad, starts: np.ndarray, box: DesignBox) -> A
     return AcquisitionResult(best.theta, best.value, optima, degraded)
 
 
+def multistart_maximize(value_and_grad, starts: np.ndarray, box: DesignBox) -> AcquisitionResult:
+    """`multistart_maximize_batch` for a one-point `value_and_grad(theta) -> (value, gradient)`."""
+    def rows(X):
+        pairs = [value_and_grad(theta) for theta in X]
+        return np.array([v for v, _ in pairs], dtype=float), np.array([g for _, g in pairs], dtype=float)
+
+    return multistart_maximize_batch(rows, starts, box)
+
+
 def maximize_acquisition(state: AcquisitionState, starts: Sequence[np.ndarray]) -> AcquisitionResult:
     """Multistart ascent of the smoothed expected improvement inside the box."""
-    return multistart_maximize(
-        lambda theta: expected_improvement_smoothed(theta, state), starts, state.bounds,
+    return multistart_maximize_batch(
+        lambda thetas: expected_improvement_smoothed_batch(thetas, state), starts, state.bounds,
     )

@@ -57,11 +57,6 @@ class HyperParams:
         """Flat (p+1,) vector: sigma_c first, then the length-scales."""
         return np.concatenate(([self.sigma_c], self.lengthscales))
 
-    @classmethod
-    def from_vector(cls, psi: np.ndarray) -> "HyperParams":
-        psi = np.asarray(psi, dtype=float)
-        return cls(sigma_c=float(psi[0]), lengthscales=psi[1:].copy())
-
 
 def normalize_outputs(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Center and scale each output column to zero mean and unit variance.
@@ -345,7 +340,8 @@ class EnsemblePrediction(NamedTuple):
 class GpEnsemble:
     """Fitted predictors for J hyperparameter rows [sigma_c, l_1..l_p] over one training set.
 
-    One `_factorize` call gives the factor stack `_L` (J, n, n); the core's
+    One `_factorize` call gives the factor stack `_L` (J, n, n) and the
+    absolute diagonal shift of every member, `jitter_shifts` (J,); the core's
     substitutions give the weights `_weights` (J, n, q). A row that no jitter
     level factorizes raises IllConditionedKernelError with the `failed` mask."""
 
@@ -365,6 +361,11 @@ class GpEnsemble:
         self._inv_l2 = 1.0 / hyperparams[:, 1:] ** 2
         self._L = L
         self._weights = _back_subst(L, _forward_subst(L, training.scaled_outputs))
+        self.jitter_shifts = shift
+        escalated = int(np.count_nonzero(shift > BASE_JITTER * self._sigma2))
+        if escalated:
+            log.debug("%d of %d members escalated past the base jitter for n_train=%d",
+                      escalated, len(shift), training.n_train)
 
     @property
     def n_psi(self) -> int:

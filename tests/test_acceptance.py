@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-import gpinv.acquisition as acq
 from gpinv.acquisition import (
     AcquisitionState,
     expected_improvement,
@@ -33,6 +32,7 @@ from gpinv.gp import GpEnsemble, HyperParams, TrainingSet, ensemble_predict_vect
 from gpinv.likelihood import MeasurementModel, d_restricted_loglik, gp_misfits, misfit_of_outputs
 from gpinv.mcmc import BoxPrior, run_chain, run_sampler
 from gpinv.posterior import hpd_region, sample_posterior
+from oracles import misfits_and_grads, pred_grad
 
 RECORDS = {}
 
@@ -125,13 +125,13 @@ def test_criterion_2_gradient_suite():
         checked = 0
         while checked < 100:
             theta = rng.uniform(-1, 1, p)
-            g0, dg = acq._misfits_and_grads(ens, meas, theta)
+            g0, dg = misfits_and_grads(ens, meas, theta)
             # stay clear of the hinge's smoothing band: the finite-difference
             # oracle is invalid where the third derivative is O(1/eta^2)
             margin = 10 * state.eta + 20 * h * (1 + np.abs(dg).max())
             if np.any(np.abs(state.g_min - g0 - state.eta / 2) < state.eta / 2 + margin):
                 continue
-            m0, V0, dm, dV = acq._pred_grad(ens, theta)
+            m0, V0, dm, dV = pred_grad(ens, theta)
             fd_m = np.zeros_like(dm)
             fd_V = np.zeros_like(dV)
             fd_g = np.zeros_like(dg)
@@ -139,12 +139,12 @@ def test_criterion_2_gradient_suite():
             for k in range(p):
                 e = np.zeros(p)
                 e[k] = h
-                mp, Vp, _, _ = acq._pred_grad(ens, theta + e)
-                mm, Vm, _, _ = acq._pred_grad(ens, theta - e)
+                mp, Vp, _, _ = pred_grad(ens, theta + e)
+                mm, Vm, _, _ = pred_grad(ens, theta - e)
                 fd_m[:, :, k] = (mp - mm) / (2 * h)
                 fd_V[:, k] = (Vp - Vm) / (2 * h)
-                gp_, _ = acq._misfits_and_grads(ens, meas, theta + e)
-                gm_, _ = acq._misfits_and_grads(ens, meas, theta - e)
+                gp_, _ = misfits_and_grads(ens, meas, theta + e)
+                gm_, _ = misfits_and_grads(ens, meas, theta - e)
                 fd_g[:, k] = (gp_ - gm_) / (2 * h)
                 fd_I[k] = (expected_improvement_smoothed(theta + e, state)[0]
                            - expected_improvement_smoothed(theta - e, state)[0]) / (2 * h)

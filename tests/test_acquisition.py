@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import OptimizeResult
+from scipy.optimize import minimize, rosen, rosen_der
 
 import gpinv.acquisition as acq
 from gpinv.acquisition import (
@@ -10,14 +10,17 @@ from gpinv.acquisition import (
     expected_improvement,
     expected_improvement_batch,
     expected_improvement_smoothed,
+    expected_improvement_smoothed_batch,
     maximize_acquisition,
     multistart_maximize,
+    multistart_maximize_batch,
     screen_acquisition,
     smoothed_pos,
 )
 from gpinv.designs import DesignBox
 from gpinv.gp import GpEnsemble, HyperParams, TrainingSet, fit_single
 from gpinv.likelihood import MeasurementModel
+from oracles import misfits_and_grads, pred_grad
 
 
 def make_state(seed=0, n=6, p=2, q=2, n_psi=6, eta=1e-4):
@@ -160,14 +163,14 @@ class TestGradGpMisfit:
         ens = state.ensemble
         h = 1e-6
         for theta in rng.uniform(-1, 1, (10, 2)):
-            m, V, dm, dV = acq._pred_grad(ens, theta)
+            m, V, dm, dV = pred_grad(ens, theta)
             assert m.shape == (7, 3) and V.shape == (7,)
             assert dm.shape == (7, 3, 2) and dV.shape == (7, 2)
             for k in range(2):
                 e = np.zeros(2)
                 e[k] = h
-                mp, Vp, _, _ = acq._pred_grad(ens, theta + e)
-                mm, Vm, _, _ = acq._pred_grad(ens, theta - e)
+                mp, Vp, _, _ = pred_grad(ens, theta + e)
+                mm, Vm, _, _ = pred_grad(ens, theta - e)
                 np.testing.assert_allclose(dm[:, :, k], (mp - mm) / (2 * h), rtol=1e-5, atol=1e-7)
                 np.testing.assert_allclose(dV[:, k], (Vp - Vm) / (2 * h), rtol=1e-5, atol=1e-7)
 
@@ -175,7 +178,7 @@ class TestGradGpMisfit:
         state, _ = make_state(seed=7)
         ens = state.ensemble
         for theta in ens.training.inputs:
-            _, _, _, dV = acq._pred_grad(ens, theta)
+            _, _, _, dV = pred_grad(ens, theta)
             np.testing.assert_allclose(dV, 0.0, atol=1e-7)
 
     def test_finite_difference_match_over_random_designs(self):
@@ -188,15 +191,25 @@ class TestGradGpMisfit:
             for _ in range(20):
                 theta = rng.uniform(-1, 1, 2)
                 ens1 = GpEnsemble(tr, psi.as_vector())
-                grad = acq._misfits_and_grads(ens1, meas, theta)[1][0]
+                grad = misfits_and_grads(ens1, meas, theta)[1][0]
                 fd = np.zeros(2)
                 for k in range(2):
                     e = np.zeros(2)
                     e[k] = h
-                    gp_ = acq._misfits_and_grads(ens1, meas, theta + e)[0][0]
-                    gm_ = acq._misfits_and_grads(ens1, meas, theta - e)[0][0]
+                    gp_ = misfits_and_grads(ens1, meas, theta + e)[0][0]
+                    gm_ = misfits_and_grads(ens1, meas, theta - e)[0][0]
                     fd[k] = (gp_ - gm_) / (2 * h)
                 assert np.linalg.norm(grad - fd) / max(np.linalg.norm(grad), 1e-8) < 1e-5
+
+    def test_batched_member_gradients_match_oracle(self):
+        state, rng = make_state(seed=16, n=8, q=3, n_psi=7)
+        thetas = np.vstack([rng.uniform(-1, 1, (11, 2)), state.ensemble.training.inputs[:2]])
+        g, dg = acq._misfit_grads_batch(thetas, state.ensemble, state.meas)
+        assert g.shape == (13, 7) and dg.shape == (13, 7, 2)
+        for theta, g_row, dg_row in zip(thetas, g, dg):
+            g_ref, dg_ref = misfits_and_grads(state.ensemble, state.meas, theta)
+            np.testing.assert_allclose(g_row, g_ref, rtol=1e-12)
+            np.testing.assert_allclose(dg_row, dg_ref, rtol=1e-9, atol=1e-12 * np.abs(dg_ref).max())
 
     def test_single_point_symbolic_oracle(self):
         # One training point at the origin with identity normalization:
@@ -208,8 +221,83 @@ class TestGradGpMisfit:
         ens = GpEnsemble(tr, [1.0, 1.0])
         v1 = fit_single(tr, HyperParams(1.0, [1.0])).weights[0, 0]
         for theta in (0.3, -0.7, 1.2):
-            _, _, dm, _ = acq._pred_grad(ens, np.array([theta]))
+            _, _, dm, _ = pred_grad(ens, np.array([theta]))
             assert dm[0, 0, 0] == pytest.approx(-2 * theta * np.exp(-theta**2) * v1, rel=1e-10)
+
+
+class TestSmoothedBatch:
+    def test_row_independent_of_its_block(self):
+        state, rng = make_state(seed=17, n=8, q=3, n_psi=9)
+        block = rng.uniform(-1, 1, (acq.SCREEN_BLOCK, 2))
+        values, grads = expected_improvement_smoothed_batch(block, state)
+        assert values.shape == (acq.SCREEN_BLOCK,) and grads.shape == (acq.SCREEN_BLOCK, 2)
+        assert np.count_nonzero(values) > acq.SCREEN_BLOCK // 2
+        for theta, value, grad in zip(block, values, grads):
+            alone, alone_grad = expected_improvement_smoothed(theta, state)
+            assert alone == pytest.approx(value, rel=1e-12, abs=0.0)
+            np.testing.assert_allclose(alone_grad, grad, rtol=1e-12, atol=0.0)
+
+    def test_blocks_cover_more_rows_than_one_block(self):
+        state, rng = make_state(seed=18)
+        thetas = rng.uniform(-1, 1, (2 * acq.SCREEN_BLOCK + 3, 2))
+        values, grads = expected_improvement_smoothed_batch(thetas, state)
+        for lo in range(0, len(thetas), acq.SCREEN_BLOCK):
+            part = expected_improvement_smoothed_batch(thetas[lo:lo + acq.SCREEN_BLOCK], state)
+            np.testing.assert_array_equal(values[lo:lo + acq.SCREEN_BLOCK], part[0])
+            np.testing.assert_array_equal(grads[lo:lo + acq.SCREEN_BLOCK], part[1])
+
+
+class TestLockstepDriver:
+    """The lockstep L-BFGS-B driver calls scipy's private `_lbfgsb.setulb`.
+
+    Given a row-independent batched objective it must take, start by start,
+    the iterates of `minimize(method="L-BFGS-B")` with the same settings.
+    """
+
+    @staticmethod
+    def scipy_ascent(objective, x0, box):
+        res = minimize(lambda x: tuple(-np.asarray(v) for v in objective(x)), x0, jac=True,
+                       method="L-BFGS-B", bounds=list(zip(box.lower, box.upper)),
+                       options={"ftol": acq.STEP_TOL, "gtol": acq.GRAD_TOL, "maxiter": 500})
+        return res.x, -res.fun, res.success
+
+    @pytest.mark.parametrize("upper, ends", [(2.0, "interior"), (0.7, "face")])
+    def test_rosenbrock_matches_minimize_bit_for_bit(self, upper, ends):
+        box = DesignBox(np.full(3, -2.0), np.full(3, upper))
+        starts = box.sample(np.random.default_rng(19), 20)
+
+        def objective(theta):
+            return -rosen(theta), -rosen_der(theta)
+
+        def rows(X):
+            return (np.array([objective(x)[0] for x in X]), np.array([objective(x)[1] for x in X]))
+
+        optima = multistart_maximize_batch(rows, starts, box).local_optima
+        for x0, opt in zip(starts, optima):
+            x, value, success = self.scipy_ascent(objective, x0, box)
+            np.testing.assert_array_equal(opt.theta, x)
+            assert opt.value == value
+            assert opt.converged == success
+        on_face = [np.any((o.theta == box.lower) | (o.theta == box.upper)) for o in optima]
+        assert any(on_face) if ends == "face" else not all(on_face)
+        assert sum(o.converged for o in optima) >= 15
+
+    def test_abnormal_line_search_matches_minimize(self):
+        box = DesignBox([-1.0], [1.0])
+
+        def objective(theta):
+            if theta[0] < 0.25:
+                return 1.0 - theta[0] ** 2, -2.0 * theta
+            return 5.0, np.ones(1)  # a plateau whose gradient claims ascent
+
+        starts = np.array([[0.0], [0.5], [0.3], [0.9], [-0.6]])
+        result = multistart_maximize(objective, starts, box)
+        assert 0 < sum(o.converged for o in result.local_optima) < len(starts)
+        for x0, opt in zip(starts, result.local_optima):
+            x, value, success = self.scipy_ascent(objective, x0, box)
+            np.testing.assert_array_equal(opt.theta, x)
+            assert opt.value == value
+            assert opt.converged == success
 
 
 class TestMultistartMaximize:
@@ -228,19 +316,21 @@ class TestMultistartMaximize:
         assert not result.degraded
         assert len(result.local_optima) == 3
 
-    def test_best_point_wins_even_without_convergence_flag(self, monkeypatch):
+    def test_best_point_wins_even_without_convergence_flag(self):
         # L-BFGS-B can stop abnormally in its line search on a sharp maximum
         # it has already reached; that point still beats a converged lesser one.
+        # Right of 0.25 the objective is a plateau at 5 whose gradient claims
+        # ascent, so no trial step from 0.5 decreases -value enough and the
+        # line search gives up there.
         box = DesignBox([-1.0], [1.0])
-        outcomes = {0.0: (-1.0, True), 0.5: (-5.0, False)}
 
-        def fake_minimize(fun, x0, **kwargs):
-            value, success = outcomes[float(x0[0])]
-            return OptimizeResult(x=np.array(x0, dtype=float), fun=value, success=success)
+        def objective(theta):
+            if theta[0] < 0.25:
+                return 1.0 - theta[0] ** 2, -2.0 * theta
+            return 5.0, np.ones(1)
 
-        monkeypatch.setattr(acq, "minimize", fake_minimize)
-        result = multistart_maximize(lambda theta: (0.0, np.zeros(1)),
-                                     np.array([[0.0], [0.5]]), box)
+        result = multistart_maximize(objective, np.array([[0.0], [0.5]]), box)
+        assert [o.converged for o in result.local_optima] == [True, False]
         np.testing.assert_array_equal(result.theta, [0.5])
         assert result.value == 5.0
         assert not result.degraded

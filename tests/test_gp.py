@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from gpinv.gp import (
     predict,
     sq_exp_cov,
 )
+from oracles import hyperparams_from_vector
 
 
 def mixture_moments(means: np.ndarray, variances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -172,12 +175,21 @@ class TestFactorize:
         assert shift[0] == 1e-20
         assert shift[1] > 1e-20
         for row, L_row, shift_row in zip(Psi, L, shift):
-            psi = HyperParams.from_vector(row)
+            psi = hyperparams_from_vector(row)
             C = np.array([[sq_exp_cov(a, b, psi) for b in tr.inputs] for a in tr.inputs])
             np.testing.assert_allclose(L_row @ L_row.T, C + shift_row * np.eye(6), rtol=1e-10, atol=1e-12)
-        escalated = fit_single(tr, HyperParams.from_vector(Psi[1]), jitter=1e-20)
+        escalated = fit_single(tr, hyperparams_from_vector(Psi[1]), jitter=1e-20)
         assert escalated.jitter == shift[1]
         np.testing.assert_array_equal(escalated.chol, L[1])
+
+    def test_ensemble_records_escalated_rows(self, stack, monkeypatch, caplog):
+        tr, Psi = stack
+        monkeypatch.setattr(gpinv.gp, "BASE_JITTER", 1e-20)
+        with caplog.at_level(logging.DEBUG, logger="gpinv.gp"):
+            ens = GpEnsemble(tr, Psi)
+        np.testing.assert_array_equal(ens.jitter_shifts, _factorize(tr.inputs, Psi, 1e-20)[1])
+        assert ens.jitter_shifts[0] == 1e-20 and ens.jitter_shifts[1] > 1e-20
+        assert "1 of 2 members escalated" in caplog.text
 
     def test_raw_factorization_failure(self, stack, monkeypatch):
         tr, Psi = stack
@@ -185,7 +197,7 @@ class TestFactorize:
         assert shift[0] == 0.0 and np.isnan(shift[1])
         assert np.all(np.isfinite(L[0])) and np.all(np.isnan(L[1]))
         with pytest.raises(IllConditionedKernelError) as err:
-            fit_single(tr, HyperParams.from_vector(Psi[1]), jitter=0.0)
+            fit_single(tr, hyperparams_from_vector(Psi[1]), jitter=0.0)
         assert err.value.cond_estimate > 1e10
         # A ladder that starts at 0 leaves the singular row no level: -inf.
         monkeypatch.setattr(gpinv.gp, "BASE_JITTER", 0.0)
@@ -196,7 +208,7 @@ class TestFactorize:
         tr, Psi = stack
         # jitter = 0 tries the raw covariance alone; there is no escalation to name.
         with pytest.raises(IllConditionedKernelError, match="relative jitter 0, the last level tried"):
-            fit_single(tr, HyperParams.from_vector(Psi[1]), jitter=0.0)
+            fit_single(tr, hyperparams_from_vector(Psi[1]), jitter=0.0)
         monkeypatch.setattr(gpinv.gp, "BASE_JITTER", 0.0)
         with pytest.raises(IllConditionedKernelError,
                            match="1 of 2 rows at relative jitter 0, the last level tried") as err:
@@ -208,7 +220,7 @@ class TestFactorize:
         monkeypatch.setattr(gpinv.gp, "_batched_cholesky",
                             lambda mats: (np.zeros_like(mats), np.zeros(mats.shape[0], dtype=bool)))
         with pytest.raises(IllConditionedKernelError, match="relative jitter 1e-06, the last level tried"):
-            fit_single(tr, HyperParams.from_vector(Psi[0]))
+            fit_single(tr, hyperparams_from_vector(Psi[0]))
         with pytest.raises(IllConditionedKernelError, match="2 of 2 rows at relative jitter 1e-06") as err:
             GpEnsemble(tr, Psi)
         assert err.value.failed.all()
@@ -305,7 +317,7 @@ class TestLogMarginalLikelihood:
         batch = _lml_batch(tr, psis)
         for row, value in zip(psis, batch):
             assert value == pytest.approx(
-                log_marginal_likelihood(tr, HyperParams.from_vector(row)), rel=1e-12)
+                log_marginal_likelihood(tr, hyperparams_from_vector(row)), rel=1e-12)
 
     def test_invalid_rows_are_minus_inf(self):
         rng = np.random.default_rng(6)
