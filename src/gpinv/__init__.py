@@ -34,13 +34,7 @@ from .gp import (
     predict,
     sq_exp_cov,
 )
-from .likelihood import (
-    MeasurementModel,
-    d_restricted_loglik,
-    gp_misfits,
-    true_loglik,
-    true_misfit,
-)
+from .likelihood import MeasurementModel
 from .mcmc import BoxPrior, WalkerEnsemble, run_sampler, sample_hyperposterior, stretch_step
 from .posterior import HpdSummary, PosteriorSampleSet, hpd_region, sample_posterior
 

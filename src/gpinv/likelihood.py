@@ -50,16 +50,6 @@ def misfit_of_outputs(outputs: np.ndarray, meas: MeasurementModel) -> float:
     return float(np.sum((meas.z - outputs) ** 2 / meas.noise_vars))
 
 
-def true_misfit(theta: np.ndarray, forward_model, meas: MeasurementModel) -> float:
-    """g(theta) = sum_i (z_i - f_i(theta))^2 / sigma_i^2."""
-    return misfit_of_outputs(forward_model.evaluate(theta), meas)
-
-
-def gp_misfits(theta: np.ndarray, ens: GpEnsemble, meas: MeasurementModel) -> np.ndarray:
-    """Surrogate misfit of every ensemble member at theta, shape (n_psi,)."""
-    return _misfit_batch(np.asarray(theta, dtype=float)[None, :], ens, meas)[0]
-
-
 def _misfit_batch(thetas: np.ndarray, ens: GpEnsemble, meas: MeasurementModel) -> np.ndarray:
     """(B, n_psi) surrogate misfits at each row of thetas."""
     return member_misfits(*ens.predict_batch(thetas), ens.training, meas)[0]
@@ -83,28 +73,19 @@ def member_misfits(means_norm: np.ndarray, var_norm: np.ndarray, training: Train
     return terms.sum(axis=-1), resid, den
 
 
-def true_loglik(theta: np.ndarray, forward_model, meas: MeasurementModel) -> float:
-    """Gaussian log-likelihood of the data given exact forward outputs."""
-    return loglik_of_outputs(forward_model.evaluate(theta), meas)
-
-
 def loglik_of_outputs(outputs: np.ndarray, meas: MeasurementModel) -> float:
     g = misfit_of_outputs(outputs, meas)
     return -0.5 * (g + float(np.sum(np.log(2.0 * np.pi * meas.noise_vars))))
 
 
-def d_restricted_loglik(theta: np.ndarray, ens: GpEnsemble, meas: MeasurementModel) -> float:
-    """Log-likelihood under the surrogate's Gaussian-mixture predictive law.
+def d_restricted_loglik_batch(thetas: np.ndarray, ens: GpEnsemble, meas: MeasurementModel) -> np.ndarray:
+    """Surrogate log-likelihood of every row of thetas, DENSITY_BLOCK rows at a time.
 
+    The law is the surrogate's Gaussian-mixture predictive law:
     log L = -g*/2 + log sum_j (k_j / n_psi) exp(-(g_j - g*)/2) with
     g* = min_j g_j and k_j the Gaussian normalizing constant of component j.
     Finite for any finite inputs regardless of how large the misfits get.
     """
-    return d_restricted_loglik_batch(np.asarray(theta, dtype=float)[None, :], ens, meas)[0]
-
-
-def d_restricted_loglik_batch(thetas: np.ndarray, ens: GpEnsemble, meas: MeasurementModel) -> np.ndarray:
-    """Vectorized surrogate log-likelihood over rows of thetas, DENSITY_BLOCK rows at a time."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     log_norm = -0.5 * np.sum(np.log(2.0 * np.pi * ens.training.out_vars))
     out = np.empty(thetas.shape[0])

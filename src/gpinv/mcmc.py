@@ -140,13 +140,17 @@ def _init_ensemble(
     if not np.any(log_probs > -np.inf):
         raise InitializationError("every initial walker has zero probability")
     # Walkers stuck at -inf would poison acceptance ratios; restart them on
-    # the best initial position so every cached log_prob is finite.
-    stuck = log_probs == -np.inf
-    if np.any(stuck):
-        best = int(np.argmax(log_probs))
-        positions[stuck] = positions[best]
-        log_probs[stuck] = log_probs[best]
-        log.warning("re-seeded %d walkers that started at zero probability", stuck.sum())
+    # the finite walkers in turn, best first, so every cached log_prob is
+    # finite and no single position collects them all (a stretch move between
+    # two walkers at one point cannot leave it).
+    stuck = np.flatnonzero(log_probs == -np.inf)
+    if stuck.size:
+        finite = np.flatnonzero(log_probs > -np.inf)
+        donors = finite[np.argsort(-log_probs[finite], kind="stable")]
+        donors = donors[np.arange(stuck.size) % donors.size]
+        positions[stuck] = positions[donors]
+        log_probs[stuck] = log_probs[donors]
+        log.warning("re-seeded %d walkers that started at zero probability", stuck.size)
     return WalkerEnsemble(positions, log_probs, rng)
 
 

@@ -2,13 +2,22 @@
 
 The library scores the acquisition gradient for a block of rows at once
 (`gpinv.acquisition._misfit_grads_batch`); these one-point forms build the
-mean and variance derivatives explicitly and serve as its oracle.
+mean and variance derivatives explicitly and serve as its oracle. The
+misfit and likelihood helpers below score one point through the forward
+model or through the library's batched kernels.
 """
 
 import numpy as np
 
 from gpinv.gp import GpEnsemble, HyperParams, _back_subst, _forward_subst, _se_cov
-from gpinv.likelihood import MeasurementModel, member_misfits
+from gpinv.likelihood import (
+    MeasurementModel,
+    _misfit_batch,
+    d_restricted_loglik_batch,
+    loglik_of_outputs,
+    member_misfits,
+    misfit_of_outputs,
+)
 
 
 def hyperparams_from_vector(psi) -> HyperParams:
@@ -44,3 +53,23 @@ def misfits_and_grads(ens: GpEnsemble, meas: MeasurementModel, theta: np.ndarray
     coeff_var = -np.sum(resid**2 / den**2, axis=1)           # (J,)
     grad = (coeff_mean[:, None, :] @ dm)[:, 0, :] + coeff_var[:, None] * dV
     return g, grad
+
+
+def true_misfit(theta: np.ndarray, forward_model, meas: MeasurementModel) -> float:
+    """g(theta) = sum_i (z_i - f_i(theta))^2 / sigma_i^2."""
+    return misfit_of_outputs(forward_model.evaluate(theta), meas)
+
+
+def true_loglik(theta: np.ndarray, forward_model, meas: MeasurementModel) -> float:
+    """Gaussian log-likelihood of the data given exact forward outputs."""
+    return loglik_of_outputs(forward_model.evaluate(theta), meas)
+
+
+def gp_misfits(theta: np.ndarray, ens: GpEnsemble, meas: MeasurementModel) -> np.ndarray:
+    """Surrogate misfit of every ensemble member at theta, shape (n_psi,)."""
+    return _misfit_batch(np.asarray(theta, dtype=float)[None, :], ens, meas)[0]
+
+
+def d_restricted_loglik(theta: np.ndarray, ens: GpEnsemble, meas: MeasurementModel) -> float:
+    """Surrogate log-likelihood at one point (`d_restricted_loglik_batch` on one row)."""
+    return d_restricted_loglik_batch(np.asarray(theta, dtype=float)[None, :], ens, meas)[0]

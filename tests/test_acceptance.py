@@ -29,10 +29,10 @@ from gpinv.experiments import (
 )
 from gpinv.forward_models import DarcyPermeability2D, GridSolverConfig, HeatSource2D
 from gpinv.gp import GpEnsemble, HyperParams, TrainingSet, ensemble_predict_vector
-from gpinv.likelihood import MeasurementModel, d_restricted_loglik, gp_misfits, misfit_of_outputs
+from gpinv.likelihood import MeasurementModel, misfit_of_outputs
 from gpinv.mcmc import BoxPrior, run_chain, run_sampler
 from gpinv.posterior import hpd_region, sample_posterior
-from oracles import misfits_and_grads, pred_grad
+from oracles import d_restricted_loglik, gp_misfits, misfits_and_grads, pred_grad
 
 RECORDS = {}
 

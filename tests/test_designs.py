@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import qmc
 
-from gpinv.designs import DesignBox, latin_hypercube, sobol
+import gpinv
+from gpinv.designs import SOBOL_MAX_DIM, DesignBox, latin_hypercube, sobol
 from gpinv.errors import CapabilityError
 
 UNIT2 = DesignBox([0.0, 0.0], [1.0, 1.0])
@@ -100,6 +107,24 @@ class TestSobol:
         ]
         assert sobol_disc < np.median(uniform_discs)
 
+    @pytest.mark.parametrize("d", range(1, SOBOL_MAX_DIM + 1))
+    def test_matches_scipy_unscrambled(self, d):
+        box = DesignBox(np.linspace(-2.0, 1.0, d), np.linspace(0.5, 7.0, d))
+        for n, skip in [(1, 0), (16, 2), (50, 1), (100, 51), (500, 1), (1024, 1)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # balance warning for n != 2^m
+                engine = qmc.Sobol(d, scramble=False)
+                if skip:
+                    engine.fast_forward(skip)
+                expected = box.from_unit(engine.random(n))
+            np.testing.assert_array_equal(sobol(n, box, skip=skip), expected)
+
+    def test_indices_outside_the_sequence_rejected(self):
+        with pytest.raises(ValueError):
+            sobol(1, UNIT2, skip=-1)
+        with pytest.raises(ValueError):
+            sobol(2, UNIT2, skip=2**30 - 1)
+
     def test_dimension_capability_error(self):
         box = DesignBox(np.zeros(25), np.ones(25))
         with pytest.raises(CapabilityError):
@@ -108,3 +133,10 @@ class TestSobol:
     def test_points_inside_closed_box(self):
         pts = sobol(128, UNIT2)
         assert np.all(UNIT2.contains(pts))
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = "import sys, gpinv, gpinv.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(gpinv.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -6,15 +6,12 @@ from scipy.stats import multivariate_normal
 from gpinv.gp import GpEnsemble, HyperParams, TrainingSet, ensemble_predict_vector
 from gpinv.likelihood import (
     MeasurementModel,
-    d_restricted_loglik,
     d_restricted_loglik_batch,
-    gp_misfits,
     loglik_of_outputs,
     member_misfits,
     misfit_of_outputs,
-    true_loglik,
-    true_misfit,
 )
+from oracles import d_restricted_loglik, gp_misfits, true_loglik, true_misfit
 
 
 def gp_misfit(mean: np.ndarray, cov_diag: np.ndarray, meas: MeasurementModel) -> float:

@@ -158,6 +158,26 @@ class TestRunSampler:
         with pytest.raises(InitializationError):
             run_sampler(impossible, prior, n_walkers=10, n_steps=5, seed=10)
 
+    def test_stuck_walkers_spread_over_finite_walkers(self, caplog):
+        prior = BoxPrior([0.0, 0.0], [1.0, 1.0])
+        calls = []
+
+        def left_strip(points):
+            calls.append(len(points))
+            return np.where(points[:, 0] < 0.3, -np.sum(points**2, axis=1), -np.inf)
+
+        with caplog.at_level(logging.WARNING, logger="gpinv.mcmc"):
+            ens = gpinv.mcmc._init_ensemble(left_strip, prior, 20, np.random.default_rng(4))
+        n_finite = int(np.sum(prior.sample(np.random.default_rng(4), 20)[:, 0] < 0.3))
+        n_stuck = 20 - n_finite
+        assert n_finite >= 2 and n_stuck >= 2
+        assert calls == [20]
+        assert sum("re-seeded" in r.message for r in caplog.records) == 1
+        assert np.all(np.isfinite(ens.log_probs))
+        np.testing.assert_array_equal(ens.log_probs, left_strip(ens.positions))
+        _, counts = np.unique(ens.positions, axis=0, return_counts=True)
+        assert counts.max() <= 1 + -(-n_stuck // n_finite)
+
     def test_too_few_walkers_rejected(self):
         prior = BoxPrior([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
         with pytest.raises(ValueError, match="walker"):
