@@ -22,20 +22,9 @@ from .forward_models import (
     Rational1D,
     generate_measurements,
 )
-from .gp import (
-    GpEnsemble,
-    GpFit,
-    HyperParams,
-    TrainingSet,
-    ensemble_predict_vector,
-    fit_single,
-    log_marginal_likelihood,
-    normalize_outputs,
-    predict,
-    sq_exp_cov,
-)
+from .gp import GpEnsemble, TrainingSet, normalize_outputs
 from .likelihood import MeasurementModel
-from .mcmc import BoxPrior, WalkerEnsemble, run_sampler, sample_hyperposterior, stretch_step
+from .mcmc import WalkerEnsemble, sample_hyperposterior, stretch_step
 from .posterior import HpdSummary, PosteriorSampleSet, hpd_region, sample_posterior
 
 __version__ = "0.1.0"

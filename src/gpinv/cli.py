@@ -101,6 +101,34 @@ class UsageError(Exception):
     """Bad arguments or configuration; maps to exit code 2."""
 
 
+def _at_least(name: str, value: int, low: int) -> None:
+    """UsageError when the integer option `name` lies below `low`."""
+    if value < low:
+        raise UsageError(f"{name} must be at least {low}, got {value}")
+
+
+def _parse_bounds(raw: str) -> DesignBox:
+    """The box of a --bounds value: space-separated "lo,hi" pairs, one per dimension."""
+    try:
+        pairs = [tuple(map(float, chunk.split(","))) for chunk in raw.split()]
+        if any(len(pair) != 2 for pair in pairs):
+            raise ValueError('expected space-separated "lo,hi" pairs')
+        return DesignBox([lo for lo, _ in pairs], [hi for _, hi in pairs])
+    except ValueError as exc:
+        raise UsageError(f"--bounds {raw!r}: {exc}") from exc
+
+
+def _parse_theta(raw: str, dim: int) -> np.ndarray:
+    """The point of a --theta value: `dim` comma- or space-separated numbers."""
+    try:
+        theta = np.array([float(v) for v in raw.replace(",", " ").split()])
+    except ValueError as exc:
+        raise UsageError(f"--theta {raw!r}: {exc}") from exc
+    if theta.size != dim:
+        raise UsageError(f"--theta {raw!r}: expected {dim} values, got {theta.size}")
+    return theta
+
+
 def _load_spec(args) -> ExperimentSpec:
     if getattr(args, "config", None):
         try:
@@ -132,6 +160,7 @@ def _write_run_outputs(out: Path, spec: ExperimentSpec, result: AdaptiveResult, 
 
 
 def cmd_run_adaptive(args) -> int:
+    _at_least("--seed", args.seed, 0)
     spec = _load_spec(args)
     out = _prepare_out_dir(args.out, args.force)
     model = spec.build_model()
@@ -157,6 +186,8 @@ def load_surrogate(run_dir: Path) -> tuple[GpEnsemble, TrainingSet]:
 
 
 def cmd_sample_posterior(args) -> int:
+    _at_least("--n", args.n, 1)
+    _at_least("--seed", args.seed, 0)
     spec = _load_spec(args)
     out = _prepare_out_dir(args.out, args.force)
     model = spec.build_model()
@@ -188,8 +219,13 @@ def cmd_hpd(args) -> int:
     path = Path(args.samples)
     if not path.exists():
         raise UsageError(f"samples file {path} not found")
-    header, data = read_csv(path)
-    summary = hpd_region(data, alpha=args.alpha)
+    if not 0.0 < args.alpha < 1.0:
+        raise UsageError(f"--alpha must lie in (0, 1), got {args.alpha}")
+    try:
+        header, data = read_csv(path)
+        summary = hpd_region(data, alpha=args.alpha)
+    except ValueError as exc:
+        raise UsageError(f"--samples {path}: {exc}") from exc
     for name, lo, hi in zip(header, summary.lower, summary.upper):
         print(f"{name}: [{lo:.6g}, {hi:.6g}]")
     if args.out:
@@ -225,6 +261,8 @@ def _lhs_one(config_path: str | None, experiment: str | None, seed: int, n_point
 
 
 def cmd_compare_designs(args) -> int:
+    _at_least("--runs", args.runs, 1)
+    _at_least("--seed", args.seed, 0)
     spec = _load_spec(args)
     out = _prepare_out_dir(args.out, args.force)
     seeds = [args.seed + r for r in range(args.runs)]
@@ -259,17 +297,21 @@ def cmd_compare_designs(args) -> int:
 
 
 def cmd_gen_design(args) -> int:
+    _at_least("--n", args.n, 1)
+    _at_least("--seed", args.seed, 0)
     if args.config or args.experiment:
         box = _load_spec(args).bounds
     elif args.bounds:
-        pairs = [tuple(map(float, chunk.split(","))) for chunk in args.bounds.split()]
-        box = DesignBox([lo for lo, _ in pairs], [hi for _, hi in pairs])
+        box = _parse_bounds(args.bounds)
     else:
         raise UsageError("provide --config, --experiment, or --bounds")
     if args.kind == "lhs":
         points = latin_hypercube(args.n, box, seed=args.seed)
     else:
-        points = sobol(args.n, box, skip=args.skip)
+        try:
+            points = sobol(args.n, box, skip=args.skip)
+        except ValueError as exc:
+            raise UsageError(f"--skip {args.skip} with --n {args.n}: {exc}") from exc
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(out, _theta_names(box.dim), points)
@@ -279,9 +321,9 @@ def cmd_gen_design(args) -> int:
 
 def cmd_eval_model(args) -> int:
     spec = _load_spec(args)
+    theta = _parse_theta(args.theta, spec.bounds.dim)
     out = _prepare_out_dir(args.out, args.force)
     model = spec.build_model()
-    theta = np.array([float(v) for v in args.theta.replace(",", " ").split()])
     outputs = model.fine_evaluate(theta) if args.fine else model.evaluate(theta)
     write_csv(out / "outputs.csv", [f"f_{i + 1}" for i in range(outputs.size)], outputs[None, :])
     if args.dump_field and hasattr(model, "solve_field"):
@@ -372,8 +414,6 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 
-
-cli_main = main
 
 if __name__ == "__main__":
     sys.exit(main())

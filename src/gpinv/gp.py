@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve
 
 from .errors import IllConditionedKernelError
 
@@ -136,18 +135,6 @@ class TrainingSet:
         )
 
 
-def sq_exp_cov(a: np.ndarray, b: np.ndarray, psi: HyperParams) -> float:
-    """Squared-exponential covariance sigma_c^2 * exp(-sum((a-b)^2 / l^2))."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    if a.shape != b.shape or a.shape[0] != psi.input_dim:
-        raise ValueError(
-            f"dimension mismatch: a{a.shape}, b{b.shape}, lengthscales ({psi.input_dim},)"
-        )
-    r2 = np.sum((a - b) ** 2 / psi.lengthscales**2)
-    return float(psi.sigma_c**2 * np.exp(-r2))
-
-
 def _se_cov(A: np.ndarray, B: np.ndarray, sigma2: np.ndarray, inv_l2: np.ndarray) -> np.ndarray:
     """(J, |A|, |B|) squared-exponential covariances between the rows of A and B,
     one slab per row of sigma2 (J,) and inv_l2 = 1/l^2 (J, p)."""
@@ -169,6 +156,7 @@ class GpFit:
     jitter: float          # absolute diagonal shift actually applied
 
 
+# perfbench/tracing.py patches gpinv.mcmc.fit_single, so it stays, and with it GpFit and HyperParams.
 def fit_single(training: TrainingSet, psi: HyperParams, jitter: float = BASE_JITTER) -> GpFit:
     """Factorize the training covariance and solve for the predictive weights.
 
@@ -247,30 +235,6 @@ def _condition_estimate(X: np.ndarray, Psi: np.ndarray) -> float:
         return float("inf")
 
 
-def predict(fit: GpFit, theta: np.ndarray) -> tuple[np.ndarray, float]:
-    """Predictive means (per output, normalized scale) and shared variance at theta.
-
-    mean_i = c^T C^-1 y_i, variance = c(theta,theta) - c^T C^-1 c, clamped at 0.
-    """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    psi = fit.hyperparams
-    diff2 = (fit.training.inputs - theta) ** 2
-    c = psi.sigma_c**2 * np.exp(-diff2 @ (1.0 / psi.lengthscales**2))
-    means = c @ fit.weights
-    half = solve_triangular(fit.chol, c, lower=True)
-    variance = psi.sigma_c**2 - float(half @ half)
-    return means, max(variance, 0.0)
-
-
-def log_marginal_likelihood(training: TrainingSet, psi: HyperParams) -> float:
-    """Sum over outputs of log N(scaled_outputs_i | 0, C_psi), via Cholesky."""
-    Psi = psi.as_vector()[None, :]
-    value = _lml_batch(training, Psi)[0]
-    if not np.isfinite(value):
-        raise _factorization_error(training.inputs, Psi, BASE_JITTER, np.array([True]))
-    return float(value)
-
-
 def _lml_batch(training: TrainingSet, Psi: np.ndarray) -> np.ndarray:
     """Vectorized log marginal likelihood over rows of Psi = [sigma_c, l_1..l_p].
 
@@ -329,14 +293,6 @@ def _batched_cholesky(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, ok
 
 
-class EnsemblePrediction(NamedTuple):
-    """Per-hyperparameter predictive summaries at one input point."""
-
-    means: np.ndarray           # (n_psi, q), raw output scale
-    norm_variances: np.ndarray  # (n_psi,), shared normalized-scale variance
-    cov_diags: np.ndarray       # (n_psi, q), diagonal of the rescaled covariance
-
-
 class GpEnsemble:
     """Fitted predictors for J hyperparameter rows [sigma_c, l_1..l_p] over one training set.
 
@@ -371,29 +327,44 @@ class GpEnsemble:
     def n_psi(self) -> int:
         return self.hyperparams.shape[0]
 
+    def _cross(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cross-covariances c (J, B, n), normalized means c^T W (J, B, q) and
+        L^-1 c (J, n, B) at each row of thetas: the (J, B, n) predictive step."""
+        cvec = _se_cov(thetas, self.training.inputs, self._sigma2, self._inv_l2)
+        return cvec, cvec @ self._weights, _forward_subst(self._L, cvec.transpose(0, 2, 1))
+
     def predict_batch(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Normalized predictive means (B, J, q) and variances (B, J) at each row.
 
-        Works in (J, B, n) layout: mean = c^T C^-1 y from the stored weights,
-        variance = sigma_c^2 - |L^-1 c|^2 from the Cholesky factor.
+        mean = c^T C^-1 y from the stored weights, variance =
+        sigma_c^2 - |L^-1 c|^2 from the Cholesky factor.
         """
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        cvec = _se_cov(thetas, self.training.inputs, self._sigma2, self._inv_l2)  # (J, B, n)
-        means = cvec @ self._weights                                             # (J, B, q)
-        half = _forward_subst(self._L, cvec.transpose(0, 2, 1))                  # (J, n, B)
+        _, means, half = self._cross(thetas)
         half *= half
         variances = self._sigma2[:, None] - half.sum(axis=1)
         return means.transpose(1, 0, 2), np.maximum(variances.T, 0.0)
 
+    def predict_with_pullback(self, thetas: np.ndarray):
+        """Normalized means (J, B, q), variances (J, B) and their pullback at each row.
 
-def ensemble_predict_vector(ens: GpEnsemble, theta: np.ndarray) -> EnsemblePrediction:
-    """All per-hyperparameter mean vectors and covariances at theta, raw scale.
+        `pullback(coeff_mean (J, B, q), coeff_var (J, B))` returns the gradients
+        (B, J, p) of sum_q coeff_mean * mean + coeff_var * variance per member
+        and row. The chain rule runs through the cross-covariance c alone, so
+        the coefficients fold into one n-vector per member and row,
+        w = c * (W coeff_mean - 2 coeff_var C^-1 c), and the gradient is
+        -2 inv_l2 * (w^T (theta - x_n)): one matmul, no (J, B, p, q) tensor of
+        mean derivatives. C^-1 c takes one more (backward) substitution.
+        """
+        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+        cvec, means, half = self._cross(thetas)
+        var = np.maximum(self._sigma2[:, None] - np.sum(half**2, axis=1), 0.0)
 
-    Rescaling: mean_i = sqrt(V_i) * m_norm_i + m_i and the covariance diagonal
-    is V_norm * V_i per output.
-    """
-    means_norm, var_norm = ens.predict_batch(np.asarray(theta, dtype=float)[None, :])
-    tr = ens.training
-    means = means_norm[0] * np.sqrt(tr.out_vars) + tr.out_means
-    cov_diags = var_norm[0][:, None] * tr.out_vars[None, :]
-    return EnsemblePrediction(means, var_norm[0], cov_diags)
+        def pullback(coeff_mean: np.ndarray, coeff_var: np.ndarray) -> np.ndarray:
+            cinv_c = _back_subst(self._L, half).transpose(0, 2, 1)                 # (J, B, n)
+            w = cvec * (coeff_mean @ self._weights.transpose(0, 2, 1)
+                        - 2.0 * coeff_var[..., None] * cinv_c)
+            diff = thetas[:, None, :] - self.training.inputs[None, :, :]          # (B, n, p)
+            return -2.0 * (w.transpose(1, 0, 2) @ diff) * self._inv_l2
+
+        return means, var, pullback

@@ -8,8 +8,7 @@ values. That is what makes runs reproducible bit for bit and lets density
 evaluations run in parallel without perturbing the stream.
 
 Log-probability callables are vectorized: they receive an (m, d) array of row
-points and return an (m,) array. Use :func:`vectorize_rows` to adapt a scalar
-function.
+points and return an (m,) array.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ log = logging.getLogger(__name__)
 LogProb = Callable[[np.ndarray], np.ndarray]
 
 
-# Uniform priors are boxes; the name stays for callers that build BoxPrior(lower, upper).
+# Uniform priors are boxes; perfbench/workloads.py imports this alias, so it stays.
 BoxPrior = DesignBox
 
 
@@ -41,16 +40,6 @@ class WalkerEnsemble:
     positions: np.ndarray   # (n_walkers, d)
     log_probs: np.ndarray   # (n_walkers,)
     rng: np.random.Generator
-
-
-def vectorize_rows(f: Callable[[np.ndarray], float]) -> LogProb:
-    """Adapt a scalar log-probability f(point) to the row-batched convention."""
-
-    def batched(points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(points)
-        return np.array([float(f(row)) for row in points])
-
-    return batched
 
 
 def stretch_step(
@@ -187,19 +176,6 @@ def run_chain(
     return ens.positions.copy(), rate
 
 
-def run_sampler(
-    log_prob: LogProb,
-    prior: DesignBox,
-    n_walkers: int = 200,
-    n_steps: int = 400,
-    seed: int = 0,
-    stretch_a: float = 2.0,
-) -> np.ndarray:
-    """Final walker states after n_steps sweeps: an (n_walkers, d) sample set."""
-    samples, _ = run_chain(log_prob, prior, n_walkers, n_steps, seed, stretch_a)
-    return samples
-
-
 def sample_hyperposterior(
     training: TrainingSet,
     prior: DesignBox,
@@ -222,7 +198,7 @@ def sample_hyperposterior(
     def target(psis: np.ndarray) -> np.ndarray:
         return _lml_batch(training, psis)
 
-    psis = run_sampler(target, prior, n_walkers, n_steps, seed)
+    psis, _ = run_chain(target, prior, n_walkers, n_steps, seed)
     try:
         return GpEnsemble(training, psis)
     except IllConditionedKernelError as err:

@@ -117,9 +117,9 @@ def hpd_region(samples: PosteriorSampleSet | np.ndarray, alpha: float = 0.05) ->
     itself covers slightly less than 1 - alpha of the joint mass when the
     dimensions are nearly independent.
     """
-    values = samples.samples if isinstance(samples, PosteriorSampleSet) else np.atleast_2d(samples)
-    if values.ndim == 1:
-        values = values[:, None]
+    values = samples.samples if isinstance(samples, PosteriorSampleSet) else np.asarray(samples)
+    if values.ndim < 2:
+        values = values.reshape(-1, 1)
     if values.shape[0] < 100:
         raise ValueError(f"need at least 100 samples, got {values.shape[0]}")
     if not 0.0 < alpha < 1.0:

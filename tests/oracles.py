@@ -4,12 +4,31 @@ The library scores the acquisition gradient for a block of rows at once
 (`gpinv.acquisition._misfit_grads_batch`); these one-point forms build the
 mean and variance derivatives explicitly and serve as its oracle. The
 misfit and likelihood helpers below score one point through the forward
-model or through the library's batched kernels.
+model or through the library's batched kernels. The scalar GP path
+(`sq_exp_cov`, `predict`, `log_marginal_likelihood`) checks the batched GP
+core, and the one-point sampler and maximizer adapters drive the library's
+row-batched `run_chain` and `multistart_maximize_batch` from scalar code.
 """
 
-import numpy as np
+from typing import Callable, NamedTuple
 
-from gpinv.gp import GpEnsemble, HyperParams, _back_subst, _forward_subst, _se_cov
+import numpy as np
+from scipy.linalg import solve_triangular
+
+from gpinv.acquisition import AcquisitionResult, multistart_maximize_batch
+from gpinv.designs import DesignBox
+from gpinv.gp import (
+    BASE_JITTER,
+    GpEnsemble,
+    GpFit,
+    HyperParams,
+    TrainingSet,
+    _back_subst,
+    _factorization_error,
+    _forward_subst,
+    _lml_batch,
+    _se_cov,
+)
 from gpinv.likelihood import (
     MeasurementModel,
     _misfit_batch,
@@ -18,6 +37,7 @@ from gpinv.likelihood import (
     member_misfits,
     misfit_of_outputs,
 )
+from gpinv.mcmc import LogProb, run_chain
 
 
 def hyperparams_from_vector(psi) -> HyperParams:
@@ -73,3 +93,92 @@ def gp_misfits(theta: np.ndarray, ens: GpEnsemble, meas: MeasurementModel) -> np
 def d_restricted_loglik(theta: np.ndarray, ens: GpEnsemble, meas: MeasurementModel) -> float:
     """Surrogate log-likelihood at one point (`d_restricted_loglik_batch` on one row)."""
     return d_restricted_loglik_batch(np.asarray(theta, dtype=float)[None, :], ens, meas)[0]
+
+
+def sq_exp_cov(a: np.ndarray, b: np.ndarray, psi: HyperParams) -> float:
+    """Squared-exponential covariance sigma_c^2 * exp(-sum((a-b)^2 / l^2))."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    if a.shape != b.shape or a.shape[0] != psi.input_dim:
+        raise ValueError(
+            f"dimension mismatch: a{a.shape}, b{b.shape}, lengthscales ({psi.input_dim},)"
+        )
+    r2 = np.sum((a - b) ** 2 / psi.lengthscales**2)
+    return float(psi.sigma_c**2 * np.exp(-r2))
+
+
+def predict(fit: GpFit, theta: np.ndarray) -> tuple[np.ndarray, float]:
+    """Predictive means (per output, normalized scale) and shared variance at theta.
+
+    mean_i = c^T C^-1 y_i, variance = c(theta,theta) - c^T C^-1 c, clamped at 0.
+    """
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    psi = fit.hyperparams
+    diff2 = (fit.training.inputs - theta) ** 2
+    c = psi.sigma_c**2 * np.exp(-diff2 @ (1.0 / psi.lengthscales**2))
+    means = c @ fit.weights
+    half = solve_triangular(fit.chol, c, lower=True)
+    variance = psi.sigma_c**2 - float(half @ half)
+    return means, max(variance, 0.0)
+
+
+def log_marginal_likelihood(training: TrainingSet, psi: HyperParams) -> float:
+    """Sum over outputs of log N(scaled_outputs_i | 0, C_psi), via Cholesky."""
+    Psi = psi.as_vector()[None, :]
+    value = _lml_batch(training, Psi)[0]
+    if not np.isfinite(value):
+        raise _factorization_error(training.inputs, Psi, BASE_JITTER, np.array([True]))
+    return float(value)
+
+
+class EnsemblePrediction(NamedTuple):
+    """Per-hyperparameter predictive summaries at one input point."""
+
+    means: np.ndarray           # (n_psi, q), raw output scale
+    norm_variances: np.ndarray  # (n_psi,), shared normalized-scale variance
+    cov_diags: np.ndarray       # (n_psi, q), diagonal of the rescaled covariance
+
+
+def ensemble_predict_vector(ens: GpEnsemble, theta: np.ndarray) -> EnsemblePrediction:
+    """All per-hyperparameter mean vectors and covariances at theta, raw scale.
+
+    Rescaling: mean_i = sqrt(V_i) * m_norm_i + m_i and the covariance diagonal
+    is V_norm * V_i per output.
+    """
+    means_norm, var_norm = ens.predict_batch(np.asarray(theta, dtype=float)[None, :])
+    tr = ens.training
+    means = means_norm[0] * np.sqrt(tr.out_vars) + tr.out_means
+    cov_diags = var_norm[0][:, None] * tr.out_vars[None, :]
+    return EnsemblePrediction(means, var_norm[0], cov_diags)
+
+
+def vectorize_rows(f: Callable[[np.ndarray], float]) -> LogProb:
+    """Adapt a scalar log-probability f(point) to the row-batched convention."""
+
+    def batched(points: np.ndarray) -> np.ndarray:
+        points = np.atleast_2d(points)
+        return np.array([float(f(row)) for row in points])
+
+    return batched
+
+
+def run_sampler(
+    log_prob: LogProb,
+    prior: DesignBox,
+    n_walkers: int = 200,
+    n_steps: int = 400,
+    seed: int = 0,
+    stretch_a: float = 2.0,
+) -> np.ndarray:
+    """Final walker states after n_steps sweeps: an (n_walkers, d) sample set."""
+    samples, _ = run_chain(log_prob, prior, n_walkers, n_steps, seed, stretch_a)
+    return samples
+
+
+def multistart_maximize(value_and_grad, starts: np.ndarray, box: DesignBox) -> AcquisitionResult:
+    """`multistart_maximize_batch` for a one-point `value_and_grad(theta) -> (value, gradient)`."""
+    def rows(X):
+        pairs = [value_and_grad(theta) for theta in X]
+        return np.array([v for v, _ in pairs], dtype=float), np.array([g for _, g in pairs], dtype=float)
+
+    return multistart_maximize_batch(rows, starts, box)

@@ -28,11 +28,18 @@ from gpinv.experiments import (
     true_loglik_rows,
 )
 from gpinv.forward_models import DarcyPermeability2D, GridSolverConfig, HeatSource2D
-from gpinv.gp import GpEnsemble, HyperParams, TrainingSet, ensemble_predict_vector
+from gpinv.gp import GpEnsemble, HyperParams, TrainingSet
 from gpinv.likelihood import MeasurementModel, misfit_of_outputs
-from gpinv.mcmc import BoxPrior, run_chain, run_sampler
+from gpinv.mcmc import BoxPrior, run_chain
 from gpinv.posterior import hpd_region, sample_posterior
-from oracles import d_restricted_loglik, gp_misfits, misfits_and_grads, pred_grad
+from oracles import (
+    d_restricted_loglik,
+    ensemble_predict_vector,
+    gp_misfits,
+    misfits_and_grads,
+    pred_grad,
+    run_sampler,
+)
 
 RECORDS = {}
 

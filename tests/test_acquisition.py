@@ -12,7 +12,6 @@ from gpinv.acquisition import (
     expected_improvement_smoothed,
     expected_improvement_smoothed_batch,
     maximize_acquisition,
-    multistart_maximize,
     multistart_maximize_batch,
     screen_acquisition,
     smoothed_pos,
@@ -20,7 +19,7 @@ from gpinv.acquisition import (
 from gpinv.designs import DesignBox
 from gpinv.gp import GpEnsemble, HyperParams, TrainingSet, fit_single
 from gpinv.likelihood import MeasurementModel
-from oracles import misfits_and_grads, pred_grad
+from oracles import misfits_and_grads, multistart_maximize, pred_grad
 
 
 def make_state(seed=0, n=6, p=2, q=2, n_psi=6, eta=1e-4):

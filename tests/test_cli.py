@@ -205,3 +205,31 @@ class TestErrors:
 
     def test_no_spec_at_all(self, tmp_path):
         assert main(["run-adaptive", "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("argv, option", [
+        (["gen-design", "--bounds", "0,1,2", "--n", "4"], "--bounds"),
+        (["gen-design", "--bounds", "a,b", "--n", "4"], "--bounds"),
+        (["gen-design", "--bounds", "1,0", "--n", "4"], "--bounds"),
+        (["gen-design", "--experiment", "heat", "--n", "0"], "--n"),
+        (["gen-design", "--experiment", "heat", "--n", "4", "--seed", "-1"], "--seed"),
+        (["gen-design", "--experiment", "permeability", "--kind", "sobol", "--n", "4",
+          "--skip", "-1"], "--skip"),
+        (["eval-model", "--experiment", "heat", "--theta", "abc"], "--theta"),
+        (["eval-model", "--experiment", "heat", "--theta", "0.5"], "--theta"),
+        (["sample-posterior", "--experiment", "heat", "--n", "0"], "--n"),
+        (["sample-posterior", "--experiment", "heat", "--n", "10", "--seed", "-1"], "--seed"),
+        (["compare-designs", "--experiment", "one_d", "--runs", "0"], "--runs"),
+        (["run-adaptive", "--experiment", "one_d", "--seed", "-1"], "--seed"),
+    ])
+    def test_malformed_value_is_a_usage_error(self, argv, option, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert option in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows, alpha, option", [(500, "1.5", "--alpha"), (5, "0.05", "--samples")])
+    def test_hpd_bad_input_is_a_usage_error(self, rows, alpha, option, tmp_path, capsys):
+        samples = tmp_path / "samples.csv"
+        samples.write_text("theta_1\n" + "\n".join(str(v) for v in range(rows)) + "\n")
+        assert main(["hpd", "--samples", str(samples), "--alpha", alpha]) == 2
+        assert option in capsys.readouterr().err

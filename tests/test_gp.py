@@ -16,14 +16,16 @@ from gpinv.gp import (
     _factorize,
     _forward_subst,
     _lml_batch,
-    ensemble_predict_vector,
     fit_single,
-    log_marginal_likelihood,
     normalize_outputs,
+)
+from oracles import (
+    ensemble_predict_vector,
+    hyperparams_from_vector,
+    log_marginal_likelihood,
     predict,
     sq_exp_cov,
 )
-from oracles import hyperparams_from_vector
 
 
 def mixture_moments(means: np.ndarray, variances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
-from gpinv.gp import GpEnsemble, HyperParams, TrainingSet, ensemble_predict_vector
+from gpinv.gp import GpEnsemble, HyperParams, TrainingSet
 from gpinv.likelihood import (
     MeasurementModel,
     d_restricted_loglik_batch,
@@ -11,7 +11,7 @@ from gpinv.likelihood import (
     member_misfits,
     misfit_of_outputs,
 )
-from oracles import d_restricted_loglik, gp_misfits, true_loglik, true_misfit
+from oracles import d_restricted_loglik, ensemble_predict_vector, gp_misfits, true_loglik, true_misfit
 
 
 def gp_misfit(mean: np.ndarray, cov_diag: np.ndarray, meas: MeasurementModel) -> float:

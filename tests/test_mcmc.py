@@ -12,11 +12,10 @@ from gpinv.mcmc import (
     BoxPrior,
     WalkerEnsemble,
     run_chain,
-    run_sampler,
     sample_hyperposterior,
     stretch_step,
-    vectorize_rows,
 )
+from oracles import run_sampler, vectorize_rows
 
 
 def flat(points):
@@ -219,14 +218,14 @@ class TestSampleHyperposterior:
     def factorize_after_sampling(monkeypatch, factorize):
         """Swap gpinv.gp._factorize for `factorize` once the walkers are final,
         so the sampler's likelihood runs unchanged and only the ensemble sees it."""
-        real_sampler = gpinv.mcmc.run_sampler
+        real_chain = gpinv.mcmc.run_chain
 
-        def sampler(*args, **kwargs):
-            psis = real_sampler(*args, **kwargs)
+        def chain(*args, **kwargs):
+            result = real_chain(*args, **kwargs)
             monkeypatch.setattr(gpinv.gp, "_factorize", factorize)
-            return psis
+            return result
 
-        monkeypatch.setattr(gpinv.mcmc, "run_sampler", sampler)
+        monkeypatch.setattr(gpinv.mcmc, "run_chain", chain)
 
     def test_ill_conditioned_fit_replaced_by_duplication(self, training, monkeypatch):
         calls = []

@@ -96,6 +96,12 @@ class TestHpdRegion:
         with pytest.raises(ValueError, match="100"):
             hpd_region(np.random.default_rng(0).random((50, 1)), 0.05)
 
+    def test_one_d_vector_is_one_column(self):
+        values = np.random.default_rng(10).normal(size=5_000)
+        flat, column = hpd_region(values, 0.05), hpd_region(values[:, None], 0.05)
+        np.testing.assert_array_equal(flat.lower, column.lower)
+        np.testing.assert_array_equal(flat.upper, column.upper)
+
     def test_alpha_validation(self):
         samples = np.random.default_rng(1).random((500, 1))
         with pytest.raises(ValueError):
