@@ -45,8 +45,7 @@ class AdaptiveConfig:
     eta: float = 1e-4
     n_walkers: int = 200
     n_steps: int = 400
-    starts: str = "sobol"                 # "sobol" or "grid" multistart seeding
-    n_starts: int = 50
+    n_starts: int = 50                    # multistart seeds: a grid in 1-D, Sobol points otherwise
     extra_starts: int = 100               # > 0 with p >= 2: screen + second sweep before accepting a stop
     seed: int = 0
 
@@ -55,6 +54,13 @@ class AdaptiveConfig:
             raise ValueError("eps_thresh must be positive")
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
+        if self.n_starts < 1:
+            raise ValueError(f"n_starts must be at least 1, got {self.n_starts}")
+        if self.extra_starts < 0:
+            raise ValueError(f"extra_starts must be at least 0, got {self.extra_starts}")
+        if self.n_walkers % 2 or self.n_walkers < 2 * self.hyper_prior.dim:
+            raise ValueError(f"n_walkers must be even and at least {2 * self.hyper_prior.dim}, "
+                             f"got {self.n_walkers}")
         design = np.atleast_2d(np.asarray(self.initial_design, dtype=float))
         object.__setattr__(self, "initial_design", design)
         if design.shape[0] < 1 or not np.all(self.bounds.contains(design)):
@@ -107,21 +113,17 @@ class RunRecord:
     def n_forward_evals(self) -> int:
         return self.initial_inputs.shape[0] + self.added_inputs.shape[0]
 
-    def to_json_dict(self, include_timings: bool = False) -> dict:
-        iterations = []
-        for it in self.iterations:
-            entry = {
-                "k": it.k,
-                "theta": list(map(float, it.theta)),
-                "improvement": it.improvement,
-                "g_min": it.g_min,
-                "psi_mean": list(map(float, it.psi_mean)),
-                "psi_std": list(map(float, it.psi_std)),
-                "accepted": it.accepted,
-            }
-            if include_timings:
-                entry["wall_time_s"] = it.wall_time_s
-            iterations.append(entry)
+    def to_json_dict(self) -> dict:
+        """The deterministic record; per-iteration wall times go to timings.csv only."""
+        iterations = [{
+            "k": it.k,
+            "theta": list(map(float, it.theta)),
+            "improvement": it.improvement,
+            "g_min": it.g_min,
+            "psi_mean": list(map(float, it.psi_mean)),
+            "psi_std": list(map(float, it.psi_std)),
+            "accepted": it.accepted,
+        } for it in self.iterations]
         return {
             "schema_version": RECORD_SCHEMA_VERSION,
             "seed": self.seed,
@@ -132,8 +134,8 @@ class RunRecord:
             "iterations": iterations,
         }
 
-    def to_json(self, include_timings: bool = False) -> str:
-        return json.dumps(self.to_json_dict(include_timings), indent=1)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=1)
 
     @classmethod
     def from_json(cls, text: str) -> "RunRecord":
@@ -156,7 +158,7 @@ class RunRecord:
                 psi_mean=np.array(entry["psi_mean"], dtype=float),
                 psi_std=np.array(entry["psi_std"], dtype=float),
                 accepted=entry["accepted"],
-                wall_time_s=entry.get("wall_time_s", float("nan")),
+                wall_time_s=float("nan"),  # wall times live in timings.csv
             ))
         return record
 
@@ -169,15 +171,11 @@ class AdaptiveResult:
 
 
 def make_starts(cfg: AdaptiveConfig) -> np.ndarray:
-    """Multistart seed points; the Sobol variant skips the degenerate corner."""
-    if cfg.starts == "grid":
-        if cfg.bounds.dim != 1:
-            raise ValueError("grid starts are only defined for 1-D problems")
-        line = np.linspace(cfg.bounds.lower[0], cfg.bounds.upper[0], cfg.n_starts)
-        return line[:, None]
-    if cfg.starts == "sobol":
-        return sobol(cfg.n_starts, cfg.bounds, skip=1)
-    raise ValueError(f"unknown start strategy {cfg.starts!r}")
+    """Multistart seed points: an even grid over a 1-D box, else Sobol points
+    past the degenerate corner."""
+    if cfg.bounds.dim == 1:
+        return np.linspace(cfg.bounds.lower[0], cfg.bounds.upper[0], cfg.n_starts)[:, None]
+    return sobol(cfg.n_starts, cfg.bounds, skip=1)
 
 
 def make_extra_starts(cfg: AdaptiveConfig) -> np.ndarray:
@@ -210,7 +208,7 @@ def run_adaptive(model, meas: MeasurementModel, cfg: AdaptiveConfig) -> Adaptive
     A stop is accepted only after `confirm_stop` (when `cfg.confirm`): a
     batched exact-EI screen plus a second ascent, and the run goes on if any
     screened or ascended point reaches the threshold. Iterations that do not
-    stop search from `starts` alone.
+    stop search from `make_starts` alone.
 
     Termination reasons: "threshold" (best improvement under
     eps_thresh * g_min), "zero-improvement" (every multistart found exactly

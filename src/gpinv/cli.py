@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adaptive import AdaptiveResult, run_adaptive
+from .adaptive import AdaptiveConfig, AdaptiveResult, run_adaptive
 from .designs import DesignBox, latin_hypercube, sobol
 from .errors import GpinvError
 from .experiments import (
@@ -142,6 +142,14 @@ def _load_spec(args) -> ExperimentSpec:
     raise UsageError("provide --config FILE or --experiment NAME")
 
 
+def _adaptive_config(spec: ExperimentSpec, seed: int) -> AdaptiveConfig:
+    """The run's AdaptiveConfig; a protocol value it rejects is a usage error."""
+    try:
+        return spec.adaptive_config(seed=seed)
+    except ValueError as exc:
+        raise UsageError(f"invalid {spec.name} protocol: {exc}") from exc
+
+
 def _write_run_outputs(out: Path, spec: ExperimentSpec, result: AdaptiveResult, meas) -> None:
     p = result.training.input_dim
     q = result.training.n_outputs
@@ -162,10 +170,10 @@ def _write_run_outputs(out: Path, spec: ExperimentSpec, result: AdaptiveResult, 
 def cmd_run_adaptive(args) -> int:
     _at_least("--seed", args.seed, 0)
     spec = _load_spec(args)
+    cfg = _adaptive_config(spec, args.seed)
     out = _prepare_out_dir(args.out, args.force)
     model = spec.build_model()
     meas = spec.measurement(model)
-    cfg = spec.adaptive_config(seed=args.seed)
     result = run_adaptive(model, meas, cfg)
     _write_run_outputs(out, spec, result, meas)
     partial = result.record.termination in ("forward-failure", "duplicate-point")
@@ -185,18 +193,26 @@ def load_surrogate(run_dir: Path) -> tuple[GpEnsemble, TrainingSet]:
     return GpEnsemble(training, psis), training
 
 
+def _load_run_dir(raw: str | None) -> GpEnsemble:
+    """The emulator of a --run-dir; a missing or unreadable one is a usage error."""
+    if not raw:
+        raise UsageError("surrogate likelihood requires --run-dir from a previous run-adaptive")
+    try:
+        return load_surrogate(Path(raw))[0]
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"--run-dir {raw}: {exc}") from exc
+
+
 def cmd_sample_posterior(args) -> int:
     _at_least("--n", args.n, 1)
     _at_least("--seed", args.seed, 0)
     spec = _load_spec(args)
+    ensemble = _load_run_dir(args.run_dir) if args.likelihood == "surrogate" else None
     out = _prepare_out_dir(args.out, args.force)
     model = spec.build_model()
     meas = spec.measurement(model)
     prior = spec.bounds
-    if args.likelihood == "surrogate":
-        if not args.run_dir:
-            raise UsageError("surrogate likelihood requires --run-dir from a previous run-adaptive")
-        ensemble, _ = load_surrogate(Path(args.run_dir))
+    if ensemble is not None:
         evals_before = model.n_evals
         loglik = surrogate_loglik_rows(ensemble, meas)
     else:
@@ -235,8 +251,7 @@ def cmd_hpd(args) -> int:
     return 0
 
 
-def _compare_one(config_path: str | None, experiment: str | None, seed: int):
-    spec = load_experiment(config_path) if config_path else EXPERIMENTS[experiment]
+def _compare_one(spec: ExperimentSpec, seed: int):
     model = spec.build_model()
     meas = spec.measurement(model)
     result = run_adaptive(model, meas, spec.adaptive_config(seed=seed))
@@ -250,8 +265,7 @@ def _compare_one(config_path: str | None, experiment: str | None, seed: int):
     }
 
 
-def _lhs_one(config_path: str | None, experiment: str | None, seed: int, n_points: int):
-    spec = load_experiment(config_path) if config_path else EXPERIMENTS[experiment]
+def _lhs_one(spec: ExperimentSpec, seed: int, n_points: int):
     model = spec.build_model()
     meas = spec.measurement(model)
     design = latin_hypercube(n_points, spec.bounds, seed=seed)
@@ -263,21 +277,21 @@ def _lhs_one(config_path: str | None, experiment: str | None, seed: int, n_point
 def cmd_compare_designs(args) -> int:
     _at_least("--runs", args.runs, 1)
     _at_least("--seed", args.seed, 0)
+    _at_least("--workers", args.workers, 0)
     spec = _load_spec(args)
+    _adaptive_config(spec, args.seed)  # a bad protocol fails here, before the output directory
     out = _prepare_out_dir(args.out, args.force)
     seeds = [args.seed + r for r in range(args.runs)]
+    specs = [spec] * args.runs
     n_lhs = spec.n_initial + spec.n_max
     workers = args.workers or min(args.runs, 4)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            adaptive_rows = list(pool.map(
-                _compare_one, [args.config] * args.runs, [args.experiment] * args.runs, seeds))
-            lhs_rows = list(pool.map(
-                _lhs_one, [args.config] * args.runs, [args.experiment] * args.runs,
-                seeds, [n_lhs] * args.runs))
+            adaptive_rows = list(pool.map(_compare_one, specs, seeds))
+            lhs_rows = list(pool.map(_lhs_one, specs, seeds, [n_lhs] * args.runs))
     else:
-        adaptive_rows = [_compare_one(args.config, args.experiment, s) for s in seeds]
-        lhs_rows = [_lhs_one(args.config, args.experiment, s, n_lhs) for s in seeds]
+        adaptive_rows = [_compare_one(spec, s) for s in seeds]
+        lhs_rows = [_lhs_one(spec, s, n_lhs) for s in seeds]
 
     table = np.array([
         [r + 1, row["n_train"], row["g_min"], row["rel_improvement"], float(row["threshold_met"])]
@@ -327,7 +341,7 @@ def cmd_eval_model(args) -> int:
     outputs = model.fine_evaluate(theta) if args.fine else model.evaluate(theta)
     write_csv(out / "outputs.csv", [f"f_{i + 1}" for i in range(outputs.size)], outputs[None, :])
     if args.dump_field and hasattr(model, "solve_field"):
-        if spec.model_kind == "heat":
+        if spec.name == "heat":
             for tm in model.measure_times:
                 field = model.solve_field(theta, tm, fine=args.fine)
                 write_grid_field(out / f"field_t{tm:g}.txt", field)

@@ -3,8 +3,9 @@
 Each experiment bundles a forward model, the parameter search box, the
 hyperparameter prior, and the sampling/optimization protocol. The built-in
 definitions can be overridden field by field from an INI-style config file
-(section.key = value), and the checked-in files under configs/ spell out the
-same values explicitly.
+(section.key = value; each field has exactly one key, and any other key is an
+error), and the checked-in files under configs/ spell out the same values
+explicitly.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ from .likelihood import (
 class ExperimentSpec:
     """A fully specified inverse problem plus solution protocol."""
 
-    name: str
-    model_kind: str                 # rational1d | heat | darcy
+    name: str                       # one_d | heat | permeability; picks the forward model
     bounds_lower: tuple
     bounds_upper: tuple
     hyper_upper: tuple              # upper bounds for (sigma_c, l_1..l_p)
@@ -54,10 +54,8 @@ class ExperimentSpec:
     eta: float = 1e-4
     n_walkers: int = 200
     n_steps: int = 400
-    starts: str = "sobol"
     n_starts: int = 50
     extra_starts: int = 100
-    posterior_samples: int = 20_000
     posterior_walkers: int = 100
     solver_nx: int = 32
     solver_ny: int = 32
@@ -65,7 +63,6 @@ class ExperimentSpec:
     fine_nx: int = 128
     fine_ny: int = 128
     fine_dt: float = 0.0025
-    sensor_convention: str = "interior"
 
     @property
     def bounds(self) -> DesignBox:
@@ -76,21 +73,19 @@ class ExperimentSpec:
         return DesignBox(np.array(self.hyper_lower), np.array(self.hyper_upper))
 
     def build_model(self) -> ForwardModel:
-        if self.model_kind == "rational1d":
+        if self.name == "one_d":
             return Rational1D()
-        if self.model_kind == "heat":
+        if self.name == "heat":
             return HeatSource2D(
                 cfg=GridSolverConfig(self.solver_nx, self.solver_ny, self.solver_dt),
                 fine_cfg=GridSolverConfig(self.fine_nx, self.fine_ny, self.fine_dt),
-                sensor_convention=self.sensor_convention,
             )
-        if self.model_kind == "darcy":
+        if self.name == "permeability":
             return DarcyPermeability2D(
                 cfg=GridSolverConfig(self.solver_nx, self.solver_ny),
                 fine_cfg=GridSolverConfig(self.fine_nx, self.fine_ny),
-                sensor_convention=self.sensor_convention,
             )
-        raise ValueError(f"unknown model kind {self.model_kind!r}")
+        raise ValueError(f"unknown experiment {self.name!r}")
 
     def measurement(self, model: ForwardModel) -> MeasurementModel:
         noise = np.full(model.output_dim, self.noise_sigma**2)
@@ -98,7 +93,7 @@ class ExperimentSpec:
 
     def adaptive_config(self, seed: int, initial_design: np.ndarray | None = None) -> AdaptiveConfig:
         if initial_design is None:
-            if self.model_kind == "rational1d":
+            if self.name == "one_d":
                 initial_design = np.array([[-4.0], [0.0], [4.0]])
             else:
                 initial_design = latin_hypercube(self.n_initial, self.bounds, seed=seed)
@@ -111,7 +106,6 @@ class ExperimentSpec:
             eta=self.eta,
             n_walkers=self.n_walkers,
             n_steps=self.n_steps,
-            starts=self.starts,
             n_starts=self.n_starts,
             extra_starts=self.extra_starts,
             seed=seed,
@@ -120,7 +114,6 @@ class ExperimentSpec:
 
 ONE_D = ExperimentSpec(
     name="one_d",
-    model_kind="rational1d",
     bounds_lower=(-6.0,), bounds_upper=(6.0,),
     hyper_lower=(1e-8, 1e-8), hyper_upper=(12.0, 5.0),
     theta_true=(2.41,),
@@ -128,21 +121,18 @@ ONE_D = ExperimentSpec(
     n_initial=3,
     n_max=15,
     n_walkers=100,
-    starts="grid",
     n_starts=25,
     extra_starts=0,
 )
 
 HEAT = ExperimentSpec(
     name="heat",
-    model_kind="heat",
     bounds_lower=(0.0, 0.0), bounds_upper=(1.0, 1.0),
     hyper_lower=(1e-8, 1e-8, 1e-8), hyper_upper=(2.0, 1.0, 1.0),
     theta_true=(0.25, 0.75),
     noise_sigma=0.1,
     meas_seed=5,
     n_initial=4,
-    sensor_convention="corners",
     n_max=11,
     n_starts=50,
     extra_starts=100,
@@ -150,7 +140,6 @@ HEAT = ExperimentSpec(
 
 PERMEABILITY = ExperimentSpec(
     name="permeability",
-    model_kind="darcy",
     bounds_lower=tuple(PERMEABILITY_BOUNDS[0]),
     bounds_upper=tuple(PERMEABILITY_BOUNDS[1]),
     hyper_lower=tuple([0.0] * 10),
@@ -161,20 +150,20 @@ PERMEABILITY = ExperimentSpec(
     n_max=20,
     n_starts=500,
     extra_starts=0,
-    sensor_convention="corners",
 )
 
 EXPERIMENTS = {spec.name: spec for spec in (ONE_D, HEAT, PERMEABILITY)}
 
+# The one config key of each settable field: section -> keys, each key named
+# after its field, plus the tuple-valued fields under their own key names.
 _FIELD_SECTIONS = {
-    "experiment": ("name", "model_kind", "meas_seed"),
+    "experiment": ("name",),
     "measurement": ("noise_sigma", "meas_seed"),
     "adaptive": ("n_initial", "n_max", "eps_thresh", "eta"),
     "mcmc": ("n_walkers", "n_steps"),
-    "acquisition": ("starts", "n_starts", "extra_starts", "eta"),
-    "posterior": ("posterior_samples", "posterior_walkers"),
-    "solver": ("solver_nx", "solver_ny", "solver_dt", "fine_nx", "fine_ny", "fine_dt",
-               "sensor_convention"),
+    "acquisition": ("n_starts", "extra_starts"),
+    "posterior": ("posterior_walkers",),
+    "solver": ("solver_nx", "solver_ny", "solver_dt", "fine_nx", "fine_ny", "fine_dt"),
 }
 
 _TUPLE_FIELDS = {
@@ -185,17 +174,33 @@ _TUPLE_FIELDS = {
     "theta_true": ("measurement", "theta_true"),
 }
 
+# (section, key) -> ExperimentSpec field
+CONFIG_KEYS = {
+    **{(section, key): key for section, keys in _FIELD_SECTIONS.items() for key in keys},
+    **{place: field for field, place in _TUPLE_FIELDS.items()},
+}
+
 
 def load_experiment(path: str | Path) -> ExperimentSpec:
     """Build an experiment from an INI config, starting from the named base.
 
     The [experiment] section must carry name = one_d | heat | permeability;
-    every other key overrides the corresponding built-in value.
+    every other key overrides one field. An unknown section or key, or a value
+    that does not parse, raises ValueError naming it.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(str(path))
+    try:
+        read = parser.read(str(path))
+    except configparser.Error as exc:
+        raise ValueError(str(exc)) from exc
     if not read:
         raise FileNotFoundError(f"config file {path} not found or unreadable")
+    sections = {section for section, _ in CONFIG_KEYS}
+    unknown = [f"[{s}]" for s in parser.sections() if s not in sections] + [
+        f"{s}.{k}" for s in parser.sections() if s in sections
+        for k in parser.options(s) if (s, k) not in CONFIG_KEYS]
+    if unknown:
+        raise ValueError(f"unknown config section or key: {', '.join(unknown)}")
     if not parser.has_option("experiment", "name"):
         raise ValueError("config must set experiment.name")
     name = parser.get("experiment", "name")
@@ -204,22 +209,19 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
     spec = EXPERIMENTS[name]
 
     overrides: dict = {}
-    for section, keys in _FIELD_SECTIONS.items():
-        if not parser.has_section(section):
-            continue
-        for key in keys:
-            if parser.has_option(section, key):
-                raw = parser.get(section, key)
-                current = getattr(spec, key)
-                overrides[key] = _coerce(raw, current)
-    for field_name, (section, key) in _TUPLE_FIELDS.items():
+    for (section, key), field_name in CONFIG_KEYS.items():
         if parser.has_option(section, key):
             raw = parser.get(section, key)
-            overrides[field_name] = tuple(float(v) for v in raw.replace(",", " ").split())
+            try:
+                overrides[field_name] = _coerce(raw, getattr(spec, field_name))
+            except ValueError as exc:
+                raise ValueError(f"{section}.{key} = {raw!r}: {exc}") from exc
     return replace(spec, **overrides)
 
 
 def _coerce(raw: str, current):
+    if isinstance(current, tuple):
+        return tuple(float(v) for v in raw.replace(",", " ").split())
     if isinstance(current, int):
         return int(raw)
     if isinstance(current, float):

@@ -41,18 +41,12 @@ class GridSolverConfig:
             raise ValueError("time step must be positive")
 
 
-def sensor_grid(m: int, convention: str = "interior") -> np.ndarray:
+def sensor_grid(m: int) -> np.ndarray:
     """(m*m, 2) sensor coordinates on the unit square, row-major (x fastest).
 
-    "interior" places sensors at i/(m+1), i=1..m; "corners" includes the
-    domain boundary at i/(m-1), i=0..m-1.
+    Each side carries m sensors at i/(m-1), i=0..m-1, corners included.
     """
-    if convention == "interior":
-        line = np.arange(1, m + 1) / (m + 1)
-    elif convention == "corners":
-        line = np.linspace(0.0, 1.0, m)
-    else:
-        raise ValueError(f"unknown sensor convention {convention!r}")
+    line = np.linspace(0.0, 1.0, m)
     xs, ys = np.meshgrid(line, line)  # row-major: y outer, x fastest
     return np.column_stack([xs.ravel(), ys.ravel()])
 
@@ -186,7 +180,6 @@ class HeatSource2D(ForwardModel):
         cfg: GridSolverConfig = GridSolverConfig(32, 32, dt=0.01, t_end=0.2),
         fine_cfg: GridSolverConfig = GridSolverConfig(128, 128, dt=0.0025, t_end=0.2),
         sensors_per_side: int = 3,
-        sensor_convention: str = "interior",
         measure_times: tuple[float, ...] = (0.1, 0.2),
         amplitude: float = 2.0,
         source_width: float = 0.05,
@@ -195,7 +188,7 @@ class HeatSource2D(ForwardModel):
         super().__init__()
         self.cfg = cfg
         self.fine_cfg = fine_cfg
-        self.sensors = sensor_grid(sensors_per_side, sensor_convention)
+        self.sensors = sensor_grid(sensors_per_side)
         self.measure_times = tuple(measure_times)
         self.amplitude = amplitude
         self.source_width = source_width
@@ -305,12 +298,11 @@ class DarcyPermeability2D(ForwardModel):
         cfg: GridSolverConfig = GridSolverConfig(32, 32),
         fine_cfg: GridSolverConfig = GridSolverConfig(128, 128),
         sensors_per_side: int = 5,
-        sensor_convention: str = "interior",
     ):
         super().__init__()
         self.cfg = cfg
         self.fine_cfg = fine_cfg
-        self.sensors = sensor_grid(sensors_per_side, sensor_convention)
+        self.sensors = sensor_grid(sensors_per_side)
         self.output_dim = self.sensors.shape[0]
 
     def source_field(self, grid: _CellGrid) -> np.ndarray:

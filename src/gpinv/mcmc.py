@@ -28,6 +28,10 @@ log = logging.getLogger(__name__)
 
 LogProb = Callable[[np.ndarray], np.ndarray]
 
+# Stretch scale a of the proposal z ~ 1/sqrt(z) on [1/a, a], the value
+# Goodman & Weare (2010) recommend.
+STRETCH_A = 2.0
+
 
 # Uniform priors are boxes; perfbench/workloads.py imports this alias, so it stays.
 BoxPrior = DesignBox
@@ -42,39 +46,29 @@ class WalkerEnsemble:
     rng: np.random.Generator
 
 
-def stretch_step(
-    ens: WalkerEnsemble,
-    log_prob: LogProb,
-    stretch_a: float = 2.0,
-    hook: Callable[[int, np.ndarray, np.ndarray, np.ndarray], None] | None = None,
-) -> int:
+def stretch_step(ens: WalkerEnsemble, log_prob: LogProb) -> int:
     """One full stretch-move sweep (both halves); returns the accepted count.
 
     For walker x_k in the active half, a partner x_j is drawn from the frozen
-    half, z is drawn with density proportional to 1/sqrt(z) on [1/a, a], and
-    the proposal y = x_j + z (x_k - x_j) is accepted with probability
-    min(1, z^(d-1) exp(logp(y) - logp(x_k))).
-
-    `hook(half_index, active_indices, partner_indices, z)` fires before each
-    half's proposals are evaluated; tests use it to watch the pairing.
+    half, z is drawn with density proportional to 1/sqrt(z) on [1/a, a]
+    (a = STRETCH_A), and the proposal y = x_j + z (x_k - x_j) is accepted with
+    probability min(1, z^(d-1) exp(logp(y) - logp(x_k))). Per half, the
+    partner indices, then the z draws, then the acceptance uniforms come from
+    ens.rng.
     """
-    if stretch_a <= 1.0:
-        raise ValueError("stretch parameter must exceed 1")
     n, d = ens.positions.shape
     if n % 2:
         raise ValueError("number of walkers must be even")
     half = n // 2
     accepted = 0
-    for half_index, (active, frozen) in enumerate((
+    for active, frozen in (
         (np.arange(0, half), np.arange(half, n)),
         (np.arange(half, n), np.arange(0, half)),
-    )):
+    ):
         m = active.size
         partners = frozen[ens.rng.integers(0, frozen.size, size=m)]
-        z = ((stretch_a - 1.0) * ens.rng.random(m) + 1.0) ** 2 / stretch_a
+        z = ((STRETCH_A - 1.0) * ens.rng.random(m) + 1.0) ** 2 / STRETCH_A
         accept_u = ens.rng.random(m)
-        if hook is not None:
-            hook(half_index, active, partners, z)
         anchor = ens.positions[partners]
         proposals = anchor + z[:, None] * (ens.positions[active] - anchor)
         new_lp = np.asarray(log_prob(proposals), dtype=float)
@@ -149,7 +143,6 @@ def run_chain(
     n_walkers: int,
     n_steps: int,
     seed: int,
-    stretch_a: float = 2.0,
     keep_every_step: bool = False,
     init_positions: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
@@ -166,7 +159,7 @@ def run_chain(
     history = np.empty((n_steps, n_walkers, prior.dim)) if keep_every_step else None
     accepted = 0
     for step in range(n_steps):
-        accepted += stretch_step(ens, target, stretch_a)
+        accepted += stretch_step(ens, target)
         if keep_every_step:
             history[step] = ens.positions
     rate = accepted / max(1, n_steps * n_walkers)

@@ -168,10 +168,9 @@ def run_sampler(
     n_walkers: int = 200,
     n_steps: int = 400,
     seed: int = 0,
-    stretch_a: float = 2.0,
 ) -> np.ndarray:
     """Final walker states after n_steps sweeps: an (n_walkers, d) sample set."""
-    samples, _ = run_chain(log_prob, prior, n_walkers, n_steps, seed, stretch_a)
+    samples, _ = run_chain(log_prob, prior, n_walkers, n_steps, seed)
     return samples
 
 

@@ -34,7 +34,6 @@ def fast_config(seed=0, n_max=6, **overrides):
         eps_thresh=0.01,
         n_walkers=30,
         n_steps=60,
-        starts="grid",
         n_starts=9,
         extra_starts=0,
         seed=seed,
@@ -59,6 +58,13 @@ class TestAdaptiveConfig:
         with pytest.raises(ValueError):
             fast_config(initial_design=np.array([[99.0]]))
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_starts", 0), ("extra_starts", -1), ("n_walkers", 31), ("n_walkers", 2),
+    ])
+    def test_protocol_values_checked(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            fast_config(**{field: value})
+
     def test_confirm_default_depends_on_dimension(self):
         assert not fast_config().confirm  # 1-D
         cfg2 = AdaptiveConfig(
@@ -76,7 +82,7 @@ class TestAdaptiveConfig:
             bounds=DesignBox([0.0, 0.0], [1.0, 1.0]),
             hyper_prior=BoxPrior([1e-8] * 3, [2.0, 1.0, 1.0]),
             initial_design=np.array([[0.5, 0.5]]),
-            n_max=2, starts="sobol", n_starts=10,
+            n_max=2, n_starts=10,
         )
         pts2 = make_starts(cfg2)
         assert pts2.shape == (10, 2)
@@ -174,7 +180,6 @@ class TestRunRecord:
         model, meas = problem
         record = run_adaptive(model, meas, fast_config(seed=8, n_max=2)).record
         assert "wall_time" not in record.to_json()
-        assert "wall_time_s" in record.to_json(include_timings=True)
 
     def test_schema_version_checked(self):
         with pytest.raises(ValueError, match="schema"):

@@ -22,11 +22,9 @@ n_walkers = 20
 n_steps = 40
 
 [acquisition]
-starts = grid
 n_starts = 7
 
 [posterior]
-posterior_samples = 500
 posterior_walkers = 10
 """
 
@@ -220,12 +218,44 @@ class TestErrors:
         (["sample-posterior", "--experiment", "heat", "--n", "10", "--seed", "-1"], "--seed"),
         (["compare-designs", "--experiment", "one_d", "--runs", "0"], "--runs"),
         (["run-adaptive", "--experiment", "one_d", "--seed", "-1"], "--seed"),
+        (["compare-designs", "--experiment", "one_d", "--workers", "-1"], "--workers"),
     ])
     def test_malformed_value_is_a_usage_error(self, argv, option, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 2
         assert option in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run-adaptive", "compare-designs"])
+    @pytest.mark.parametrize("body, named", [
+        ("[mcmc]\nn_step = 5\n", "mcmc.n_step"),
+        ("model_kind = darcy\n", "experiment.model_kind"),
+        ("[acquisition]\nn_starts = 0\n", "n_starts"),
+        ("[mcmc]\nn_walkers = 13\n", "n_walkers"),
+        ("[mcmc]\n[mcmc]\n", "mcmc"),
+    ])
+    def test_bad_config_is_a_usage_error(self, command, body, named, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("[experiment]\nname = one_d\n" + body)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("run_dir", [None, "absent", "empty"])
+    def test_bad_run_dir_is_a_usage_error(self, run_dir, fast_cfg, tmp_path, capsys, monkeypatch):
+        argv = ["sample-posterior", "--config", fast_cfg, "--n", "10"]
+        if run_dir is not None:
+            (tmp_path / "empty").mkdir()
+            argv += ["--run-dir", str(tmp_path / run_dir)]
+        solved = []
+        monkeypatch.setattr("gpinv.experiments.ExperimentSpec.measurement",
+                            lambda spec, model: solved.append(spec))
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "--run-dir" in capsys.readouterr().err
+        assert not out.exists() and not solved
 
     @pytest.mark.parametrize("rows, alpha, option", [(500, "1.5", "--alpha"), (5, "0.05", "--samples")])
     def test_hpd_bad_input_is_a_usage_error(self, rows, alpha, option, tmp_path, capsys):

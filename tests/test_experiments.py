@@ -1,7 +1,22 @@
+import configparser
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from gpinv.experiments import EXPERIMENTS, HEAT, ONE_D, PERMEABILITY, load_experiment
+from gpinv.adaptive import make_starts
+from gpinv.experiments import (
+    CONFIG_KEYS,
+    EXPERIMENTS,
+    HEAT,
+    ONE_D,
+    PERMEABILITY,
+    ExperimentSpec,
+    load_experiment,
+)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestBuiltins:
@@ -14,7 +29,9 @@ class TestBuiltins:
         assert ONE_D.theta_true == (2.41,)
         assert ONE_D.noise_sigma == 0.01
         assert ONE_D.n_walkers == 100
-        assert ONE_D.starts == "grid" and ONE_D.n_starts == 25
+        assert ONE_D.n_starts == 25
+        np.testing.assert_array_equal(make_starts(ONE_D.adaptive_config(seed=0)).ravel(),
+                                      np.linspace(-6.0, 6.0, 25))
 
     def test_heat_protocol_values(self):
         np.testing.assert_allclose(HEAT.hyper_prior.upper, [2.0, 1.0, 1.0])
@@ -83,3 +100,49 @@ upper = 2
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_experiment(tmp_path / "absent.cfg")
+
+    @pytest.mark.parametrize("section, line", [
+        ("posterior", "posterior_samples = 500"),
+        ("experiment", "model_kind = darcy"),
+        ("experiment", "meas_seed = 5"),
+        ("acquisition", "eta = 1e-4"),
+        ("acquisition", "starts = sobol"),
+        ("solver", "sensor_convention = corners"),
+        ("mcmc", "n_step = 5"),
+    ])
+    def test_unknown_key_rejected(self, tmp_path, section, line):
+        cfg = tmp_path / "bad.cfg"
+        text = "[experiment]\nname = heat\n"
+        cfg.write_text(text + (f"{line}\n" if section == "experiment" else f"[{section}]\n{line}\n"))
+        key = line.split(" = ")[0]
+        with pytest.raises(ValueError, match=f"unknown config section or key: {section}.{key}"):
+            load_experiment(cfg)
+
+    def test_unknown_section_rejected(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("[experiment]\nname = heat\n[sampler]\nn_walkers = 10\n")
+        with pytest.raises(ValueError, match=r"\[sampler\]"):
+            load_experiment(cfg)
+
+    def test_unparsable_value_names_its_key(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("[experiment]\nname = heat\n[mcmc]\nn_steps = many\n")
+        with pytest.raises(ValueError, match="mcmc.n_steps"):
+            load_experiment(cfg)
+
+
+class TestSettingsGuard:
+    def test_each_field_has_at_most_one_key(self):
+        fields = list(CONFIG_KEYS.values())
+        assert len(fields) == len(set(fields))
+        assert set(fields) <= {f.name for f in dataclasses.fields(ExperimentSpec)}
+
+    def test_checked_in_configs_use_only_known_keys(self):
+        paths = sorted(CONFIGS.glob("*.cfg"))
+        assert paths
+        for path in paths:
+            parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+            parser.read(path)
+            for section in parser.sections():
+                for key in parser.options(section):
+                    assert (section, key) in CONFIG_KEYS, f"{path.name}: {section}.{key}"

@@ -36,20 +36,16 @@ class TestRational:
 
 
 class TestSensorGrid:
-    def test_interior_convention(self):
-        pts = sensor_grid(3, "interior")
-        assert pts.shape == (9, 2)
-        np.testing.assert_allclose(sorted(set(pts[:, 0])), [0.25, 0.5, 0.75])
-        # row-major: x varies fastest
-        np.testing.assert_allclose(pts[:3, 1], 0.25)
-
     def test_corners_convention(self):
-        pts = sensor_grid(3, "corners")
+        pts = sensor_grid(3)
         np.testing.assert_allclose(sorted(set(pts[:, 0])), [0.0, 0.5, 1.0])
 
-    def test_unknown_convention(self):
-        with pytest.raises(ValueError):
-            sensor_grid(3, "diagonal")
+    def test_row_major_layout(self):
+        pts = sensor_grid(3)
+        assert pts.shape == (9, 2)
+        # row-major: x varies fastest
+        np.testing.assert_allclose(pts[:3, 0], [0.0, 0.5, 1.0])
+        np.testing.assert_allclose(pts[:3, 1], 0.0)
 
 
 class TestGridSolverConfig:

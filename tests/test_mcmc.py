@@ -1,3 +1,4 @@
+import copy
 import logging
 
 import numpy as np
@@ -9,6 +10,7 @@ import gpinv.mcmc
 from gpinv.errors import InitializationError
 from gpinv.gp import TrainingSet
 from gpinv.mcmc import (
+    STRETCH_A,
     BoxPrior,
     WalkerEnsemble,
     run_chain,
@@ -24,6 +26,43 @@ def flat(points):
 
 def gaussian(points):
     return -0.5 * np.sum(np.atleast_2d(points) ** 2, axis=1)
+
+
+def replay_flat_sweep(ens):
+    """Replay one stretch_step sweep on a flat target from a copy of ens.rng.
+
+    Per half, stretch_step draws the partner indices, the stretch factors and
+    the acceptance uniforms, in that order. Returns the positions the sweep
+    must end at and, per half, (active, partners, z).
+    """
+    rng = copy.deepcopy(ens.rng)
+    positions = ens.positions.copy()
+    n, d = positions.shape
+    half = n // 2
+    draws = []
+    for active, frozen in ((np.arange(0, half), np.arange(half, n)),
+                           (np.arange(half, n), np.arange(0, half))):
+        partners = frozen[rng.integers(0, frozen.size, size=active.size)]
+        z = ((STRETCH_A - 1.0) * rng.random(active.size) + 1.0) ** 2 / STRETCH_A
+        with np.errstate(divide="ignore"):
+            take = np.log(rng.random(active.size)) < (d - 1) * np.log(z)
+        anchor = positions[partners]
+        proposals = anchor + z[:, None] * (positions[active] - anchor)
+        positions[active[take]] = proposals[take]
+        draws.append((active, partners, z))
+    return positions, draws
+
+
+def replayed_step(ens):
+    """Run stretch_step on a flat target; return its replayed per-half draws.
+
+    The sweep's positions must match the replay exactly, so the draws are the
+    ones the sampler used.
+    """
+    expected, draws = replay_flat_sweep(ens)
+    stretch_step(ens, flat)
+    np.testing.assert_array_equal(ens.positions, expected)
+    return draws
 
 
 class TestBoxPrior:
@@ -43,9 +82,10 @@ class TestBoxPrior:
 
 class TestStretchStep:
     def test_z_draw_distribution(self):
-        # Collect the stretch factors actually used by the sampler via the
-        # hook, then compare against the analytic CDF of g(z) ~ 1/sqrt(z).
-        a = 2.0
+        # Collect the stretch factors actually used by the sampler by
+        # replaying its generator, then compare against the analytic CDF of
+        # g(z) ~ 1/sqrt(z).
+        a = STRETCH_A
         zs = []
         ens = WalkerEnsemble(
             positions=np.random.default_rng(0).random((2000, 1)),
@@ -53,7 +93,7 @@ class TestStretchStep:
             rng=np.random.default_rng(1),
         )
         while sum(len(z) for z in zs) < 1_000_000:
-            stretch_step(ens, flat, stretch_a=a, hook=lambda h, act, par, z: zs.append(z.copy()))
+            zs.extend(z for _, _, z in replayed_step(ens))
         draws = np.concatenate(zs)[:1_000_000]
         cdf = lambda z: (np.sqrt(z * a) - 1.0) / (a - 1.0)
         stat = kstest(draws, cdf).statistic
@@ -96,14 +136,14 @@ class TestStretchStep:
         assert "NaN" in caplog.text
 
     def test_half_ensemble_pairing(self):
-        # Partners must come from the frozen complementary half.
-        seen = []
+        # Partners must come from the frozen complementary half; replayed_step
+        # ties the replayed pairing to the positions the sweep produced.
         ens = WalkerEnsemble(
             positions=np.random.default_rng(6).random((40, 2)),
             log_probs=np.zeros(40),
             rng=np.random.default_rng(7),
         )
-        stretch_step(ens, flat, hook=lambda h, act, par, z: seen.append((h, act.copy(), par.copy())))
+        seen = [(h, act, par) for h, (act, par, _) in enumerate(replayed_step(ens))]
         assert len(seen) == 2
         first, second = seen
         assert np.all(first[1] < 20) and np.all(first[2] >= 20)
