@@ -7,7 +7,6 @@ import argparse
 from gpinv.adaptive import run_adaptive
 from gpinv.experiments import HEAT, surrogate_loglik_rows, true_loglik_rows
 from gpinv.likelihood import misfit_of_outputs
-from gpinv.mcmc import BoxPrior
 from gpinv.posterior import hpd_region, sample_posterior
 
 
@@ -30,11 +29,13 @@ def main():
         print(f"run {run + 1}: {rec.termination}, n_train={result.training.n_train}, "
               f"g_min={g_final:.3f}, rel EI={rec.iterations[-1].relative_improvement:.2e}")
 
-    prior = BoxPrior(spec.bounds.lower, spec.bounds.upper)
-    true_set = sample_posterior(true_loglik_rows(model, meas), prior,
-                                args.n_samples, seed=args.seed + 1000, source="true-model")
-    surr_set = sample_posterior(surrogate_loglik_rows(result.ensemble, meas), prior,
-                                args.n_samples, seed=args.seed + 2000, source="surrogate")
+    prior = spec.bounds
+    true_set = sample_posterior(true_loglik_rows(model, meas), prior, args.n_samples,
+                                seed=args.seed + 1000, n_walkers=spec.posterior_walkers,
+                                source="true-model")
+    surr_set = sample_posterior(surrogate_loglik_rows(result.ensemble, meas), prior, args.n_samples,
+                                seed=args.seed + 2000, n_walkers=spec.posterior_walkers,
+                                source="surrogate")
     fmt = lambda s: [(round(a, 3), round(b, 3)) for a, b in hpd_region(s).intervals()]
     print("true 95% HPD:     ", fmt(true_set))
     print("surrogate 95% HPD:", fmt(surr_set))

@@ -8,7 +8,6 @@ import numpy as np
 
 from gpinv.adaptive import run_adaptive
 from gpinv.experiments import ONE_D, surrogate_loglik_rows, true_loglik_rows
-from gpinv.mcmc import BoxPrior
 from gpinv.posterior import hpd_region, sample_posterior
 
 
@@ -29,11 +28,13 @@ def main():
           f"{result.training.n_train} total inputs, {model.n_evals} forward evaluations")
     print("design:", np.sort(result.training.inputs.ravel()).round(3))
 
-    prior = BoxPrior(spec.bounds.lower, spec.bounds.upper)
-    true_set = sample_posterior(true_loglik_rows(model, meas), prior,
-                                args.n_samples, seed=args.seed + 1, source="true-model")
-    surr_set = sample_posterior(surrogate_loglik_rows(result.ensemble, meas), prior,
-                                args.n_samples, seed=args.seed + 2, source="surrogate")
+    prior = spec.bounds
+    true_set = sample_posterior(true_loglik_rows(model, meas), prior, args.n_samples,
+                                seed=args.seed + 1, n_walkers=spec.posterior_walkers,
+                                source="true-model")
+    surr_set = sample_posterior(surrogate_loglik_rows(result.ensemble, meas), prior, args.n_samples,
+                                seed=args.seed + 2, n_walkers=spec.posterior_walkers,
+                                source="surrogate")
 
     bins = np.linspace(spec.bounds.lower[0], spec.bounds.upper[0], 51)
     h_true, _ = np.histogram(true_set.samples[:, 0], bins=bins)

@@ -9,7 +9,6 @@ import numpy as np
 from gpinv.adaptive import run_adaptive
 from gpinv.experiments import PERMEABILITY, surrogate_loglik_rows
 from gpinv.likelihood import misfit_of_outputs
-from gpinv.mcmc import BoxPrior
 from gpinv.posterior import hpd_region, sample_posterior
 
 
@@ -30,9 +29,10 @@ def main():
           f"n_train={result.training.n_train}, forward evaluations={model.n_evals}, "
           f"g_min={g_final:.3f}")
 
-    prior = BoxPrior(spec.bounds.lower, spec.bounds.upper)
-    surr_set = sample_posterior(surrogate_loglik_rows(result.ensemble, meas), prior,
-                                args.n_samples, seed=args.seed + 2000, source="surrogate")
+    prior = spec.bounds
+    surr_set = sample_posterior(surrogate_loglik_rows(result.ensemble, meas), prior, args.n_samples,
+                                seed=args.seed + 2000, n_walkers=spec.posterior_walkers,
+                                source="surrogate")
     print("surrogate posterior median:", np.median(surr_set.samples, axis=0).round(3))
     print("surrogate 95% HPD intervals:")
     for k, (lo, hi) in enumerate(hpd_region(surr_set).intervals()):

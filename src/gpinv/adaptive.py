@@ -52,6 +52,11 @@ class AdaptiveConfig:
     def __post_init__(self):
         if self.eps_thresh <= 0.0:
             raise ValueError("eps_thresh must be positive")
+        if self.eta <= 0.0:
+            raise ValueError(f"eta must be positive, got {self.eta}")
+        if self.hyper_prior.dim != self.bounds.dim + 1:
+            raise ValueError(f"hyper_prior has {self.hyper_prior.dim} bounds, need "
+                             f"{self.bounds.dim + 1} (sigma_c and one length scale per parameter)")
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
         if self.n_starts < 1:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adaptive import AdaptiveConfig, AdaptiveResult, run_adaptive
+from .adaptive import AdaptiveResult, run_adaptive
 from .designs import DesignBox, latin_hypercube, sobol
 from .errors import GpinvError
 from .experiments import (
@@ -142,14 +142,6 @@ def _load_spec(args) -> ExperimentSpec:
     raise UsageError("provide --config FILE or --experiment NAME")
 
 
-def _adaptive_config(spec: ExperimentSpec, seed: int) -> AdaptiveConfig:
-    """The run's AdaptiveConfig; a protocol value it rejects is a usage error."""
-    try:
-        return spec.adaptive_config(seed=seed)
-    except ValueError as exc:
-        raise UsageError(f"invalid {spec.name} protocol: {exc}") from exc
-
-
 def _write_run_outputs(out: Path, spec: ExperimentSpec, result: AdaptiveResult, meas) -> None:
     p = result.training.input_dim
     q = result.training.n_outputs
@@ -170,11 +162,10 @@ def _write_run_outputs(out: Path, spec: ExperimentSpec, result: AdaptiveResult, 
 def cmd_run_adaptive(args) -> int:
     _at_least("--seed", args.seed, 0)
     spec = _load_spec(args)
-    cfg = _adaptive_config(spec, args.seed)
     out = _prepare_out_dir(args.out, args.force)
     model = spec.build_model()
     meas = spec.measurement(model)
-    result = run_adaptive(model, meas, cfg)
+    result = run_adaptive(model, meas, spec.adaptive_config(seed=args.seed))
     _write_run_outputs(out, spec, result, meas)
     partial = result.record.termination in ("forward-failure", "duplicate-point")
     write_manifest(out, status="partial" if partial else "complete")
@@ -279,7 +270,6 @@ def cmd_compare_designs(args) -> int:
     _at_least("--seed", args.seed, 0)
     _at_least("--workers", args.workers, 0)
     spec = _load_spec(args)
-    _adaptive_config(spec, args.seed)  # a bad protocol fails here, before the output directory
     out = _prepare_out_dir(args.out, args.force)
     seeds = [args.seed + r for r in range(args.runs)]
     specs = [spec] * args.runs

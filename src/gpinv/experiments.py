@@ -4,8 +4,9 @@ Each experiment bundles a forward model, the parameter search box, the
 hyperparameter prior, and the sampling/optimization protocol. The built-in
 definitions can be overridden field by field from an INI-style config file
 (section.key = value; each field has exactly one key, and any other key is an
-error), and the checked-in files under configs/ spell out the same values
-explicitly.
+error). A field exists only where the experiments differ (or the benchmark's
+toy runs override it); the solver grids are the forward models' constructor
+defaults, and eps_thresh and eta are AdaptiveConfig's.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .forward_models import (
     PERMEABILITY_THETA_TRUE,
     DarcyPermeability2D,
     ForwardModel,
-    GridSolverConfig,
     HeatSource2D,
     Rational1D,
     generate_measurements,
@@ -36,9 +36,16 @@ from .likelihood import (
 )
 
 
+# experiment name -> forward model, built with its constructor's solver grids
+_MODELS = {"one_d": Rational1D, "heat": HeatSource2D, "permeability": DarcyPermeability2D}
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A fully specified inverse problem plus solution protocol."""
+    """A fully specified inverse problem plus solution protocol.
+
+    Construction checks every value, so a spec that exists can run.
+    """
 
     name: str                       # one_d | heat | permeability; picks the forward model
     bounds_lower: tuple
@@ -50,19 +57,27 @@ class ExperimentSpec:
     meas_seed: int = 101
     n_initial: int = 4
     n_max: int = 11
-    eps_thresh: float = 0.01
-    eta: float = 1e-4
     n_walkers: int = 200
-    n_steps: int = 400
+    n_steps: int = 400              # one value in every experiment; the benchmark's toy runs set it
     n_starts: int = 50
     extra_starts: int = 100
-    posterior_walkers: int = 100
-    solver_nx: int = 32
-    solver_ny: int = 32
-    solver_dt: float = 0.01
-    fine_nx: int = 128
-    fine_ny: int = 128
-    fine_dt: float = 0.0025
+    posterior_walkers: int = 100    # one value in every experiment; the benchmark's toy runs set it
+
+    def __post_init__(self):
+        p = len(self.bounds_lower)
+        if not self.noise_sigma > 0.0:
+            raise ValueError(f"noise_sigma must be positive, got {self.noise_sigma}")
+        if self.meas_seed < 0:
+            raise ValueError(f"meas_seed must be at least 0, got {self.meas_seed}")
+        if self.n_initial < 1:
+            raise ValueError(f"n_initial must be at least 1, got {self.n_initial}")
+        if len(self.theta_true) != p:
+            raise ValueError(f"theta_true {self.theta_true} has {len(self.theta_true)} values "
+                             f"for {p} parameters")
+        if self.posterior_walkers % 2 or self.posterior_walkers < 2 * p:
+            raise ValueError(f"posterior_walkers must be even and at least {2 * p}, "
+                             f"got {self.posterior_walkers}")
+        self.adaptive_config(seed=0)
 
     @property
     def bounds(self) -> DesignBox:
@@ -73,37 +88,26 @@ class ExperimentSpec:
         return DesignBox(np.array(self.hyper_lower), np.array(self.hyper_upper))
 
     def build_model(self) -> ForwardModel:
-        if self.name == "one_d":
-            return Rational1D()
-        if self.name == "heat":
-            return HeatSource2D(
-                cfg=GridSolverConfig(self.solver_nx, self.solver_ny, self.solver_dt),
-                fine_cfg=GridSolverConfig(self.fine_nx, self.fine_ny, self.fine_dt),
-            )
-        if self.name == "permeability":
-            return DarcyPermeability2D(
-                cfg=GridSolverConfig(self.solver_nx, self.solver_ny),
-                fine_cfg=GridSolverConfig(self.fine_nx, self.fine_ny),
-            )
-        raise ValueError(f"unknown experiment {self.name!r}")
+        return _MODELS[self.name]()
 
     def measurement(self, model: ForwardModel) -> MeasurementModel:
         noise = np.full(model.output_dim, self.noise_sigma**2)
         return generate_measurements(model, np.array(self.theta_true), noise, seed=self.meas_seed)
 
-    def adaptive_config(self, seed: int, initial_design: np.ndarray | None = None) -> AdaptiveConfig:
-        if initial_design is None:
-            if self.name == "one_d":
-                initial_design = np.array([[-4.0], [0.0], [4.0]])
-            else:
-                initial_design = latin_hypercube(self.n_initial, self.bounds, seed=seed)
+    def adaptive_config(self, seed: int) -> AdaptiveConfig:
+        """The run's protocol. The initial design holds the centres of
+        n_initial equal cells in 1-D and a Latin hypercube otherwise."""
+        bounds = self.bounds
+        if bounds.dim == 1:
+            centres = (np.arange(self.n_initial) + 0.5) / self.n_initial
+            initial_design = bounds.from_unit(centres[:, None])
+        else:
+            initial_design = latin_hypercube(self.n_initial, bounds, seed=seed)
         return AdaptiveConfig(
-            bounds=self.bounds,
+            bounds=bounds,
             hyper_prior=self.hyper_prior,
             initial_design=initial_design,
             n_max=self.n_max,
-            eps_thresh=self.eps_thresh,
-            eta=self.eta,
             n_walkers=self.n_walkers,
             n_steps=self.n_steps,
             n_starts=self.n_starts,
@@ -159,11 +163,10 @@ EXPERIMENTS = {spec.name: spec for spec in (ONE_D, HEAT, PERMEABILITY)}
 _FIELD_SECTIONS = {
     "experiment": ("name",),
     "measurement": ("noise_sigma", "meas_seed"),
-    "adaptive": ("n_initial", "n_max", "eps_thresh", "eta"),
+    "adaptive": ("n_initial", "n_max"),
     "mcmc": ("n_walkers", "n_steps"),
     "acquisition": ("n_starts", "extra_starts"),
     "posterior": ("posterior_walkers",),
-    "solver": ("solver_nx", "solver_ny", "solver_dt", "fine_nx", "fine_ny", "fine_dt"),
 }
 
 _TUPLE_FIELDS = {
@@ -196,9 +199,9 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
     if not read:
         raise FileNotFoundError(f"config file {path} not found or unreadable")
     sections = {section for section, _ in CONFIG_KEYS}
-    unknown = [f"[{s}]" for s in parser.sections() if s not in sections] + [
-        f"{s}.{k}" for s in parser.sections() if s in sections
-        for k in parser.options(s) if (s, k) not in CONFIG_KEYS]
+    unknown = [f"{s}.{k}" for s in parser.sections() for k in parser.options(s)
+               if (s, k) not in CONFIG_KEYS]
+    unknown += [f"[{s}]" for s in parser.sections() if s not in sections]
     if unknown:
         raise ValueError(f"unknown config section or key: {', '.join(unknown)}")
     if not parser.has_option("experiment", "name"):

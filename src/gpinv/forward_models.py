@@ -60,17 +60,20 @@ class ForwardModel:
     def __init__(self):
         self.n_evals = 0
 
-    def evaluate(self, theta: np.ndarray) -> np.ndarray:
+    def _checked(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float).reshape(-1)
         if theta.shape[0] != self.input_dim:
             raise ValueError(f"expected {self.input_dim} parameters, got {theta.shape[0]}")
+        return theta
+
+    def evaluate(self, theta: np.ndarray) -> np.ndarray:
+        theta = self._checked(theta)
         self.n_evals += 1
         return self._evaluate(theta)
 
     def fine_evaluate(self, theta: np.ndarray) -> np.ndarray:
         """Refined-discretization evaluation used only to synthesize data."""
-        theta = np.asarray(theta, dtype=float).reshape(-1)
-        return self._fine_evaluate(theta)
+        return self._fine_evaluate(self._checked(theta))
 
     def _evaluate(self, theta: np.ndarray) -> np.ndarray:
         raise NotImplementedError

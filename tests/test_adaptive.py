@@ -60,6 +60,7 @@ class TestAdaptiveConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("n_starts", 0), ("extra_starts", -1), ("n_walkers", 31), ("n_walkers", 2),
+        ("eta", 0.0), ("hyper_prior", BoxPrior([1e-8] * 3, [12.0, 5.0, 5.0])),
     ])
     def test_protocol_values_checked(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -226,13 +226,21 @@ class TestErrors:
         assert option in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["run-adaptive", "compare-designs"])
+    @pytest.mark.parametrize("command", ["run-adaptive", "compare-designs", "sample-posterior"])
     @pytest.mark.parametrize("body, named", [
         ("[mcmc]\nn_step = 5\n", "mcmc.n_step"),
         ("model_kind = darcy\n", "experiment.model_kind"),
         ("[acquisition]\nn_starts = 0\n", "n_starts"),
         ("[mcmc]\nn_walkers = 13\n", "n_walkers"),
         ("[mcmc]\n[mcmc]\n", "mcmc"),
+        ("[measurement]\nnoise_sigma = 0\n", "noise_sigma must be positive, got 0.0"),
+        ("[hyper_prior]\nlower = 1e-8 1e-8 1e-8\nupper = 12 5 5\n",
+         "hyper_prior has 3 bounds, need 2"),
+        ("[measurement]\ntheta_true = 2.41 1.0\n", "theta_true (2.41, 1.0)"),
+        ("[posterior]\nposterior_walkers = 3\n",
+         "posterior_walkers must be even and at least 2, got 3"),
+        ("[measurement]\nmeas_seed = -1\n", "meas_seed must be at least 0, got -1"),
+        ("[adaptive]\nn_initial = 0\n", "n_initial must be at least 1, got 0"),
     ])
     def test_bad_config_is_a_usage_error(self, command, body, named, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

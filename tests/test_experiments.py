@@ -39,8 +39,9 @@ class TestBuiltins:
         assert HEAT.noise_sigma == 0.1
         assert HEAT.n_initial == 4 and HEAT.n_max == 11
         assert HEAT.n_starts == 50 and HEAT.extra_starts == 100
-        assert HEAT.solver_nx == 32 and HEAT.fine_nx == 128
-        assert HEAT.solver_dt == 0.01 and HEAT.fine_dt == 0.0025
+        model = HEAT.build_model()
+        assert model.cfg.nx == 32 and model.fine_cfg.nx == 128
+        assert model.cfg.dt == 0.01 and model.fine_cfg.dt == 0.0025
 
     def test_permeability_protocol_values(self):
         assert PERMEABILITY.n_initial == 18 and PERMEABILITY.n_max == 20
@@ -52,7 +53,9 @@ class TestBuiltins:
 
     def test_adaptive_config_wiring(self):
         cfg = ONE_D.adaptive_config(seed=1)
-        np.testing.assert_allclose(cfg.initial_design.ravel(), [-4.0, 0.0, 4.0])
+        np.testing.assert_array_equal(cfg.initial_design, [[-4.0], [0.0], [4.0]])
+        five = dataclasses.replace(ONE_D, n_initial=5).adaptive_config(seed=1)
+        np.testing.assert_allclose(five.initial_design, [[-4.8], [-2.4], [0.0], [2.4], [4.8]])
         assert not cfg.confirm
         cfg_heat = HEAT.adaptive_config(seed=1)
         assert cfg_heat.initial_design.shape == (4, 2)
@@ -109,6 +112,14 @@ upper = 2
         ("acquisition", "starts = sobol"),
         ("solver", "sensor_convention = corners"),
         ("mcmc", "n_step = 5"),
+        ("adaptive", "eps_thresh = 0.01"),
+        ("adaptive", "eta = 1e-4"),
+        ("solver", "solver_nx = 32"),
+        ("solver", "solver_ny = 32"),
+        ("solver", "solver_dt = 0.01"),
+        ("solver", "fine_nx = 128"),
+        ("solver", "fine_ny = 128"),
+        ("solver", "fine_dt = 0.0025"),
     ])
     def test_unknown_key_rejected(self, tmp_path, section, line):
         cfg = tmp_path / "bad.cfg"
@@ -124,6 +135,12 @@ upper = 2
         with pytest.raises(ValueError, match=r"\[sampler\]"):
             load_experiment(cfg)
 
+    def test_solver_section_rejected(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("[experiment]\nname = heat\n[solver]\nsolver_nx = 64\n")
+        with pytest.raises(ValueError, match=r"\[solver\]"):
+            load_experiment(cfg)
+
     def test_unparsable_value_names_its_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[experiment]\nname = heat\n[mcmc]\nn_steps = many\n")
@@ -136,6 +153,12 @@ class TestSettingsGuard:
         fields = list(CONFIG_KEYS.values())
         assert len(fields) == len(set(fields))
         assert set(fields) <= {f.name for f in dataclasses.fields(ExperimentSpec)}
+
+    def test_every_field_differs_between_experiments(self):
+        # the two exceptions stay settable because the benchmark's toy runs override them
+        same = {f.name for f in dataclasses.fields(ExperimentSpec)
+                if len({getattr(spec, f.name) for spec in EXPERIMENTS.values()}) == 1}
+        assert same == {"n_steps", "posterior_walkers"}
 
     def test_checked_in_configs_use_only_known_keys(self):
         paths = sorted(CONFIGS.glob("*.cfg"))

@@ -34,6 +34,10 @@ class TestRational:
         with pytest.raises(ValueError):
             Rational1D().evaluate([1.0, 2.0])
 
+    def test_fine_evaluate_checks_dimension(self):
+        with pytest.raises(ValueError, match="expected 1 parameters, got 2"):
+            Rational1D().fine_evaluate([2.41, 1.0])
+
 
 class TestSensorGrid:
     def test_corners_convention(self):
