@@ -26,11 +26,12 @@ from .acquisition import (
 from .designs import DesignBox, sobol
 from .gp import GpEnsemble, TrainingSet
 from .likelihood import MeasurementModel
-from .mcmc import sample_hyperposterior
+from .mcmc import check_walkers, sample_hyperposterior
 
 log = logging.getLogger(__name__)
 
 RECORD_SCHEMA_VERSION = 1
+EPS_THRESH = 0.01  # stop once the best expected improvement is under this fraction of g_min
 
 
 @dataclass(frozen=True)
@@ -41,8 +42,6 @@ class AdaptiveConfig:
     hyper_prior: DesignBox
     initial_design: np.ndarray            # (n0, p) points inside bounds
     n_max: int                            # added-point budget (iterations)
-    eps_thresh: float = 0.01
-    eta: float = 1e-4
     n_walkers: int = 200
     n_steps: int = 400
     n_starts: int = 50                    # multistart seeds: a grid in 1-D, Sobol points otherwise
@@ -50,10 +49,6 @@ class AdaptiveConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.eps_thresh <= 0.0:
-            raise ValueError("eps_thresh must be positive")
-        if self.eta <= 0.0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
         if self.hyper_prior.dim != self.bounds.dim + 1:
             raise ValueError(f"hyper_prior has {self.hyper_prior.dim} bounds, need "
                              f"{self.bounds.dim + 1} (sigma_c and one length scale per parameter)")
@@ -63,9 +58,7 @@ class AdaptiveConfig:
             raise ValueError(f"n_starts must be at least 1, got {self.n_starts}")
         if self.extra_starts < 0:
             raise ValueError(f"extra_starts must be at least 0, got {self.extra_starts}")
-        if self.n_walkers % 2 or self.n_walkers < 2 * self.hyper_prior.dim:
-            raise ValueError(f"n_walkers must be even and at least {2 * self.hyper_prior.dim}, "
-                             f"got {self.n_walkers}")
+        check_walkers("n_walkers", self.n_walkers, self.hyper_prior.dim)
         design = np.atleast_2d(np.asarray(self.initial_design, dtype=float))
         object.__setattr__(self, "initial_design", design)
         if design.shape[0] < 1 or not np.all(self.bounds.contains(design)):
@@ -101,7 +94,7 @@ class RunRecord:
     iterations: list[IterationRecord] = field(default_factory=list)
     termination: str = "running"
     seed: int = 0
-    eps_thresh: float = 0.01
+    eps_thresh: float = EPS_THRESH
     n_max: int = 0
 
     @property
@@ -216,7 +209,7 @@ def run_adaptive(model, meas: MeasurementModel, cfg: AdaptiveConfig) -> Adaptive
     stop search from `make_starts` alone.
 
     Termination reasons: "threshold" (best improvement under
-    eps_thresh * g_min), "zero-improvement" (every multistart found exactly
+    EPS_THRESH * g_min), "zero-improvement" (every multistart found exactly
     zero, and so did the screen and the confirming ascent where they ran),
     "budget" (n_max points added), "duplicate-point" (the selected input is
     already in the design; nothing evaluated, partial record returned) or
@@ -227,7 +220,7 @@ def run_adaptive(model, meas: MeasurementModel, cfg: AdaptiveConfig) -> Adaptive
     training = TrainingSet.from_data(cfg.initial_design, outputs)
     record = RunRecord(
         initial_inputs=cfg.initial_design.copy(),
-        seed=cfg.seed, eps_thresh=cfg.eps_thresh, n_max=cfg.n_max,
+        seed=cfg.seed, n_max=cfg.n_max,
     )
 
     starts = make_starts(cfg)
@@ -239,15 +232,15 @@ def run_adaptive(model, meas: MeasurementModel, cfg: AdaptiveConfig) -> Adaptive
             training, cfg.hyper_prior, cfg.n_walkers, cfg.n_steps,
             seed=_iteration_seed(cfg.seed, k),
         )
-        state = AcquisitionState.from_ensemble(ensemble, meas, cfg.bounds, eta=cfg.eta)
+        state = AcquisitionState.from_ensemble(ensemble, meas, cfg.bounds)
         theta = maximize_acquisition(state, starts).theta
         improvement = expected_improvement(theta, state)
-        stop = improvement < cfg.eps_thresh * state.g_min
+        stop = improvement < EPS_THRESH * state.g_min
         if stop and extra is not None:
             confirm_theta, confirm_improvement = confirm_stop(state, extra)
             if confirm_improvement > improvement:
                 theta, improvement = confirm_theta, confirm_improvement
-                stop = improvement < cfg.eps_thresh * state.g_min
+                stop = improvement < EPS_THRESH * state.g_min
 
         psis = ensemble.hyperparams
         entry = IterationRecord(

@@ -6,7 +6,8 @@ definitions can be overridden field by field from an INI-style config file
 (section.key = value; each field has exactly one key, and any other key is an
 error). A field exists only where the experiments differ (or the benchmark's
 toy runs override it); the solver grids are the forward models' constructor
-defaults, and eps_thresh and eta are AdaptiveConfig's.
+defaults, and the stopping fraction and EI smoothing are constants of the
+adaptive loop.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .likelihood import (
     d_restricted_loglik_batch,
     loglik_of_outputs,
 )
+from .mcmc import check_walkers
 
 
 # experiment name -> forward model, built with its constructor's solver grids
@@ -64,7 +66,12 @@ class ExperimentSpec:
     posterior_walkers: int = 100    # one value in every experiment; the benchmark's toy runs set it
 
     def __post_init__(self):
+        if self.name not in _MODELS:
+            raise ValueError(f"unknown experiment {self.name!r}; choose from {sorted(_MODELS)}")
         p = len(self.bounds_lower)
+        if p != _MODELS[self.name].input_dim:
+            raise ValueError(f"bounds.lower has {p} values, need "
+                             f"{_MODELS[self.name].input_dim} for {self.name}")
         if not self.noise_sigma > 0.0:
             raise ValueError(f"noise_sigma must be positive, got {self.noise_sigma}")
         if self.meas_seed < 0:
@@ -74,9 +81,7 @@ class ExperimentSpec:
         if len(self.theta_true) != p:
             raise ValueError(f"theta_true {self.theta_true} has {len(self.theta_true)} values "
                              f"for {p} parameters")
-        if self.posterior_walkers % 2 or self.posterior_walkers < 2 * p:
-            raise ValueError(f"posterior_walkers must be even and at least {2 * p}, "
-                             f"got {self.posterior_walkers}")
+        check_walkers("posterior_walkers", self.posterior_walkers, p)
         self.adaptive_config(seed=0)
 
     @property

@@ -101,6 +101,12 @@ def _restrict_to_box(log_prob: LogProb, prior: DesignBox) -> LogProb:
     return restricted
 
 
+def check_walkers(name: str, n_walkers: int, dim: int) -> None:
+    """The stretch move needs an even ensemble of at least twice the dimension."""
+    if n_walkers % 2 or n_walkers < 2 * dim:
+        raise ValueError(f"{name} must be even and at least {2 * dim}, got {n_walkers}")
+
+
 def _init_ensemble(
     log_prob: LogProb,
     prior: DesignBox,
@@ -108,8 +114,7 @@ def _init_ensemble(
     rng: np.random.Generator,
     init_positions: np.ndarray | None = None,
 ) -> WalkerEnsemble:
-    if n_walkers % 2 or n_walkers < 2 * prior.dim:
-        raise ValueError(f"need an even walker count >= {2 * prior.dim}, got {n_walkers}")
+    check_walkers("n_walkers", n_walkers, prior.dim)
     if init_positions is not None:
         positions = np.array(init_positions, dtype=float)
         if positions.shape != (n_walkers, prior.dim):

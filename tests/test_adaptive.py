@@ -10,6 +10,7 @@ from gpinv.acquisition import (
     maximize_acquisition,
 )
 from gpinv.adaptive import (
+    EPS_THRESH,
     AdaptiveConfig,
     RunRecord,
     confirm_stop,
@@ -31,7 +32,6 @@ def fast_config(seed=0, n_max=6, **overrides):
         hyper_prior=BoxPrior([1e-8, 1e-8], [12.0, 5.0]),
         initial_design=np.array([[-4.0], [0.0], [4.0]]),
         n_max=n_max,
-        eps_thresh=0.01,
         n_walkers=30,
         n_steps=60,
         n_starts=9,
@@ -52,15 +52,13 @@ def problem():
 class TestAdaptiveConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            fast_config(eps_thresh=0.0)
-        with pytest.raises(ValueError):
             fast_config(n_max=0)
         with pytest.raises(ValueError):
             fast_config(initial_design=np.array([[99.0]]))
 
     @pytest.mark.parametrize("field, value", [
         ("n_starts", 0), ("extra_starts", -1), ("n_walkers", 31), ("n_walkers", 2),
-        ("eta", 0.0), ("hyper_prior", BoxPrior([1e-8] * 3, [12.0, 5.0, 5.0])),
+        ("hyper_prior", BoxPrior([1e-8] * 3, [12.0, 5.0, 5.0])),
     ])
     def test_protocol_values_checked(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -205,7 +203,7 @@ class TestConfirmStop:
         state = AcquisitionState.from_ensemble(GpEnsemble(tr, psis), meas, box)
         cfg = AdaptiveConfig(bounds=box, hyper_prior=BoxPrior([1e-8] * 3, [2.0, 1.0, 1.0]),
                              initial_design=design, n_max=1)
-        return state, make_starts(cfg), make_extra_starts(cfg), cfg.eps_thresh * state.g_min
+        return state, make_starts(cfg), make_extra_starts(cfg), EPS_THRESH * state.g_min
 
     def test_sliver_holds_no_start(self, sliver):
         state, starts, extra, _ = sliver

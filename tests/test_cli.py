@@ -241,6 +241,9 @@ class TestErrors:
          "posterior_walkers must be even and at least 2, got 3"),
         ("[measurement]\nmeas_seed = -1\n", "meas_seed must be at least 0, got -1"),
         ("[adaptive]\nn_initial = 0\n", "n_initial must be at least 1, got 0"),
+        ("[bounds]\nlower = 0 0\nupper = 1 1\n[hyper_prior]\nlower = 1e-8 1e-8 1e-8\n"
+         "upper = 2 1 1\n[measurement]\ntheta_true = 0.25 0.75\n",
+         "bounds.lower has 2 values, need 1 for one_d"),
     ])
     def test_bad_config_is_a_usage_error(self, command, body, named, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -100,6 +100,14 @@ upper = 2
         with pytest.raises(ValueError, match="unknown experiment"):
             load_experiment(cfg)
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"name": "mystery"}, "unknown experiment 'mystery'"),
+        ({"name": "heat"}, "bounds.lower has 1 values, need 2 for heat"),
+    ])
+    def test_spec_checks_name_against_model(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(ONE_D, **changes)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_experiment(tmp_path / "absent.cfg")
