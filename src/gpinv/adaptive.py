@@ -1,10 +1,14 @@
 """The adaptive design loop.
 
-Each iteration refits the hyperparameter posterior from scratch, finds the
-input with the largest expected improvement in fit, and either stops (the
-best possible improvement is below a fraction of the incumbent misfit) or
-pays for one forward-model evaluation there. The record keeps enough of the
-trajectory to audit monotonicity and budget accounting afterwards.
+Each iteration redraws the hyperparameter posterior on the current design,
+finds the input with the largest expected improvement in fit, and either
+stops (the best possible improvement is below a fraction of the incumbent
+misfit) or pays for one forward-model evaluation there. The first chain
+starts uniformly in the hyperparameter box; every later one, the budget refit
+included, starts from the previous iteration's hyperparameter rows, and each
+chain ends once its walkers settle (`mcmc.SETTLE_EVERY`), at most n_steps
+sweeps. The record keeps enough of the trajectory to audit monotonicity and
+budget accounting afterwards.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ class AdaptiveConfig:
     initial_design: np.ndarray            # (n0, p) points inside bounds
     n_max: int                            # added-point budget (iterations)
     n_walkers: int = 200
-    n_steps: int = 400
+    n_steps: int = 400                    # sweep cap per hyperposterior chain
     n_starts: int = 50                    # multistart seeds: a grid in 1-D, Sobol points otherwise
     extra_starts: int = 100               # > 0 with p >= 2: screen + second sweep before accepting a stop
     seed: int = 0
@@ -231,6 +235,7 @@ def run_adaptive(model, meas: MeasurementModel, cfg: AdaptiveConfig) -> Adaptive
         ensemble = sample_hyperposterior(
             training, cfg.hyper_prior, cfg.n_walkers, cfg.n_steps,
             seed=_iteration_seed(cfg.seed, k),
+            init_positions=None if ensemble is None else ensemble.hyperparams,
         )
         state = AcquisitionState.from_ensemble(ensemble, meas, cfg.bounds)
         theta = maximize_acquisition(state, starts).theta
@@ -252,8 +257,8 @@ def run_adaptive(model, meas: MeasurementModel, cfg: AdaptiveConfig) -> Adaptive
 
         if stop:
             record.termination = "zero-improvement" if improvement == 0.0 else "threshold"
-            log.info("iteration %d: stopping (%s), I=%.3e, g_min=%.4f",
-                     k, record.termination, improvement, state.g_min)
+            log.info("iteration %d: stopping (%s), I=%.3e, g_min=%.4f, %d sweeps",
+                     k, record.termination, improvement, state.g_min, ensemble.sweeps)
             return AdaptiveResult(ensemble, training, record)
 
         if training.has_input(theta):
@@ -270,11 +275,13 @@ def run_adaptive(model, meas: MeasurementModel, cfg: AdaptiveConfig) -> Adaptive
         training = training.augmented(theta, new_outputs)
         entry.accepted = True
         entry.wall_time_s = time.perf_counter() - tic
-        log.info("iteration %d: added %s, I=%.3e, g_min=%.4f", k, theta, improvement, state.g_min)
+        log.info("iteration %d: added %s, I=%.3e, g_min=%.4f, %d sweeps",
+                 k, theta, improvement, state.g_min, ensemble.sweeps)
 
     record.termination = "budget"
     ensemble = sample_hyperposterior(
         training, cfg.hyper_prior, cfg.n_walkers, cfg.n_steps,
         seed=_iteration_seed(cfg.seed, cfg.n_max + 1),
+        init_positions=ensemble.hyperparams,
     )
     return AdaptiveResult(ensemble, training, record)

@@ -86,11 +86,11 @@ class ExperimentSpec:
 
     @property
     def bounds(self) -> DesignBox:
-        return DesignBox(np.array(self.bounds_lower), np.array(self.bounds_upper))
+        return _box("bounds", self.bounds_lower, self.bounds_upper)
 
     @property
     def hyper_prior(self) -> DesignBox:
-        return DesignBox(np.array(self.hyper_lower), np.array(self.hyper_upper))
+        return _box("hyper_prior", self.hyper_lower, self.hyper_upper)
 
     def build_model(self) -> ForwardModel:
         return _MODELS[self.name]()
@@ -119,6 +119,14 @@ class ExperimentSpec:
             extra_starts=self.extra_starts,
             seed=seed,
         )
+
+
+def _box(section: str, lower: tuple, upper: tuple) -> DesignBox:
+    """The box of one config section; a bad box is reported under its section."""
+    try:
+        return DesignBox(np.array(lower), np.array(upper))
+    except ValueError as exc:
+        raise ValueError(f"[{section}] {exc}") from exc
 
 
 ONE_D = ExperimentSpec(

@@ -299,7 +299,9 @@ class GpEnsemble:
     One `_factorize` call gives the factor stack `_L` (J, n, n) and the
     absolute diagonal shift of every member, `jitter_shifts` (J,); the core's
     substitutions give the weights `_weights` (J, n, q). A row that no jitter
-    level factorizes raises IllConditionedKernelError with the `failed` mask."""
+    level factorizes raises IllConditionedKernelError with the `failed` mask.
+    `sweeps` counts the hyperposterior MCMC sweeps that drew the rows; it is 0
+    for given rows and set by `mcmc.sample_hyperposterior`."""
 
     def __init__(self, training: TrainingSet, hyperparams: np.ndarray):
         hyperparams = np.atleast_2d(np.asarray(hyperparams, dtype=float))
@@ -318,6 +320,7 @@ class GpEnsemble:
         self._L = L
         self._weights = _back_subst(L, _forward_subst(L, training.scaled_outputs))
         self.jitter_shifts = shift
+        self.sweeps = 0
         escalated = int(np.count_nonzero(shift > BASE_JITTER * self._sigma2))
         if escalated:
             log.debug("%d of %d members escalated past the base jitter for n_train=%d",

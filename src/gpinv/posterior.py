@@ -53,7 +53,7 @@ def sample_posterior(
         raise ValueError("need at least one sample")
     kept_steps = -(-n_samples // n_walkers)
     init = _best_of_pool(loglik, prior, n_walkers, seed)
-    chain, acceptance = run_chain(
+    chain, acceptance, _ = run_chain(
         loglik, prior, n_walkers, 2 * kept_steps, seed=seed,
         keep_every_step=True, init_positions=init,
     )

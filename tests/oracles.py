@@ -170,7 +170,7 @@ def run_sampler(
     seed: int = 0,
 ) -> np.ndarray:
     """Final walker states after n_steps sweeps: an (n_walkers, d) sample set."""
-    samples, _ = run_chain(log_prob, prior, n_walkers, n_steps, seed)
+    samples, _, _ = run_chain(log_prob, prior, n_walkers, n_steps, seed)
     return samples
 
 

@@ -131,6 +131,23 @@ class TestRunAdaptive:
         assert r1.record.to_json() == r2.record.to_json()
         np.testing.assert_array_equal(r1.training.inputs, r2.training.inputs)
 
+    def test_chains_after_the_first_start_from_the_previous_rows(self, problem, monkeypatch):
+        real = gpinv.adaptive.sample_hyperposterior
+        calls = []
+
+        def spy(*args, init_positions=None, **kwargs):
+            ensemble = real(*args, init_positions=init_positions, **kwargs)
+            calls.append((init_positions, ensemble.hyperparams))
+            return ensemble
+
+        monkeypatch.setattr(gpinv.adaptive, "sample_hyperposterior", spy)
+        model, meas = problem
+        result = run_adaptive(model, meas, fast_config(seed=4, n_max=2))
+        assert result.record.termination == "budget" and len(calls) == 3
+        assert calls[0][0] is None
+        for (_, previous), (init, _) in zip(calls, calls[1:]):
+            np.testing.assert_array_equal(init, previous)
+
     def test_forward_failure_aborts_with_partial_record(self, meas_only=None):
         class Flaky(Rational1D):
             def _evaluate(self, theta):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gpinv.adaptive import make_starts
+from gpinv.cli import main
 from gpinv.experiments import (
     CONFIG_KEYS,
     EXPERIMENTS,
@@ -107,6 +108,21 @@ upper = 2
     def test_spec_checks_name_against_model(self, changes, message):
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(ONE_D, **changes)
+
+    @pytest.mark.parametrize("section, lines", [
+        ("hyper_prior", "lower = 13 1e-8\n"),
+        ("bounds", "lower = 7\n"),
+        ("bounds", "upper = 6 7\n"),
+    ])
+    def test_bad_box_names_its_section(self, tmp_path, capsys, section, lines):
+        cfg = tmp_path / "box.cfg"
+        cfg.write_text(f"[experiment]\nname = one_d\n[{section}]\n{lines}")
+        with pytest.raises(ValueError, match=rf"\[{section}\]"):
+            load_experiment(cfg)
+        out = tmp_path / "out"
+        assert main(["run-adaptive", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"[{section}]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):

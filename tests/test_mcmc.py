@@ -10,6 +10,7 @@ import gpinv.mcmc
 from gpinv.errors import InitializationError
 from gpinv.gp import TrainingSet
 from gpinv.mcmc import (
+    SETTLE_EVERY,
     STRETCH_A,
     BoxPrior,
     WalkerEnsemble,
@@ -114,8 +115,8 @@ class TestStretchStep:
             return np.where(points[:, 0] <= 0.5, 0.0, -np.inf)
 
         init = np.linspace(0.01, 0.49, 20)[:, None]
-        chain, _ = run_chain(half, prior, 20, 200, seed=3, keep_every_step=True,
-                             init_positions=init)
+        chain, _, _ = run_chain(half, prior, 20, 200, seed=3, keep_every_step=True,
+                                init_positions=init)
         assert np.all(chain[..., 0] <= 0.5)
 
     def test_odd_walker_count_rejected(self):
@@ -183,9 +184,9 @@ class TestRunSampler:
         def target_scaled(points):
             return gaussian(np.atleast_2d(points) / scale)
 
-        plain, _ = run_chain(gaussian, prior, 40, 120, seed=9, init_positions=init)
-        mapped, _ = run_chain(target_scaled, prior_scaled, 40, 120, seed=9,
-                              init_positions=init * scale)
+        plain, _, _ = run_chain(gaussian, prior, 40, 120, seed=9, init_positions=init)
+        mapped, _, _ = run_chain(target_scaled, prior_scaled, 40, 120, seed=9,
+                                 init_positions=init * scale)
         np.testing.assert_array_equal(mapped, plain * scale)
 
     def test_all_minus_inf_initialization_fails(self):
@@ -225,6 +226,27 @@ class TestRunSampler:
     def test_vectorize_rows_adapter(self):
         wrapped = vectorize_rows(lambda row: -float(row[0] ** 2))
         np.testing.assert_allclose(wrapped(np.array([[1.0], [2.0]])), [-1.0, -4.0])
+
+
+class TestSettleRule:
+    FAR = np.full((40, 2), 18.0) + np.random.default_rng(13).random((40, 2))
+
+    @pytest.mark.parametrize("n_steps, init, settles", [
+        (230, None, True),
+        (10, None, False),   # the cap is below one check block
+        (130, FAR, False),   # walkers still travelling to the mode at the cap
+    ])
+    def test_stops_at_a_check_within_the_cap(self, n_steps, init, settles):
+        prior = BoxPrior([-20.0, -20.0], [20.0, 20.0])
+        settled, rate, sweeps = run_chain(gaussian, prior, 40, n_steps, seed=12,
+                                          init_positions=init, settle=True)
+        assert (sweeps < n_steps) == settles
+        assert sweeps == n_steps or sweeps % SETTLE_EVERY == 0
+        # the check draws nothing, so the chain is the fixed-length one cut short
+        fixed, fixed_rate, _ = run_chain(gaussian, prior, 40, sweeps, seed=12,
+                                         init_positions=init)
+        np.testing.assert_array_equal(settled, fixed)
+        assert rate == fixed_rate
 
 
 class TestSampleHyperposterior:
@@ -303,6 +325,32 @@ class TestSampleHyperposterior:
         with pytest.raises(ValueError, match="conditioning"):
             sample_hyperposterior(training, BoxPrior([1e-8, 1e-8], [2.0, 1.0]),
                                   n_walkers=10, n_steps=5, seed=25)
+
+    def test_chain_ends_once_settled(self, training, monkeypatch):
+        # A sharp stand-in for the marginal likelihood settles well before the cap.
+        monkeypatch.setattr(gpinv.mcmc, "_lml_batch",
+                            lambda tr, psis: gaussian(4.0 * (psis - [6.0, 2.5])))
+        ens = sample_hyperposterior(training, BoxPrior([1e-8, 1e-8], [12.0, 5.0]),
+                                    n_walkers=40, n_steps=400, seed=30)
+        assert ens.sweeps < 400 and ens.sweeps % SETTLE_EVERY == 0
+
+    def test_warm_start_reruns_bit_for_bit(self, training):
+        prior = BoxPrior([1e-8, 1e-8], [12.0, 5.0])
+        init = sample_hyperposterior(training, prior, n_walkers=20, n_steps=30, seed=26).hyperparams
+        a = sample_hyperposterior(training, prior, 20, 30, seed=27, init_positions=init)
+        b = sample_hyperposterior(training, prior, 20, 30, seed=27, init_positions=init)
+        np.testing.assert_array_equal(a.hyperparams, b.hyperparams)
+        assert a.sweeps == 30
+        cold = sample_hyperposterior(training, prior, 20, 30, seed=27)
+        assert not np.array_equal(a.hyperparams, cold.hyperparams)
+
+    def test_warm_start_accepts_duplicate_rows(self, training):
+        prior = BoxPrior([1e-8, 1e-8], [12.0, 5.0])
+        rows = sample_hyperposterior(training, prior, n_walkers=20, n_steps=30, seed=28).hyperparams
+        init = rows[np.arange(20) % 7]
+        ens = sample_hyperposterior(training, prior, 20, 30, seed=29, init_positions=init)
+        assert ens.n_psi == 20 and np.all(prior.contains(ens.hyperparams))
+        assert np.unique(ens.hyperparams, axis=0).shape[0] > 7
 
     def test_dimension_check(self, training):
         with pytest.raises(ValueError, match="dimension"):
