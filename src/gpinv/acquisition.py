@@ -102,7 +102,7 @@ def expected_improvement_batch(thetas: np.ndarray, state: AcquisitionState) -> n
     values = np.empty(thetas.shape[0])
     for lo in range(0, thetas.shape[0], SCREEN_BLOCK):
         g = _misfit_batch(thetas[lo:lo + SCREEN_BLOCK], state.ensemble, state.meas)
-        values[lo:lo + SCREEN_BLOCK] = np.mean(np.maximum(state.g_min - g, 0.0), axis=1)
+        values[lo:lo + SCREEN_BLOCK] = np.mean(np.maximum(state.g_min - g, 0.0), axis=0)
     return values
 
 
@@ -125,16 +125,17 @@ def screen_acquisition(state: AcquisitionState) -> tuple[np.ndarray, np.ndarray]
 
 
 def _misfit_grads_batch(thetas: np.ndarray, ens: GpEnsemble, meas: MeasurementModel):
-    """Per-member surrogate misfits (B, J) and their gradients (B, J, p) at each row.
+    """Per-member surrogate misfits (J, B) and their gradients (J, p, B) at each row.
 
     With resid = zt - m and den = a + V from `member_misfits`, dg/dm = -2 resid / den
     and dg/dV = -sum_q resid^2 / den^2; the ensemble's pullback carries them to theta.
     """
     means, var, pullback = ens.predict_with_pullback(thetas)
-    g, resid, den = member_misfits(means, var, ens.training, meas)       # (J, B), (J, B, q) x2
-    coeff_mean = -2.0 * resid / den
-    coeff_var = -np.sum(resid**2 / den**2, axis=2)
-    return g.T, pullback(coeff_mean, coeff_var)
+    g, resid, den = member_misfits(means, var, ens.training, meas)       # (J, B), (J, q, B) x2
+    resid /= den
+    coeff_var = -np.sum(np.square(resid), axis=-2)
+    resid *= -2.0
+    return g, pullback(resid, coeff_var)
 
 
 def expected_improvement_smoothed_batch(thetas: np.ndarray, state: AcquisitionState
@@ -146,8 +147,9 @@ def expected_improvement_smoothed_batch(thetas: np.ndarray, state: AcquisitionSt
     for lo in range(0, thetas.shape[0], SCREEN_BLOCK):
         g, dg = _misfit_grads_batch(thetas[lo:lo + SCREEN_BLOCK], state.ensemble, state.meas)
         value, slope = smoothed_pos(state.g_min - g, state.eta)
-        values[lo:lo + SCREEN_BLOCK] = np.mean(value, axis=1)
-        grads[lo:lo + SCREEN_BLOCK] = -(slope[:, None, :] @ dg)[:, 0, :] / g.shape[1]
+        values[lo:lo + SCREEN_BLOCK] = np.mean(value, axis=0)
+        dg *= slope[:, None, :]
+        grads[lo:lo + SCREEN_BLOCK] = -dg.sum(axis=0).T / g.shape[0]
     return values, grads
 
 

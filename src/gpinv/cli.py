@@ -330,14 +330,9 @@ def cmd_eval_model(args) -> int:
     model = spec.build_model()
     outputs = model.fine_evaluate(theta) if args.fine else model.evaluate(theta)
     write_csv(out / "outputs.csv", [f"f_{i + 1}" for i in range(outputs.size)], outputs[None, :])
-    if args.dump_field and hasattr(model, "solve_field"):
-        if spec.name == "heat":
-            for tm in model.measure_times:
-                field = model.solve_field(theta, tm, fine=args.fine)
-                write_grid_field(out / f"field_t{tm:g}.txt", field)
-        else:
-            cfg = model.fine_cfg if args.fine else model.cfg
-            write_grid_field(out / "field.txt", model.solve_field(theta, cfg))
+    if args.dump_field and hasattr(model, "fields"):
+        for name, field in model.fields(theta, fine=args.fine).items():
+            write_grid_field(out / f"{name}.txt", field)
     write_manifest(out)
     print(f"outputs in {out}")
     return 0

@@ -8,6 +8,11 @@ the heat problem, harmonic-mean face conductivities for Darcy) and carry a
 finer companion discretization for generating synthetic data, so inversion
 never runs on the same grid that produced the measurements.
 
+The heat step has constant coefficients and zero-flux walls, so the cosine
+transform diagonalizes it and the heat model is solved exactly mode by mode;
+the Darcy operator depends on theta and is factorized by sparse LU on every
+solve. Each PDE model names its solution fields in `fields(theta, fine)`.
+
 Every concrete model counts its `evaluate` calls in `n_evals`; data
 generation through `fine_evaluate` is not counted.
 """
@@ -17,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import dctn, idctn
 from scipy.sparse import coo_matrix
-from scipy.sparse import eye as sparse_eye
 from scipy.sparse.linalg import splu
 
 from .errors import InvalidParameterError, SolverError
@@ -159,12 +164,13 @@ def _flux_operator(nx: int, ny: int, coef_x: np.ndarray, coef_y: np.ndarray):
     return coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
 
 
-def _neumann_laplacian(grid: _CellGrid):
-    """Five-point Laplacian with mirrored (zero-flux) boundaries."""
-    ax, _, ay, _ = _face_pairs(grid.nx, grid.ny)
-    coef_x = np.full(ax.size, 1.0 / grid.dx**2)
-    coef_y = np.full(ay.size, 1.0 / grid.dy**2)
-    return -_flux_operator(grid.nx, grid.ny, coef_x, coef_y)
+def _neumann_eigenvalues(n: int, h: float) -> np.ndarray:
+    """Eigenvalues of the 1-D zero-flux second difference -u'' on n cells of width h.
+
+    The orthonormal DCT-II vectors cos(pi k (j + 1/2) / n) are its
+    eigenvectors, with eigenvalues (2 sin(pi k / 2n) / h)^2, k = 0..n-1.
+    """
+    return (2.0 * np.sin(0.5 * np.pi * np.arange(n) / n) / h) ** 2
 
 
 class HeatSource2D(ForwardModel):
@@ -174,6 +180,12 @@ class HeatSource2D(ForwardModel):
     the unknown location theta in [0,1]^2 and is active for t <= source_time.
     Outputs are the field values at a square sensor grid at each measurement
     time, time-major (all sensors at the first time, then at the second).
+
+    Each backward-Euler step solves (I - dt Lap) u_k = u_{k-1} + dt s. The
+    five-point Laplacian with zero-flux walls is diagonal in the 2-D cosine
+    basis, so the solve transforms the source once, scales every mode by
+    1 / (1 + dt (lambda_x + lambda_y)) per step, and transforms back only at
+    the measurement times.
     """
 
     input_dim = 2
@@ -197,15 +209,17 @@ class HeatSource2D(ForwardModel):
         self.source_width = source_width
         self.source_time = source_time
         self.output_dim = len(self.measure_times) * self.sensors.shape[0]
-        self._solvers: dict[tuple, tuple] = {}
+        self._steppers: dict[tuple, tuple] = {}
 
-    def _stepper(self, cfg: GridSolverConfig):
+    def _stepper(self, cfg: GridSolverConfig) -> tuple[_CellGrid, np.ndarray]:
+        """The grid and the per-step modal factor 1 / (1 + dt (lambda_x + lambda_y)), (ny, nx)."""
         key = (cfg.nx, cfg.ny, cfg.dt)
-        if key not in self._solvers:
+        if key not in self._steppers:
             grid = _CellGrid(cfg.nx, cfg.ny)
-            M = sparse_eye(grid.n_cells, format="csc") - cfg.dt * _neumann_laplacian(grid).tocsc()
-            self._solvers[key] = (grid, splu(M))
-        return self._solvers[key]
+            lam = (_neumann_eigenvalues(grid.ny, grid.dy)[:, None]
+                   + _neumann_eigenvalues(grid.nx, grid.dx)[None, :])
+            self._steppers[key] = (grid, 1.0 / (1.0 + cfg.dt * lam))
+        return self._steppers[key]
 
     def _source_field(self, grid: _CellGrid, theta: np.ndarray) -> np.ndarray:
         X, Y = grid.centers()
@@ -215,7 +229,7 @@ class HeatSource2D(ForwardModel):
         )
 
     def _march(self, theta: np.ndarray, cfg: GridSolverConfig) -> dict[float, np.ndarray]:
-        grid, lu = self._stepper(cfg)
+        grid, damping = self._stepper(cfg)
         n_steps = int(round(cfg.t_end / cfg.dt))
         meas_steps = {}
         for tm in self.measure_times:
@@ -224,16 +238,18 @@ class HeatSource2D(ForwardModel):
                 raise ValueError(f"time step {cfg.dt} does not hit measurement time {tm}")
             meas_steps[step] = tm
         source_steps = int(round(self.source_time / cfg.dt))
-        s = self._source_field(grid, theta).ravel()
-        u = np.zeros(grid.n_cells)
+        kick = dctn(cfg.dt * self._source_field(grid, theta), type=2, norm="ortho")
+        modes = np.zeros_like(kick)
         fields = {}
-        for step in range(1, n_steps + 1):
-            rhs = u + (cfg.dt * s if step <= source_steps else 0.0)
-            u = lu.solve(rhs)
-            if not np.all(np.isfinite(u)):
-                raise SolverError(f"heat solve produced non-finite values at step {step}")
+        for step in range(1, max(meas_steps) + 1):
+            if step <= source_steps:
+                modes += kick
+            modes *= damping
             if step in meas_steps:
-                fields[meas_steps[step]] = u.reshape(grid.ny, grid.nx).copy()
+                u = idctn(modes, type=2, norm="ortho")
+                if not np.all(np.isfinite(u)):
+                    raise SolverError(f"heat solve produced non-finite values at step {step}")
+                fields[meas_steps[step]] = u
         return fields
 
     def _readout(self, theta: np.ndarray, cfg: GridSolverConfig) -> np.ndarray:
@@ -249,13 +265,10 @@ class HeatSource2D(ForwardModel):
     def _fine_evaluate(self, theta):
         return self._readout(theta, self.fine_cfg)
 
-    def solve_field(self, theta: np.ndarray, time: float, fine: bool = False) -> np.ndarray:
-        """(ny, nx) temperature field at one measurement time, for inspection."""
-        theta = np.asarray(theta, dtype=float).reshape(-1)
-        cfg = self.fine_cfg if fine else self.cfg
-        if time not in self.measure_times:
-            raise ValueError(f"field snapshots are stored at {self.measure_times}")
-        return self._march(theta, cfg)[time]
+    def fields(self, theta: np.ndarray, fine: bool = False) -> dict[str, np.ndarray]:
+        """(ny, nx) temperature fields at every measurement time, named field_t<time>."""
+        fields = self._march(self._checked(theta), self.fine_cfg if fine else self.cfg)
+        return {f"field_t{tm:g}": fields[tm] for tm in self.measure_times}
 
 
 RBF_CENTERS = np.array([
@@ -331,10 +344,8 @@ class DarcyPermeability2D(ForwardModel):
         harm_y = 2.0 * kappa[ay] * kappa[by] / (kappa[ay] + kappa[by]) / grid.dy**2
         return grid, _flux_operator(cfg.nx, cfg.ny, harm_x, harm_y)
 
-    def solve_field(self, theta: np.ndarray, cfg: GridSolverConfig | None = None) -> np.ndarray:
+    def _solve(self, theta: np.ndarray, cfg: GridSolverConfig) -> np.ndarray:
         """(ny, nx) zero-mean pressure field."""
-        theta = np.asarray(theta, dtype=float).reshape(-1)
-        cfg = cfg or self.cfg
         grid, A = self.operator(theta, cfg)
         n = grid.n_cells
         A = A.tocoo()
@@ -354,13 +365,17 @@ class DarcyPermeability2D(ForwardModel):
 
     def _readout(self, theta: np.ndarray, cfg: GridSolverConfig) -> np.ndarray:
         grid = _CellGrid(cfg.nx, cfg.ny)
-        return grid.interpolate(self.solve_field(theta, cfg), self.sensors)
+        return grid.interpolate(self._solve(theta, cfg), self.sensors)
 
     def _evaluate(self, theta):
         return self._readout(theta, self.cfg)
 
     def _fine_evaluate(self, theta):
         return self._readout(theta, self.fine_cfg)
+
+    def fields(self, theta: np.ndarray, fine: bool = False) -> dict[str, np.ndarray]:
+        """The (ny, nx) pressure field, named field."""
+        return {"field": self._solve(self._checked(theta), self.fine_cfg if fine else self.cfg)}
 
 
 def generate_measurements(model: ForwardModel, theta_true: np.ndarray, noise_vars,

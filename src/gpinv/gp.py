@@ -331,43 +331,52 @@ class GpEnsemble:
         return self.hyperparams.shape[0]
 
     def _cross(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cross-covariances c (J, B, n), normalized means c^T W (J, B, q) and
-        L^-1 c (J, n, B) at each row of thetas: the (J, B, n) predictive step."""
-        cvec = _se_cov(thetas, self.training.inputs, self._sigma2, self._inv_l2)
-        return cvec, cvec @ self._weights, _forward_subst(self._L, cvec.transpose(0, 2, 1))
+        """The predictive step at each row of thetas, rows last: cross-covariances
+        c (J, n, B), normalized means W^T c (J, q, B) and L^-1 c (J, n, B)."""
+        c = _se_cov(self.training.inputs, thetas, self._sigma2, self._inv_l2)
+        return c, self._weights.transpose(0, 2, 1) @ c, _forward_subst(self._L, c)
 
     def predict_batch(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Normalized predictive means (B, J, q) and variances (B, J) at each row.
+        """Normalized predictive means (J, q, B) and variances (J, B) at each row.
 
         mean = c^T C^-1 y from the stored weights, variance =
         sigma_c^2 - |L^-1 c|^2 from the Cholesky factor.
         """
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         _, means, half = self._cross(thetas)
+        return means, self._variances(half)
+
+    def _variances(self, half: np.ndarray) -> np.ndarray:
+        """sigma_c^2 - |L^-1 c|^2 per member and row, clamped at 0; squares `half` in place."""
         half *= half
         variances = self._sigma2[:, None] - half.sum(axis=1)
-        return means.transpose(1, 0, 2), np.maximum(variances.T, 0.0)
+        return np.maximum(variances, 0.0, out=variances)
 
     def predict_with_pullback(self, thetas: np.ndarray):
-        """Normalized means (J, B, q), variances (J, B) and their pullback at each row.
+        """Normalized means (J, q, B), variances (J, B) and their pullback at each row.
 
-        `pullback(coeff_mean (J, B, q), coeff_var (J, B))` returns the gradients
-        (B, J, p) of sum_q coeff_mean * mean + coeff_var * variance per member
+        `pullback(coeff_mean (J, q, B), coeff_var (J, B))` returns the gradients
+        (J, p, B) of sum_q coeff_mean * mean + coeff_var * variance per member
         and row. The chain rule runs through the cross-covariance c alone, so
         the coefficients fold into one n-vector per member and row,
-        w = c * (W coeff_mean - 2 coeff_var C^-1 c), and the gradient is
-        -2 inv_l2 * (w^T (theta - x_n)): one matmul, no (J, B, p, q) tensor of
-        mean derivatives. C^-1 c takes one more (backward) substitution.
+        w = c * (W coeff_mean - 2 coeff_var C^-1 c). Since
+        dc_n/dtheta = -2 inv_l2 * (theta - x_n) c_n, the gradient is
+        -2 inv_l2 * (theta sum_n w - X^T w): two small products, no
+        (J, B, p, q) tensor of mean derivatives. C^-1 c takes one more
+        (backward) substitution.
         """
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        cvec, means, half = self._cross(thetas)
-        var = np.maximum(self._sigma2[:, None] - np.sum(half**2, axis=1), 0.0)
+        c, means, half = self._cross(thetas)
+        cinv_c = _back_subst(self._L, half)
+        var = self._variances(half)
 
         def pullback(coeff_mean: np.ndarray, coeff_var: np.ndarray) -> np.ndarray:
-            cinv_c = _back_subst(self._L, half).transpose(0, 2, 1)                 # (J, B, n)
-            w = cvec * (coeff_mean @ self._weights.transpose(0, 2, 1)
-                        - 2.0 * coeff_var[..., None] * cinv_c)
-            diff = thetas[:, None, :] - self.training.inputs[None, :, :]          # (B, n, p)
-            return -2.0 * (w.transpose(1, 0, 2) @ diff) * self._inv_l2
+            w = self._weights @ coeff_mean                                  # (J, n, B)
+            w -= 2.0 * coeff_var[:, None, :] * cinv_c
+            w *= c
+            grad = thetas.T * w.sum(axis=1)[:, None, :]                     # (J, p, B)
+            grad -= self.training.inputs.T @ w
+            grad *= -2.0 * self._inv_l2[:, :, None]
+            return grad
 
         return means, var, pullback

@@ -51,7 +51,7 @@ def misfit_of_outputs(outputs: np.ndarray, meas: MeasurementModel) -> float:
 
 
 def _misfit_batch(thetas: np.ndarray, ens: GpEnsemble, meas: MeasurementModel) -> np.ndarray:
-    """(B, n_psi) surrogate misfits at each row of thetas."""
+    """(n_psi, B) surrogate misfits at each row of thetas."""
     return member_misfits(*ens.predict_batch(thetas), ens.training, meas)[0]
 
 
@@ -62,15 +62,17 @@ def member_misfits(means_norm: np.ndarray, var_norm: np.ndarray, training: Train
     With zt = (z - mu) / s and a = noise_var / v per output (mu, s^2 = v the
     output normalization), a member with mean m and variance V has
     g = sum_q (zt - m)^2 / (a + V), equal to the raw-scale
-    sum_q (z - f)^2 / (noise_var + V v). `means_norm` is (..., q) and
-    `var_norm` (...,). Returns (g, zt - m, a + V).
+    sum_q (z - f)^2 / (noise_var + V v). `means_norm` is (..., q, B), outputs
+    on the second-last axis, and `var_norm` (..., B). The residual zt - m is
+    formed in place over `means_norm`, so pass fresh predictions.
+    Returns (g (..., B), zt - m, a + V), the last two shaped like `means_norm`.
     """
     zt = (meas.z - training.out_means) / np.sqrt(training.out_vars)
-    resid = zt - means_norm
-    den = meas.noise_vars / training.out_vars + var_norm[..., None]
+    resid = np.subtract(zt[:, None], means_norm, out=means_norm)
+    den = (meas.noise_vars / training.out_vars)[:, None] + var_norm[..., None, :]
     terms = np.square(resid)
     terms /= den
-    return terms.sum(axis=-1), resid, den
+    return terms.sum(axis=-2), resid, den
 
 
 def loglik_of_outputs(outputs: np.ndarray, meas: MeasurementModel) -> float:
@@ -91,9 +93,9 @@ def d_restricted_loglik_batch(thetas: np.ndarray, ens: GpEnsemble, meas: Measure
     out = np.empty(thetas.shape[0])
     for lo in range(0, thetas.shape[0], DENSITY_BLOCK):
         block = thetas[lo:lo + DENSITY_BLOCK]
-        g, _, den = member_misfits(*ens.predict_batch(block), ens.training, meas)  # (B, J)
-        log_k = log_norm - 0.5 * np.log(den, out=den).sum(axis=2)                  # (B, J)
-        g_star = np.min(g, axis=1)
-        body = logsumexp(log_k - 0.5 * (g - g_star[:, None]), axis=1)
-        out[lo:lo + DENSITY_BLOCK] = -0.5 * g_star + body - np.log(g.shape[1])
+        g, _, den = member_misfits(*ens.predict_batch(block), ens.training, meas)  # (J, B)
+        log_k = log_norm - 0.5 * np.log(den, out=den).sum(axis=1)                  # (J, B)
+        g_star = np.min(g, axis=0)
+        body = logsumexp(log_k - 0.5 * (g - g_star), axis=0)
+        out[lo:lo + DENSITY_BLOCK] = -0.5 * g_star + body - np.log(g.shape[0])
     return out

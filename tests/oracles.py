@@ -8,15 +8,20 @@ model or through the library's batched kernels. The scalar GP path
 (`sq_exp_cov`, `predict`, `log_marginal_likelihood`) checks the batched GP
 core, and the one-point sampler and maximizer adapters drive the library's
 row-batched `run_chain` and `multistart_maximize_batch` from scalar code.
+The sparse-LU backward-Euler march is the reference for the heat model's
+solve in the cosine eigenbasis.
 """
 
 from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.sparse import eye as sparse_eye
+from scipy.sparse.linalg import splu
 
 from gpinv.acquisition import AcquisitionResult, multistart_maximize_batch
 from gpinv.designs import DesignBox
+from gpinv.forward_models import GridSolverConfig, HeatSource2D, _CellGrid, _face_pairs, _flux_operator
 from gpinv.gp import (
     BASE_JITTER,
     GpEnsemble,
@@ -68,7 +73,8 @@ def pred_grad(ens: GpEnsemble, theta: np.ndarray):
 def misfits_and_grads(ens: GpEnsemble, meas: MeasurementModel, theta: np.ndarray):
     """Per-member surrogate misfits (J,) and their gradients (J, p) at theta."""
     m_norm, V_norm, dm, dV = pred_grad(ens, theta)
-    g, resid, den = member_misfits(m_norm, V_norm, ens.training, meas)
+    g, resid, den = member_misfits(m_norm[:, :, None], V_norm[:, None], ens.training, meas)
+    g, resid, den = g[:, 0], resid[:, :, 0], den[:, :, 0]
     coeff_mean = -2.0 * resid / den                          # (J, q)
     coeff_var = -np.sum(resid**2 / den**2, axis=1)           # (J,)
     grad = (coeff_mean[:, None, :] @ dm)[:, 0, :] + coeff_var[:, None] * dV
@@ -87,7 +93,7 @@ def true_loglik(theta: np.ndarray, forward_model, meas: MeasurementModel) -> flo
 
 def gp_misfits(theta: np.ndarray, ens: GpEnsemble, meas: MeasurementModel) -> np.ndarray:
     """Surrogate misfit of every ensemble member at theta, shape (n_psi,)."""
-    return _misfit_batch(np.asarray(theta, dtype=float)[None, :], ens, meas)[0]
+    return _misfit_batch(np.asarray(theta, dtype=float)[None, :], ens, meas)[:, 0]
 
 
 def d_restricted_loglik(theta: np.ndarray, ens: GpEnsemble, meas: MeasurementModel) -> float:
@@ -146,6 +152,7 @@ def ensemble_predict_vector(ens: GpEnsemble, theta: np.ndarray) -> EnsemblePredi
     is V_norm * V_i per output.
     """
     means_norm, var_norm = ens.predict_batch(np.asarray(theta, dtype=float)[None, :])
+    means_norm, var_norm = means_norm.transpose(2, 0, 1), var_norm.T
     tr = ens.training
     means = means_norm[0] * np.sqrt(tr.out_vars) + tr.out_means
     cov_diags = var_norm[0][:, None] * tr.out_vars[None, :]
@@ -181,3 +188,29 @@ def multistart_maximize(value_and_grad, starts: np.ndarray, box: DesignBox) -> A
         return np.array([v for v, _ in pairs], dtype=float), np.array([g for _, g in pairs], dtype=float)
 
     return multistart_maximize_batch(rows, starts, box)
+
+
+def neumann_laplacian(grid: _CellGrid):
+    """Five-point Laplacian with mirrored (zero-flux) boundaries, as a sparse matrix."""
+    ax, _, ay, _ = _face_pairs(grid.nx, grid.ny)
+    coef_x = np.full(ax.size, 1.0 / grid.dx**2)
+    coef_y = np.full(ay.size, 1.0 / grid.dy**2)
+    return -_flux_operator(grid.nx, grid.ny, coef_x, coef_y)
+
+
+def heat_fields_sparse(model: HeatSource2D, theta: np.ndarray, cfg: GridSolverConfig
+                       ) -> dict[float, np.ndarray]:
+    """(ny, nx) heat fields at the model's measurement times by a backward-Euler
+    march in physical space, one sparse-LU solve of (I - dt Lap) per step."""
+    grid = _CellGrid(cfg.nx, cfg.ny)
+    lu = splu(sparse_eye(grid.n_cells, format="csc") - cfg.dt * neumann_laplacian(grid).tocsc())
+    meas_steps = {int(round(tm / cfg.dt)): tm for tm in model.measure_times}
+    source_steps = int(round(model.source_time / cfg.dt))
+    s = model._source_field(grid, np.asarray(theta, dtype=float)).ravel()
+    u = np.zeros(grid.n_cells)
+    fields = {}
+    for step in range(1, int(round(cfg.t_end / cfg.dt)) + 1):
+        u = lu.solve(u + (cfg.dt * s if step <= source_steps else 0.0))
+        if step in meas_steps:
+            fields[meas_steps[step]] = u.reshape(grid.ny, grid.nx).copy()
+    return fields

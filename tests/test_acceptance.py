@@ -280,6 +280,7 @@ def stop_audit(result, meas, box, grid=101):
     grid_max = 0.0
     for lo in range(0, points.shape[0], 256):
         m_norm, v_norm = result.ensemble.predict_batch(points[lo:lo + 256])
+        m_norm, v_norm = m_norm.transpose(2, 0, 1), v_norm.T
         means = m_norm * np.sqrt(tr.out_vars) + tr.out_means
         denom = meas.noise_vars + v_norm[:, :, None] * tr.out_vars
         g = np.sum((meas.z - means) ** 2 / denom, axis=2)
@@ -400,13 +401,13 @@ def test_criterion_9_record_invariants():
 
 def test_criterion_10_forward_model_physics():
     heat = HeatSource2D()
-    field = heat.solve_field([0.25, 0.75], 0.2)
+    field = heat.fields([0.25, 0.75])["field_t0.2"]
     mass = field.sum() / (heat.cfg.nx * heat.cfg.ny)
     conservation_ok = abs(mass - 0.2) / 0.2 < 0.02
 
     darcy = DarcyPermeability2D()
     theta = np.array(PERMEABILITY.theta_true)
-    u = darcy.solve_field(theta)
+    u = darcy.fields(theta)["field"]
     zero_mean_ok = abs(u.mean()) < 1e-12
 
     heat64 = HeatSource2D(cfg=GridSolverConfig(64, 64, dt=0.01))

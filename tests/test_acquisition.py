@@ -97,7 +97,7 @@ class TestExpectedImprovement:
     def test_hand_arithmetic_average(self, monkeypatch):
         state, _ = make_state(seed=3, n_psi=2)
         monkeypatch.setattr(acq, "_misfit_batch",
-                            lambda thetas, ens, meas: np.array([[4.0, 16.0]]))
+                            lambda thetas, ens, meas: np.array([[4.0, 16.0]]).T)
         fixed = AcquisitionState(state.ensemble, state.meas, 10.0, state.bounds, state.eta)
         assert expected_improvement(np.zeros(2), fixed) == pytest.approx(3.0)
 
@@ -124,7 +124,7 @@ class TestExpectedImprovement:
         # Every member predicting the data exactly yields I = g_min.
         state, _ = make_state(seed=4, n_psi=3)
         monkeypatch.setattr(acq, "_misfit_batch",
-                            lambda thetas, ens, meas: np.zeros((1, 3)))
+                            lambda thetas, ens, meas: np.zeros((1, 3)).T)
         fixed = AcquisitionState(state.ensemble, state.meas, 7.5, state.bounds, state.eta)
         assert expected_improvement(np.zeros(2), fixed) == pytest.approx(7.5)
 
@@ -204,6 +204,7 @@ class TestGradGpMisfit:
         state, rng = make_state(seed=16, n=8, q=3, n_psi=7)
         thetas = np.vstack([rng.uniform(-1, 1, (11, 2)), state.ensemble.training.inputs[:2]])
         g, dg = acq._misfit_grads_batch(thetas, state.ensemble, state.meas)
+        g, dg = g.T, dg.transpose(2, 0, 1)
         assert g.shape == (13, 7) and dg.shape == (13, 7, 2)
         for theta, g_row, dg_row in zip(thetas, g, dg):
             g_ref, dg_ref = misfits_and_grads(state.ensemble, state.meas, theta)

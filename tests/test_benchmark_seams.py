@@ -9,7 +9,7 @@ from pathlib import Path
 
 import gpinv.gp
 from gpinv.experiments import load_experiment
-from gpinv.forward_models import Rational1D
+from gpinv.forward_models import HeatSource2D, Rational1D
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -24,6 +24,22 @@ def test_benchmark_imports_and_patches_resolve(monkeypatch):
     with tracing.Tracer().installed(Rational1D()):
         assert gpinv.gp.GpEnsemble.predict_batch is not original
     assert gpinv.gp.GpEnsemble.predict_batch is original
+
+
+def test_benchmark_wraps_heat_model_solves(monkeypatch):
+    """The benchmark's fwd and fwd.data spans patch evaluate and fine_evaluate on
+    the model instance; both must stay patchable there and be restored after."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    import workloads
+
+    tracer = tracing.Tracer()
+    ctx = workloads.WORKLOADS["heat-adaptive"].setup(tracer, unit=-1)
+    assert isinstance(ctx.model, HeatSource2D)
+    with tracer.installed(ctx.model):
+        ctx.model.evaluate([0.25, 0.75])
+    assert [span[tracing.NAME] for span in tracer.spans] == ["setup", "fwd.data", "fwd"]
+    assert "evaluate" not in vars(ctx.model) and "fine_evaluate" not in vars(ctx.model)
 
 
 def _toy_overrides() -> dict:

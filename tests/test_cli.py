@@ -190,6 +190,22 @@ class TestEvalModel:
         first = (out / "field_t0.2.txt").read_text().splitlines()[0]
         assert first == "32 32"
 
+    def test_heat_fine_field_dump(self, tmp_path):
+        out = tmp_path / "eval"
+        assert main(["eval-model", "--experiment", "heat", "--theta", "0.25,0.75", "--fine",
+                     "--dump-field", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("field*")) == ["field_t0.1.txt", "field_t0.2.txt"]
+        assert (out / "field_t0.1.txt").read_text().splitlines()[0] == "128 128"
+
+    def test_permeability_field_dump(self, tmp_path):
+        out = tmp_path / "eval"
+        theta = "0.3,0.6,0.8,1.5,0.8,1.0,1.0,0.3,0.3"
+        assert main(["eval-model", "--experiment", "permeability", "--theta", theta,
+                     "--dump-field", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("field*")) == ["field.txt"]
+        lines = (out / "field.txt").read_text().splitlines()
+        assert lines[0] == "32 32" and len(lines) == 33
+
 
 class TestErrors:
     def test_bad_config_exit_code(self, tmp_path):

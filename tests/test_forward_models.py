@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gpinv.errors import InvalidParameterError
+from gpinv.errors import InvalidParameterError, SolverError
 from gpinv.forward_models import (
     PERMEABILITY_THETA_TRUE,
     RBF_CENTERS,
@@ -16,6 +16,7 @@ from gpinv.forward_models import (
     sensor_grid,
     write_grid_field,
 )
+from oracles import heat_fields_sparse
 
 
 class TestRational:
@@ -84,7 +85,7 @@ class TestHeatSource:
 
     def test_heat_conservation(self, model):
         # Total heat at t = 0.2 equals the injected source mass 0.2 within 2%.
-        field = model.solve_field([0.25, 0.75], 0.2)
+        field = model.fields([0.25, 0.75])["field_t0.2"]
         mass = field.sum() / (model.cfg.nx * model.cfg.ny)
         assert mass == pytest.approx(0.2, rel=0.02)
 
@@ -105,6 +106,32 @@ class TestHeatSource:
             bad.evaluate([0.5, 0.5])
 
 
+# The short-dt grids are those of test_outputs_vanish_in_small_time_limit.
+EIGENBASIS_GRIDS = [
+    (GridSolverConfig(32, 32, dt=0.01, t_end=0.2), (0.1, 0.2)),
+    (GridSolverConfig(128, 128, dt=0.0025, t_end=0.2), (0.1, 0.2)),
+    (GridSolverConfig(24, 40, dt=0.01, t_end=0.2), (0.1, 0.2)),
+    (GridSolverConfig(64, 16, dt=0.01, t_end=0.2), (0.1, 0.2)),
+] + [(GridSolverConfig(32, 32, dt=t / 4, t_end=t), (t,)) for t in (0.04, 0.01, 0.0025, 0.000625)]
+
+
+class TestHeatEigenbasisSolve:
+    @pytest.mark.parametrize("cfg,times", EIGENBASIS_GRIDS)
+    @pytest.mark.parametrize("theta", [(0.25, 0.75), (0.93, 0.08)])
+    def test_matches_sparse_lu_march(self, cfg, times, theta):
+        model = HeatSource2D(cfg=cfg, measure_times=times)
+        fields = model.fields(theta)
+        reference = heat_fields_sparse(model, theta, cfg)
+        for tm in times:
+            ref = reference[tm]
+            assert fields[f"field_t{tm:g}"].shape == ref.shape == (cfg.ny, cfg.nx)
+            assert np.abs(fields[f"field_t{tm:g}"] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_non_finite_field_raises(self):
+        with pytest.raises(SolverError, match="non-finite"):
+            HeatSource2D(amplitude=np.inf).evaluate([0.5, 0.5])
+
+
 class TestDarcy:
     @pytest.fixture(scope="class")
     @staticmethod
@@ -118,7 +145,7 @@ class TestDarcy:
         assert abs(q.sum() * grid.cell_area) < 1e-10
 
     def test_solution_mean_zero(self, model):
-        u = model.solve_field(PERMEABILITY_THETA_TRUE)
+        u = model.fields(PERMEABILITY_THETA_TRUE)["field"]
         assert abs(u.mean()) < 1e-12
 
     def test_operator_annihilates_constants(self, model):

@@ -420,6 +420,7 @@ def test_predict_batch_matches_scalar_predict_per_member():
     fits = [fit_single(tr, psi) for psi in psis]
     thetas = rng.uniform(-2, 2, (7, 2))
     means, variances = GpEnsemble(tr, [psi.as_vector() for psi in psis]).predict_batch(thetas)
+    means, variances = means.transpose(2, 0, 1), variances.T
     assert means.shape == (7, 6, 3) and variances.shape == (7, 6)
     for b, theta in enumerate(thetas):
         for j, fit in enumerate(fits):

@@ -3,15 +3,24 @@ import pytest
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
-from gpinv.gp import GpEnsemble, HyperParams, TrainingSet
+from gpinv.gp import GpEnsemble, HyperParams, TrainingSet, fit_single
 from gpinv.likelihood import (
+    DENSITY_BLOCK,
     MeasurementModel,
     d_restricted_loglik_batch,
     loglik_of_outputs,
     member_misfits,
     misfit_of_outputs,
 )
-from oracles import d_restricted_loglik, ensemble_predict_vector, gp_misfits, true_loglik, true_misfit
+from oracles import (
+    d_restricted_loglik,
+    ensemble_predict_vector,
+    gp_misfits,
+    hyperparams_from_vector,
+    predict,
+    true_loglik,
+    true_misfit,
+)
 
 
 def gp_misfit(mean: np.ndarray, cov_diag: np.ndarray, meas: MeasurementModel) -> float:
@@ -47,7 +56,8 @@ def raw_scale_misfits(means_norm, var_norm, tr, meas):
 
 def raw_scale_d_restricted(thetas, ens, meas):
     """Reference mixture log-likelihood built from the raw-scale misfits."""
-    g, log_k = raw_scale_misfits(*ens.predict_batch(thetas), ens.training, meas)
+    means, variances = ens.predict_batch(thetas)
+    g, log_k = raw_scale_misfits(means.transpose(2, 0, 1), variances.T, ens.training, meas)
     g_star = np.min(g, axis=1)
     body = logsumexp(log_k - 0.5 * (g - g_star[:, None]), axis=1)
     return -0.5 * g_star + body - np.log(g.shape[1])
@@ -133,8 +143,9 @@ class TestMemberMisfitKernel:
         tr = ens.training
         meas = MeasurementModel(rng.normal(0, 1, tr.n_outputs), rng.uniform(0.05, 0.5, tr.n_outputs))
         means, variances = ens.predict_batch(rng.uniform(-1, 1, (9, tr.input_dim)))
+        expected, _ = raw_scale_misfits(means.transpose(2, 0, 1), variances.T, tr, meas)
         g, resid, den = member_misfits(means, variances, tr, meas)
-        expected, _ = raw_scale_misfits(means, variances, tr, meas)
+        g, resid, den = g.T, resid.transpose(2, 0, 1), den.transpose(2, 0, 1)
         assert g.shape == (9, 6) and resid.shape == den.shape == (9, 6, 3)
         np.testing.assert_allclose(g, expected, rtol=1e-12)
 
@@ -153,6 +164,24 @@ class TestMemberMisfitKernel:
         thetas = rng.uniform(-1, 1, (250, tr.input_dim))
         single = [d_restricted_loglik(theta, ens, meas) for theta in thetas]
         np.testing.assert_allclose(d_restricted_loglik_batch(thetas, ens, meas), single, rtol=1e-12)
+
+    def test_d_restricted_batch_matches_scalar_predictions_across_blocks(self):
+        # Row by row through the one-member fit/predict path, which shares no
+        # layout with the batched rows-last kernels; 250 rows cross two block ends.
+        ens, rng = small_ensemble(seed=11, n=7, q=3, n_psi=6)
+        tr = ens.training
+        meas = MeasurementModel(rng.normal(0, 1, tr.n_outputs), rng.uniform(0.05, 0.5, tr.n_outputs))
+        thetas = rng.uniform(-1, 1, (250, tr.input_dim))
+        fits = [fit_single(tr, hyperparams_from_vector(row)) for row in ens.hyperparams]
+        expected = []
+        for theta in thetas:
+            preds = [predict(fit, theta) for fit in fits]
+            means = np.array([m for m, _ in preds])[None]          # (1, J, q)
+            variances = np.array([v for _, v in preds])[None]      # (1, J)
+            g, log_k = raw_scale_misfits(means, variances, tr, meas)
+            expected.append(logsumexp(log_k - 0.5 * g) - np.log(len(fits)))
+        assert thetas.shape[0] > 2 * DENSITY_BLOCK
+        np.testing.assert_allclose(d_restricted_loglik_batch(thetas, ens, meas), expected, rtol=1e-12)
 
 
 class TestTrueLoglik:
