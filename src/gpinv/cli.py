@@ -119,13 +119,15 @@ def _parse_bounds(raw: str) -> DesignBox:
 
 
 def _parse_theta(raw: str, dim: int) -> np.ndarray:
-    """The point of a --theta value: `dim` comma- or space-separated numbers."""
+    """The point of a --theta value: `dim` comma- or space-separated finite numbers."""
     try:
         theta = np.array([float(v) for v in raw.replace(",", " ").split()])
     except ValueError as exc:
         raise UsageError(f"--theta {raw!r}: {exc}") from exc
     if theta.size != dim:
         raise UsageError(f"--theta {raw!r}: expected {dim} values, got {theta.size}")
+    if not np.all(np.isfinite(theta)):
+        raise UsageError(f"--theta {raw!r}: values must be finite")
     return theta
 
 

@@ -81,6 +81,8 @@ class ExperimentSpec:
         if len(self.theta_true) != p:
             raise ValueError(f"theta_true {self.theta_true} has {len(self.theta_true)} values "
                              f"for {p} parameters")
+        if not np.all(np.isfinite(self.theta_true)):
+            raise ValueError(f"theta_true {self.theta_true} must be finite")
         check_walkers("posterior_walkers", self.posterior_walkers, p)
         self.adaptive_config(seed=0)
 

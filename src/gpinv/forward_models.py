@@ -11,7 +11,8 @@ never runs on the same grid that produced the measurements.
 The heat step has constant coefficients and zero-flux walls, so the cosine
 transform diagonalizes it and the heat model is solved exactly mode by mode;
 the Darcy operator depends on theta and is factorized by sparse LU on every
-solve. Each PDE model names its solution fields in `fields(theta, fine)`.
+solve. Both PDE models share one grid-model base: each supplies only its
+named solution fields, and the base reads them out at the sensors.
 
 Every concrete model counts its `evaluate` calls in `n_evals`; data
 generation through `fine_evaluate` is not counted.
@@ -37,7 +38,6 @@ class GridSolverConfig:
     nx: int
     ny: int
     dt: float = 0.01
-    t_end: float = 0.2
 
     def __post_init__(self):
         if self.nx < 8 or self.ny < 8:
@@ -69,6 +69,8 @@ class ForwardModel:
         theta = np.asarray(theta, dtype=float).reshape(-1)
         if theta.shape[0] != self.input_dim:
             raise ValueError(f"expected {self.input_dim} parameters, got {theta.shape[0]}")
+        if not np.all(np.isfinite(theta)):
+            raise InvalidParameterError(f"parameters must be finite, got {theta}")
         return theta
 
     def evaluate(self, theta: np.ndarray) -> np.ndarray:
@@ -111,11 +113,6 @@ class _CellGrid:
         self.dx, self.dy = 1.0 / nx, 1.0 / ny
         self.xc = (np.arange(nx) + 0.5) * self.dx
         self.yc = (np.arange(ny) + 0.5) * self.dy
-        self.cell_area = self.dx * self.dy
-
-    @property
-    def n_cells(self) -> int:
-        return self.nx * self.ny
 
     def centers(self) -> tuple[np.ndarray, np.ndarray]:
         X, Y = np.meshgrid(self.xc, self.yc)  # (ny, nx)
@@ -173,13 +170,50 @@ def _neumann_eigenvalues(n: int, h: float) -> np.ndarray:
     return (2.0 * np.sin(0.5 * np.pi * np.arange(n) / n) / h) ** 2
 
 
-class HeatSource2D(ForwardModel):
+class _GridModel(ForwardModel):
+    """A PDE model on a cell-centered grid of the unit square, read out at a
+    square sensor grid: the inversion grid `cfg` and the data grid `fine_cfg`.
+
+    A subclass supplies only `_fields(theta, cfg)`, its named (ny, nx) solution
+    fields in output order; the outputs are every field's sensor values in turn.
+    """
+
+    def __init__(self, cfg: GridSolverConfig, fine_cfg: GridSolverConfig,
+                 sensors_per_side: int, n_fields: int = 1):
+        super().__init__()
+        self.cfg = cfg
+        self.fine_cfg = fine_cfg
+        self.sensors = sensor_grid(sensors_per_side)
+        self.output_dim = n_fields * self.sensors.shape[0]
+
+    def _fields(self, theta: np.ndarray, cfg: GridSolverConfig) -> dict[str, np.ndarray]:
+        raise NotImplementedError
+
+    def _readout(self, theta: np.ndarray, cfg: GridSolverConfig) -> np.ndarray:
+        grid = _CellGrid(cfg.nx, cfg.ny)
+        return np.concatenate([
+            grid.interpolate(field, self.sensors) for field in self._fields(theta, cfg).values()
+        ])
+
+    def _evaluate(self, theta):
+        return self._readout(theta, self.cfg)
+
+    def _fine_evaluate(self, theta):
+        return self._readout(theta, self.fine_cfg)
+
+    def fields(self, theta: np.ndarray, fine: bool = False) -> dict[str, np.ndarray]:
+        """The named (ny, nx) solution fields on the inversion grid, or on the data grid."""
+        return self._fields(self._checked(theta), self.fine_cfg if fine else self.cfg)
+
+
+class HeatSource2D(_GridModel):
     """Transient diffusion driven by a Gaussian source that switches off.
 
     The source of total strength `amplitude` and width `source_width` sits at
     the unknown location theta in [0,1]^2 and is active for t <= source_time.
     Outputs are the field values at a square sensor grid at each measurement
-    time, time-major (all sensors at the first time, then at the second).
+    time, time-major (all sensors at the first time, then at the second); the
+    fields are named field_t<time>.
 
     Each backward-Euler step solves (I - dt Lap) u_k = u_{k-1} + dt s. The
     five-point Laplacian with zero-flux walls is diagonal in the 2-D cosine
@@ -192,23 +226,21 @@ class HeatSource2D(ForwardModel):
 
     def __init__(
         self,
-        cfg: GridSolverConfig = GridSolverConfig(32, 32, dt=0.01, t_end=0.2),
-        fine_cfg: GridSolverConfig = GridSolverConfig(128, 128, dt=0.0025, t_end=0.2),
+        cfg: GridSolverConfig = GridSolverConfig(32, 32, dt=0.01),
+        fine_cfg: GridSolverConfig = GridSolverConfig(128, 128, dt=0.0025),
         sensors_per_side: int = 3,
         measure_times: tuple[float, ...] = (0.1, 0.2),
         amplitude: float = 2.0,
         source_width: float = 0.05,
         source_time: float = 0.1,
     ):
-        super().__init__()
-        self.cfg = cfg
-        self.fine_cfg = fine_cfg
-        self.sensors = sensor_grid(sensors_per_side)
+        if len({f"{tm:g}" for tm in measure_times}) != len(measure_times):
+            raise ValueError(f"measurement times {measure_times} must have distinct names")
+        super().__init__(cfg, fine_cfg, sensors_per_side, n_fields=len(measure_times))
         self.measure_times = tuple(measure_times)
         self.amplitude = amplitude
         self.source_width = source_width
         self.source_time = source_time
-        self.output_dim = len(self.measure_times) * self.sensors.shape[0]
         self._steppers: dict[tuple, tuple] = {}
 
     def _stepper(self, cfg: GridSolverConfig) -> tuple[_CellGrid, np.ndarray]:
@@ -228,13 +260,12 @@ class HeatSource2D(ForwardModel):
             -r2 / (2.0 * self.source_width**2)
         )
 
-    def _march(self, theta: np.ndarray, cfg: GridSolverConfig) -> dict[float, np.ndarray]:
+    def _fields(self, theta: np.ndarray, cfg: GridSolverConfig) -> dict[str, np.ndarray]:
         grid, damping = self._stepper(cfg)
-        n_steps = int(round(cfg.t_end / cfg.dt))
         meas_steps = {}
         for tm in self.measure_times:
             step = int(round(tm / cfg.dt))
-            if abs(step * cfg.dt - tm) > 1e-9 or not 0 < step <= n_steps:
+            if step < 1 or abs(step * cfg.dt - tm) > 1e-9:
                 raise ValueError(f"time step {cfg.dt} does not hit measurement time {tm}")
             meas_steps[step] = tm
         source_steps = int(round(self.source_time / cfg.dt))
@@ -250,24 +281,6 @@ class HeatSource2D(ForwardModel):
                 if not np.all(np.isfinite(u)):
                     raise SolverError(f"heat solve produced non-finite values at step {step}")
                 fields[meas_steps[step]] = u
-        return fields
-
-    def _readout(self, theta: np.ndarray, cfg: GridSolverConfig) -> np.ndarray:
-        grid = _CellGrid(cfg.nx, cfg.ny)
-        fields = self._march(theta, cfg)
-        return np.concatenate([
-            grid.interpolate(fields[tm], self.sensors) for tm in self.measure_times
-        ])
-
-    def _evaluate(self, theta):
-        return self._readout(theta, self.cfg)
-
-    def _fine_evaluate(self, theta):
-        return self._readout(theta, self.fine_cfg)
-
-    def fields(self, theta: np.ndarray, fine: bool = False) -> dict[str, np.ndarray]:
-        """(ny, nx) temperature fields at every measurement time, named field_t<time>."""
-        fields = self._march(self._checked(theta), self.fine_cfg if fine else self.cfg)
         return {f"field_t{tm:g}": fields[tm] for tm in self.measure_times}
 
 
@@ -297,14 +310,16 @@ def permeability_field(points: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return basis @ theta
 
 
-class DarcyPermeability2D(ForwardModel):
+class DarcyPermeability2D(_GridModel):
     """Steady flow: -div(kappa grad u) = q, zero flux across the boundary,
     zero-mean pressure. The nine parameters weigh the radial basis functions
-    of the permeability field.
+    of the permeability field, and the one output field is named field.
 
-    Face conductivities use harmonic means of the adjacent cell values, and the
-    zero-mean condition is imposed through one Lagrange multiplier, which also
-    absorbs any residual incompatibility of the discretized source.
+    Face conductivities use harmonic means of the adjacent cell values. The
+    flux operator A is symmetric and annihilates constants, so A u = q is
+    solvable only for zero-mean q, and then only up to a constant: the solve
+    removes the mean of the discretized source, pins the first cell at 0 and
+    shifts the result to zero mean.
     """
 
     input_dim = 9
@@ -315,11 +330,7 @@ class DarcyPermeability2D(ForwardModel):
         fine_cfg: GridSolverConfig = GridSolverConfig(128, 128),
         sensors_per_side: int = 5,
     ):
-        super().__init__()
-        self.cfg = cfg
-        self.fine_cfg = fine_cfg
-        self.sensors = sensor_grid(sensors_per_side)
-        self.output_dim = self.sensors.shape[0]
+        super().__init__(cfg, fine_cfg, sensors_per_side)
 
     def source_field(self, grid: _CellGrid) -> np.ndarray:
         X, Y = grid.centers()
@@ -344,38 +355,17 @@ class DarcyPermeability2D(ForwardModel):
         harm_y = 2.0 * kappa[ay] * kappa[by] / (kappa[ay] + kappa[by]) / grid.dy**2
         return grid, _flux_operator(cfg.nx, cfg.ny, harm_x, harm_y)
 
-    def _solve(self, theta: np.ndarray, cfg: GridSolverConfig) -> np.ndarray:
-        """(ny, nx) zero-mean pressure field."""
+    def _fields(self, theta: np.ndarray, cfg: GridSolverConfig) -> dict[str, np.ndarray]:
         grid, A = self.operator(theta, cfg)
-        n = grid.n_cells
-        A = A.tocoo()
-        ones = np.arange(n)
-        rows = np.concatenate([A.row, ones, np.full(n, n)])
-        cols = np.concatenate([A.col, np.full(n, n), ones])
-        vals = np.concatenate([A.data, np.ones(n), np.ones(n)])
-        aug = coo_matrix((vals, (rows, cols)), shape=(n + 1, n + 1)).tocsc()
-        rhs = np.concatenate([self.source_field(grid).ravel(), [0.0]])
+        q = self.source_field(grid).ravel()
+        u = np.zeros(q.size)
         try:
-            solution = splu(aug).solve(rhs)
+            u[1:] = splu(A[1:, 1:]).solve((q - q.mean())[1:])
         except RuntimeError as exc:
             raise SolverError(f"Darcy system is singular: {exc}") from exc
-        if not np.all(np.isfinite(solution)):
+        if not np.all(np.isfinite(u)):
             raise SolverError("Darcy solve produced non-finite values")
-        return solution[:n].reshape(cfg.ny, cfg.nx)
-
-    def _readout(self, theta: np.ndarray, cfg: GridSolverConfig) -> np.ndarray:
-        grid = _CellGrid(cfg.nx, cfg.ny)
-        return grid.interpolate(self._solve(theta, cfg), self.sensors)
-
-    def _evaluate(self, theta):
-        return self._readout(theta, self.cfg)
-
-    def _fine_evaluate(self, theta):
-        return self._readout(theta, self.fine_cfg)
-
-    def fields(self, theta: np.ndarray, fine: bool = False) -> dict[str, np.ndarray]:
-        """The (ny, nx) pressure field, named field."""
-        return {"field": self._solve(self._checked(theta), self.fine_cfg if fine else self.cfg)}
+        return {"field": (u - u.mean()).reshape(cfg.ny, cfg.nx)}
 
 
 def generate_measurements(model: ForwardModel, theta_true: np.ndarray, noise_vars,

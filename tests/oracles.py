@@ -9,19 +9,28 @@ model or through the library's batched kernels. The scalar GP path
 core, and the one-point sampler and maximizer adapters drive the library's
 row-batched `run_chain` and `multistart_maximize_batch` from scalar code.
 The sparse-LU backward-Euler march is the reference for the heat model's
-solve in the cosine eigenbasis.
+solve in the cosine eigenbasis, and the Lagrange-multiplier system is the
+reference for the Darcy model's pinned-cell solve.
 """
 
 from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.sparse import bmat as sparse_bmat
 from scipy.sparse import eye as sparse_eye
 from scipy.sparse.linalg import splu
 
 from gpinv.acquisition import AcquisitionResult, multistart_maximize_batch
 from gpinv.designs import DesignBox
-from gpinv.forward_models import GridSolverConfig, HeatSource2D, _CellGrid, _face_pairs, _flux_operator
+from gpinv.forward_models import (
+    DarcyPermeability2D,
+    GridSolverConfig,
+    HeatSource2D,
+    _CellGrid,
+    _face_pairs,
+    _flux_operator,
+)
 from gpinv.gp import (
     BASE_JITTER,
     GpEnsemble,
@@ -203,14 +212,26 @@ def heat_fields_sparse(model: HeatSource2D, theta: np.ndarray, cfg: GridSolverCo
     """(ny, nx) heat fields at the model's measurement times by a backward-Euler
     march in physical space, one sparse-LU solve of (I - dt Lap) per step."""
     grid = _CellGrid(cfg.nx, cfg.ny)
-    lu = splu(sparse_eye(grid.n_cells, format="csc") - cfg.dt * neumann_laplacian(grid).tocsc())
+    n_cells = cfg.nx * cfg.ny
+    lu = splu(sparse_eye(n_cells, format="csc") - cfg.dt * neumann_laplacian(grid).tocsc())
     meas_steps = {int(round(tm / cfg.dt)): tm for tm in model.measure_times}
     source_steps = int(round(model.source_time / cfg.dt))
     s = model._source_field(grid, np.asarray(theta, dtype=float)).ravel()
-    u = np.zeros(grid.n_cells)
+    u = np.zeros(n_cells)
     fields = {}
-    for step in range(1, int(round(cfg.t_end / cfg.dt)) + 1):
+    for step in range(1, max(meas_steps) + 1):
         u = lu.solve(u + (cfg.dt * s if step <= source_steps else 0.0))
         if step in meas_steps:
             fields[meas_steps[step]] = u.reshape(grid.ny, grid.nx).copy()
     return fields
+
+
+def darcy_field_augmented(model: DarcyPermeability2D, theta: np.ndarray, cfg: GridSolverConfig
+                          ) -> np.ndarray:
+    """(ny, nx) zero-mean Darcy pressure from one sparse-LU solve of the
+    multiplier-augmented system [[A, 1], [1^T, 0]] [u; lambda] = [q; 0]."""
+    grid, A = model.operator(np.asarray(theta, dtype=float), cfg)
+    ones = np.ones((cfg.nx * cfg.ny, 1))
+    augmented = sparse_bmat([[A, ones], [ones.T, None]], format="csc")
+    rhs = np.append(model.source_field(grid).ravel(), 0.0)
+    return splu(augmented).solve(rhs)[:-1].reshape(cfg.ny, cfg.nx)

@@ -230,6 +230,8 @@ class TestErrors:
           "--skip", "-1"], "--skip"),
         (["eval-model", "--experiment", "heat", "--theta", "abc"], "--theta"),
         (["eval-model", "--experiment", "heat", "--theta", "0.5"], "--theta"),
+        (["eval-model", "--experiment", "heat", "--theta", "inf 0.5"], "--theta"),
+        (["eval-model", "--experiment", "heat", "--theta", "0.5,nan"], "--theta"),
         (["sample-posterior", "--experiment", "heat", "--n", "0"], "--n"),
         (["sample-posterior", "--experiment", "heat", "--n", "10", "--seed", "-1"], "--seed"),
         (["compare-designs", "--experiment", "one_d", "--runs", "0"], "--runs"),
@@ -253,6 +255,7 @@ class TestErrors:
         ("[hyper_prior]\nlower = 1e-8 1e-8 1e-8\nupper = 12 5 5\n",
          "hyper_prior has 3 bounds, need 2"),
         ("[measurement]\ntheta_true = 2.41 1.0\n", "theta_true (2.41, 1.0)"),
+        ("[measurement]\ntheta_true = inf\n", "theta_true (inf,) must be finite"),
         ("[posterior]\nposterior_walkers = 3\n",
          "posterior_walkers must be even and at least 2, got 3"),
         ("[measurement]\nmeas_seed = -1\n", "meas_seed must be at least 0, got -1"),

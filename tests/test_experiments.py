@@ -109,6 +109,11 @@ upper = 2
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(ONE_D, **changes)
 
+    @pytest.mark.parametrize("theta_true", [(float("inf"), 0.5), (0.25, float("nan"))])
+    def test_spec_rejects_non_finite_theta_true(self, theta_true):
+        with pytest.raises(ValueError, match="theta_true .* must be finite"):
+            dataclasses.replace(HEAT, theta_true=theta_true)
+
     @pytest.mark.parametrize("section, lines", [
         ("hyper_prior", "lower = 13 1e-8\n"),
         ("bounds", "lower = 7\n"),

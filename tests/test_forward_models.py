@@ -3,6 +3,7 @@ import pytest
 
 from gpinv.errors import InvalidParameterError, SolverError
 from gpinv.forward_models import (
+    PERMEABILITY_BOUNDS,
     PERMEABILITY_THETA_TRUE,
     RBF_CENTERS,
     RBF_WIDTH,
@@ -16,7 +17,7 @@ from gpinv.forward_models import (
     sensor_grid,
     write_grid_field,
 )
-from oracles import heat_fields_sparse
+from oracles import darcy_field_augmented, heat_fields_sparse
 
 
 class TestRational:
@@ -38,6 +39,20 @@ class TestRational:
     def test_fine_evaluate_checks_dimension(self):
         with pytest.raises(ValueError, match="expected 1 parameters, got 2"):
             Rational1D().fine_evaluate([2.41, 1.0])
+
+
+@pytest.mark.parametrize("model, theta", [
+    (Rational1D(), [np.inf]),
+    (HeatSource2D(), [np.inf, 0.5]),
+    (HeatSource2D(), [0.5, np.nan]),
+    (DarcyPermeability2D(), np.append(PERMEABILITY_THETA_TRUE[:-1], np.nan)),
+])
+def test_non_finite_parameters_rejected(model, theta):
+    for evaluate in (model.evaluate, model.fine_evaluate, getattr(model, "fields", None)):
+        if evaluate is not None:
+            with pytest.raises(InvalidParameterError, match="finite"):
+                evaluate(theta)
+    assert model.n_evals == 0
 
 
 class TestSensorGrid:
@@ -75,7 +90,7 @@ class TestHeatSource:
         # Zero initial condition: every reading decreases monotonically to 0
         # as the measurement time shrinks.
         def peak(t_end):
-            m = HeatSource2D(cfg=GridSolverConfig(32, 32, dt=t_end / 4, t_end=t_end),
+            m = HeatSource2D(cfg=GridSolverConfig(32, 32, dt=t_end / 4),
                              measure_times=(t_end,))
             return np.abs(m.evaluate([0.5, 0.5])).max()
 
@@ -105,14 +120,19 @@ class TestHeatSource:
         with pytest.raises(ValueError, match="measurement time"):
             bad.evaluate([0.5, 0.5])
 
+    def test_measure_times_must_be_distinct(self):
+        # Each time names one output field, so a repeated time would drop outputs.
+        with pytest.raises(ValueError, match="distinct"):
+            HeatSource2D(measure_times=(0.1, 0.1))
+
 
 # The short-dt grids are those of test_outputs_vanish_in_small_time_limit.
 EIGENBASIS_GRIDS = [
-    (GridSolverConfig(32, 32, dt=0.01, t_end=0.2), (0.1, 0.2)),
-    (GridSolverConfig(128, 128, dt=0.0025, t_end=0.2), (0.1, 0.2)),
-    (GridSolverConfig(24, 40, dt=0.01, t_end=0.2), (0.1, 0.2)),
-    (GridSolverConfig(64, 16, dt=0.01, t_end=0.2), (0.1, 0.2)),
-] + [(GridSolverConfig(32, 32, dt=t / 4, t_end=t), (t,)) for t in (0.04, 0.01, 0.0025, 0.000625)]
+    (GridSolverConfig(32, 32, dt=0.01), (0.1, 0.2)),
+    (GridSolverConfig(128, 128, dt=0.0025), (0.1, 0.2)),
+    (GridSolverConfig(24, 40, dt=0.01), (0.1, 0.2)),
+    (GridSolverConfig(64, 16, dt=0.01), (0.1, 0.2)),
+] + [(GridSolverConfig(32, 32, dt=t / 4), (t,)) for t in (0.04, 0.01, 0.0025, 0.000625)]
 
 
 class TestHeatEigenbasisSolve:
@@ -142,7 +162,7 @@ class TestDarcy:
         from gpinv.forward_models import _CellGrid
         grid = _CellGrid(32, 32)
         q = model.source_field(grid)
-        assert abs(q.sum() * grid.cell_area) < 1e-10
+        assert abs(q.sum() * grid.dx * grid.dy) < 1e-10
 
     def test_solution_mean_zero(self, model):
         u = model.fields(PERMEABILITY_THETA_TRUE)["field"]
@@ -172,6 +192,31 @@ class TestDarcy:
 
     def test_output_count(self, model):
         assert model.evaluate(PERMEABILITY_THETA_TRUE).shape == (25,)
+
+    def test_singular_factorization_is_a_solver_error(self, model, monkeypatch):
+        def singular(matrix):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr("gpinv.forward_models.splu", singular)
+        with pytest.raises(SolverError, match="singular"):
+            model.evaluate(PERMEABILITY_THETA_TRUE)
+
+
+DARCY_THETAS = [PERMEABILITY_THETA_TRUE] + list(
+    np.random.default_rng(13).uniform(*PERMEABILITY_BOUNDS, size=(3, 9)))
+
+
+class TestDarcyPinnedSolve:
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    @pytest.mark.parametrize("theta", DARCY_THETAS)
+    def test_matches_augmented_solve(self, n, theta):
+        cfg = GridSolverConfig(n, n)
+        field = DarcyPermeability2D(cfg=cfg).fields(theta)["field"]
+        reference = darcy_field_augmented(DarcyPermeability2D(), theta, cfg)
+        # Each solve rounds differently: on 128^2 both lie up to 6.2e-13 from an
+        # extended-precision refinement of the same system, so they may differ by twice that.
+        assert field.shape == reference.shape == (n, n)
+        assert np.abs(field - reference).max() <= 2e-12 * np.abs(reference).max()
 
 
 class TestGenerateMeasurements:
