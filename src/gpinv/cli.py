@@ -2,8 +2,9 @@
 
 Subcommands cover the full workflow: run the adaptive loop, draw posterior
 samples with either likelihood, summarize samples into HPD boxes, reproduce
-the multi-run design comparison, generate space-filling designs, and evaluate
-forward models. Every run writes into a fresh directory with a manifest
+the multi-run design comparison (with each surrogate posterior's grid distance
+from the true one), generate space-filling designs, and evaluate forward
+models. Every run writes into a fresh directory with a manifest
 listing each output file and its content hash; reruns with the same seed
 reproduce the same hashes (timings.csv is the one explicitly volatile file).
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import hashlib
 import json
 import logging
@@ -34,8 +36,9 @@ from .experiments import (
 )
 from .forward_models import write_grid_field
 from .gp import GpEnsemble, TrainingSet
-from .likelihood import misfit_of_outputs
-from .posterior import hpd_region, sample_posterior
+from .likelihood import MeasurementModel, misfit_of_outputs
+from .mcmc import sample_hyperposterior
+from .posterior import grid_hellinger, grid_points, hpd_region, sample_posterior
 
 log = logging.getLogger(__name__)
 
@@ -89,8 +92,25 @@ def _psi_names(p: int) -> list[str]:
     return ["sigma_c"] + [f"ell_{i + 1}" for i in range(p)]
 
 
+def _check_out_dir(path: Path) -> None:
+    """UsageError unless --out's `path` is a directory or can be made one."""
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise UsageError(f"--out {path}: {existing} is not a directory")
+
+
+def _out_file(raw: str) -> Path:
+    """The --out path of a one-file output, checked before anything is written."""
+    out = Path(raw)
+    if out.is_dir():
+        raise UsageError(f"--out {out} is a directory, not a file")
+    _check_out_dir(out.parent)
+    return out
+
+
 def _prepare_out_dir(raw: str, force: bool) -> Path:
     out = Path(raw)
+    _check_out_dir(out)
     if out.exists() and any(out.iterdir()) and not force:
         raise UsageError(f"output directory {out} is not empty (use --force to reuse)")
     out.mkdir(parents=True, exist_ok=True)
@@ -230,6 +250,7 @@ def cmd_hpd(args) -> int:
         raise UsageError(f"samples file {path} not found")
     if not 0.0 < args.alpha < 1.0:
         raise UsageError(f"--alpha must lie in (0, 1), got {args.alpha}")
+    out = _out_file(args.out) if args.out else None
     try:
         header, data = read_csv(path)
         summary = hpd_region(data, alpha=args.alpha)
@@ -237,14 +258,30 @@ def cmd_hpd(args) -> int:
         raise UsageError(f"--samples {path}: {exc}") from exc
     for name, lo, hi in zip(header, summary.lower, summary.upper):
         print(f"{name}: [{lo:.6g}, {hi:.6g}]")
-    if args.out:
-        out = Path(args.out)
+    if out is not None:
         out.parent.mkdir(parents=True, exist_ok=True)
         write_csv(out, ["lower", "upper"], np.column_stack([summary.lower, summary.upper]))
     return 0
 
 
-def _compare_one(spec: ExperimentSpec, seed: int):
+def _true_log_density(spec: ExperimentSpec) -> np.ndarray | None:
+    """The true log-likelihood at `grid_points(spec.bounds)`, or None for p > 2,
+    where the grid would be too coarse (3 cells per side in 9-D) to tell anything."""
+    if spec.bounds.dim > 2:
+        return None
+    model = spec.build_model()
+    return true_loglik_rows(model, spec.measurement(model))(grid_points(spec.bounds))
+
+
+def _hellinger(true_grid: np.ndarray | None, spec: ExperimentSpec, ensemble: GpEnsemble,
+               meas: MeasurementModel) -> float:
+    """Grid distance of the ensemble's surrogate posterior from the true one (nan for p > 2)."""
+    if true_grid is None:
+        return np.nan
+    return grid_hellinger(true_grid, surrogate_loglik_rows(ensemble, meas)(grid_points(spec.bounds)))
+
+
+def _compare_one(spec: ExperimentSpec, seed: int, true_grid: np.ndarray | None):
     model = spec.build_model()
     meas = spec.measurement(model)
     result = run_adaptive(model, meas, spec.adaptive_config(seed=seed))
@@ -254,17 +291,29 @@ def _compare_one(spec: ExperimentSpec, seed: int):
         "g_min": min(misfit_of_outputs(r, meas) for r in result.training.raw_outputs),
         "rel_improvement": last.relative_improvement,
         "threshold_met": result.record.termination in ("threshold", "zero-improvement"),
+        "hellinger": _hellinger(true_grid, spec, result.ensemble, meas),
         "record_json": result.record.to_json(),
     }
 
 
-def _lhs_one(spec: ExperimentSpec, seed: int, n_points: int):
+def _lhs_one(spec: ExperimentSpec, seed: int, n_points: int, true_grid: np.ndarray | None):
+    """An LHS design of n_points and, for p <= 2, the grid distance of the
+    surrogate posterior of an ensemble fitted to it."""
     model = spec.build_model()
     meas = spec.measurement(model)
     design = latin_hypercube(n_points, spec.bounds, seed=seed)
     outputs = np.array([model.evaluate(row) for row in design])
+    hellinger = np.nan
+    if true_grid is not None:
+        # The fit draws from its own stream, apart from the design's seed.
+        fit_seed = int(np.random.SeedSequence([seed, 0x15]).generate_state(1)[0])
+        ensemble = sample_hyperposterior(TrainingSet.from_data(design, outputs), spec.hyper_prior,
+                                         n_walkers=spec.n_walkers, n_steps=spec.n_steps,
+                                         seed=fit_seed)
+        hellinger = _hellinger(true_grid, spec, ensemble, meas)
     return {"n_train": n_points,
-            "g_min": min(misfit_of_outputs(row, meas) for row in outputs)}
+            "g_min": min(misfit_of_outputs(row, meas) for row in outputs),
+            "hellinger": hellinger}
 
 
 def cmd_compare_designs(args) -> int:
@@ -274,31 +323,38 @@ def cmd_compare_designs(args) -> int:
     spec = _load_spec(args)
     out = _prepare_out_dir(args.out, args.force)
     seeds = [args.seed + r for r in range(args.runs)]
-    specs = [spec] * args.runs
-    n_lhs = spec.n_initial + spec.n_max
+    true_grid = _true_log_density(spec)
+    adaptive_run = functools.partial(_compare_one, spec, true_grid=true_grid)
+    lhs_run = functools.partial(_lhs_one, spec, n_points=spec.n_initial + spec.n_max,
+                                true_grid=true_grid)
     workers = args.workers or min(args.runs, 4)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            adaptive_rows = list(pool.map(_compare_one, specs, seeds))
-            lhs_rows = list(pool.map(_lhs_one, specs, seeds, [n_lhs] * args.runs))
+            adaptive_rows = list(pool.map(adaptive_run, seeds))
+            lhs_rows = list(pool.map(lhs_run, seeds))
     else:
-        adaptive_rows = [_compare_one(spec, s) for s in seeds]
-        lhs_rows = [_lhs_one(spec, s, n_lhs) for s in seeds]
+        adaptive_rows = list(map(adaptive_run, seeds))
+        lhs_rows = list(map(lhs_run, seeds))
 
     table = np.array([
-        [r + 1, row["n_train"], row["g_min"], row["rel_improvement"], float(row["threshold_met"])]
+        [r + 1, row["n_train"], row["g_min"], row["rel_improvement"], float(row["threshold_met"]),
+         row["hellinger"]]
         for r, row in enumerate(adaptive_rows)
     ])
     write_csv(out / "adaptive_table.csv",
-              ["run", "final_n_train", "final_g_min", "final_rel_improvement", "threshold_met"],
+              ["run", "final_n_train", "final_g_min", "final_rel_improvement", "threshold_met",
+               "final_hellinger"],
               table)
-    lhs_table = np.array([[r + 1, row["n_train"], row["g_min"]] for r, row in enumerate(lhs_rows)])
-    write_csv(out / "lhs_table.csv", ["run", "n_train", "g_min"], lhs_table)
+    lhs_table = np.array([[r + 1, row["n_train"], row["g_min"], row["hellinger"]]
+                          for r, row in enumerate(lhs_rows)])
+    write_csv(out / "lhs_table.csv", ["run", "n_train", "g_min", "hellinger"], lhs_table)
     for r, row in enumerate(adaptive_rows):
         (out / f"record_run{r + 1:02d}.json").write_text(row["record_json"])
     write_manifest(out)
     met = sum(row["threshold_met"] for row in adaptive_rows)
-    print(f"{args.runs} adaptive runs: {met} met the threshold; tables in {out}")
+    print(f"{args.runs} adaptive runs: {met} met the threshold; median Hellinger distance "
+          f"{np.median(table[:, -1]):.3g} adaptive, {np.median(lhs_table[:, -1]):.3g} LHS; "
+          f"tables in {out}")
     return 0
 
 
@@ -311,6 +367,7 @@ def cmd_gen_design(args) -> int:
         box = _parse_bounds(args.bounds)
     else:
         raise UsageError("provide --config, --experiment, or --bounds")
+    out = _out_file(args.out)
     if args.kind == "lhs":
         points = latin_hypercube(args.n, box, seed=args.seed)
     else:
@@ -318,7 +375,6 @@ def cmd_gen_design(args) -> int:
             points = sobol(args.n, box, skip=args.skip)
         except ValueError as exc:
             raise UsageError(f"--skip {args.skip} with --n {args.n}: {exc}") from exc
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(out, _theta_names(box.dim), points)
     print(f"{args.n} {args.kind} points in {out}")
@@ -328,11 +384,13 @@ def cmd_gen_design(args) -> int:
 def cmd_eval_model(args) -> int:
     spec = _load_spec(args)
     theta = _parse_theta(args.theta, spec.bounds.dim)
-    out = _prepare_out_dir(args.out, args.force)
     model = spec.build_model()
+    if args.dump_field and not hasattr(model, "fields"):
+        raise UsageError(f"--dump-field: the {spec.name} model has no solution fields")
+    out = _prepare_out_dir(args.out, args.force)
     outputs = model.fine_evaluate(theta) if args.fine else model.evaluate(theta)
     write_csv(out / "outputs.csv", [f"f_{i + 1}" for i in range(outputs.size)], outputs[None, :])
-    if args.dump_field and hasattr(model, "fields"):
+    if args.dump_field:
         for name, field in model.fields(theta, fine=args.fine).items():
             write_grid_field(out / f"{name}.txt", field)
     write_manifest(out)

@@ -65,6 +65,10 @@ class DesignBox:
         object.__setattr__(self, "upper", np.atleast_1d(np.asarray(self.upper, dtype=float)))
         if self.lower.shape != self.upper.shape:
             raise ValueError("bound vectors must have equal length")
+        if self.lower.size == 0:
+            raise ValueError("a box needs at least one dimension")
+        if not np.all(np.isfinite(self.lower) & np.isfinite(self.upper)):
+            raise ValueError(f"bounds must be finite, got lower {self.lower} and upper {self.upper}")
         if not np.all(self.lower < self.upper):
             raise ValueError("lower bounds must be strictly below upper bounds")
 

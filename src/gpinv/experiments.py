@@ -74,6 +74,8 @@ class ExperimentSpec:
                              f"{_MODELS[self.name].input_dim} for {self.name}")
         if not self.noise_sigma > 0.0:
             raise ValueError(f"noise_sigma must be positive, got {self.noise_sigma}")
+        if not np.isfinite(self.noise_sigma):
+            raise ValueError(f"noise_sigma must be finite, got {self.noise_sigma}")
         if self.meas_seed < 0:
             raise ValueError(f"meas_seed must be at least 0, got {self.meas_seed}")
         if self.n_initial < 1:

@@ -172,18 +172,22 @@ def _neumann_eigenvalues(n: int, h: float) -> np.ndarray:
 
 class _GridModel(ForwardModel):
     """A PDE model on a cell-centered grid of the unit square, read out at a
-    square sensor grid: the inversion grid `cfg` and the data grid `fine_cfg`.
+    square sensor grid: the inversion grid `cfg` (32² by default) and the data
+    grid `fine_cfg` (128²).
 
     A subclass supplies only `_fields(theta, cfg)`, its named (ny, nx) solution
-    fields in output order; the outputs are every field's sensor values in turn.
+    fields in output order, and `SENSORS_PER_SIDE`; the outputs are every
+    field's sensor values in turn.
     """
 
-    def __init__(self, cfg: GridSolverConfig, fine_cfg: GridSolverConfig,
-                 sensors_per_side: int, n_fields: int = 1):
+    SENSORS_PER_SIDE: int
+
+    def __init__(self, cfg: GridSolverConfig = GridSolverConfig(32, 32),
+                 fine_cfg: GridSolverConfig = GridSolverConfig(128, 128), n_fields: int = 1):
         super().__init__()
         self.cfg = cfg
         self.fine_cfg = fine_cfg
-        self.sensors = sensor_grid(sensors_per_side)
+        self.sensors = sensor_grid(self.SENSORS_PER_SIDE)
         self.output_dim = n_fields * self.sensors.shape[0]
 
     def _fields(self, theta: np.ndarray, cfg: GridSolverConfig) -> dict[str, np.ndarray]:
@@ -209,8 +213,8 @@ class _GridModel(ForwardModel):
 class HeatSource2D(_GridModel):
     """Transient diffusion driven by a Gaussian source that switches off.
 
-    The source of total strength `amplitude` and width `source_width` sits at
-    the unknown location theta in [0,1]^2 and is active for t <= source_time.
+    The source of total strength AMPLITUDE and width SOURCE_WIDTH sits at
+    the unknown location theta in [0,1]^2 and is active for t <= SOURCE_TIME.
     Outputs are the field values at a square sensor grid at each measurement
     time, time-major (all sensors at the first time, then at the second); the
     fields are named field_t<time>.
@@ -223,24 +227,21 @@ class HeatSource2D(_GridModel):
     """
 
     input_dim = 2
+    SENSORS_PER_SIDE = 3
+    AMPLITUDE = 2.0
+    SOURCE_WIDTH = 0.05
+    SOURCE_TIME = 0.1
 
     def __init__(
         self,
         cfg: GridSolverConfig = GridSolverConfig(32, 32, dt=0.01),
         fine_cfg: GridSolverConfig = GridSolverConfig(128, 128, dt=0.0025),
-        sensors_per_side: int = 3,
         measure_times: tuple[float, ...] = (0.1, 0.2),
-        amplitude: float = 2.0,
-        source_width: float = 0.05,
-        source_time: float = 0.1,
     ):
         if len({f"{tm:g}" for tm in measure_times}) != len(measure_times):
             raise ValueError(f"measurement times {measure_times} must have distinct names")
-        super().__init__(cfg, fine_cfg, sensors_per_side, n_fields=len(measure_times))
+        super().__init__(cfg, fine_cfg, n_fields=len(measure_times))
         self.measure_times = tuple(measure_times)
-        self.amplitude = amplitude
-        self.source_width = source_width
-        self.source_time = source_time
         self._steppers: dict[tuple, tuple] = {}
 
     def _stepper(self, cfg: GridSolverConfig) -> tuple[_CellGrid, np.ndarray]:
@@ -256,8 +257,8 @@ class HeatSource2D(_GridModel):
     def _source_field(self, grid: _CellGrid, theta: np.ndarray) -> np.ndarray:
         X, Y = grid.centers()
         r2 = (X - theta[0]) ** 2 + (Y - theta[1]) ** 2
-        return self.amplitude / (2.0 * np.pi * self.source_width**2) * np.exp(
-            -r2 / (2.0 * self.source_width**2)
+        return self.AMPLITUDE / (2.0 * np.pi * self.SOURCE_WIDTH**2) * np.exp(
+            -r2 / (2.0 * self.SOURCE_WIDTH**2)
         )
 
     def _fields(self, theta: np.ndarray, cfg: GridSolverConfig) -> dict[str, np.ndarray]:
@@ -268,7 +269,7 @@ class HeatSource2D(_GridModel):
             if step < 1 or abs(step * cfg.dt - tm) > 1e-9:
                 raise ValueError(f"time step {cfg.dt} does not hit measurement time {tm}")
             meas_steps[step] = tm
-        source_steps = int(round(self.source_time / cfg.dt))
+        source_steps = int(round(self.SOURCE_TIME / cfg.dt))
         kick = dctn(cfg.dt * self._source_field(grid, theta), type=2, norm="ortho")
         modes = np.zeros_like(kick)
         fields = {}
@@ -323,14 +324,7 @@ class DarcyPermeability2D(_GridModel):
     """
 
     input_dim = 9
-
-    def __init__(
-        self,
-        cfg: GridSolverConfig = GridSolverConfig(32, 32),
-        fine_cfg: GridSolverConfig = GridSolverConfig(128, 128),
-        sensors_per_side: int = 5,
-    ):
-        super().__init__(cfg, fine_cfg, sensors_per_side)
+    SENSORS_PER_SIDE = 5
 
     def source_field(self, grid: _CellGrid) -> np.ndarray:
         X, Y = grid.centers()

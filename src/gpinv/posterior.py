@@ -1,10 +1,12 @@
-"""Posterior sampling with either likelihood, and HPD interval summaries."""
+"""Posterior sampling with either likelihood, HPD interval summaries, and the
+grid distance between two posteriors on a low-dimensional box."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import logsumexp
 
 from .designs import DesignBox
 from .mcmc import LogProb, run_chain
@@ -12,6 +14,7 @@ from .mcmc import LogProb, run_chain
 DEFAULT_N_SAMPLES = 20_000
 DEFAULT_N_WALKERS = 100
 POOL_FACTOR = 20  # walkers start at the best of POOL_FACTOR * n_walkers uniform draws
+GRID_POINTS = 10_201  # posterior-distance grid: 101^2 cells in 2-D, 10,201 in 1-D
 
 
 @dataclass
@@ -126,3 +129,26 @@ def hpd_region(samples: PosteriorSampleSet | np.ndarray, alpha: float = 0.05) ->
         raise ValueError("alpha must lie in (0, 1)")
     bounds = np.array([shortest_interval(values[:, j], 1.0 - alpha) for j in range(values.shape[1])])
     return HpdSummary(alpha=alpha, lower=bounds[:, 0], upper=bounds[:, 1])
+
+
+def grid_points(box: DesignBox) -> np.ndarray:
+    """Cell centres of round(GRID_POINTS ** (1/p)) equal cells per side of the box,
+    (cells, p), the first coordinate varying slowest."""
+    per_side = round(GRID_POINTS ** (1.0 / box.dim))
+    centres = (np.arange(per_side) + 0.5) / per_side
+    axes = np.meshgrid(*[centres] * box.dim, indexing="ij")
+    return box.from_unit(np.column_stack([axis.ravel() for axis in axes]))
+
+
+def grid_hellinger(log_p: np.ndarray, log_q: np.ndarray) -> float:
+    """Hellinger distance between two densities given by their unnormalized log
+    values on one grid: sqrt(1 - sum_i sqrt(p_i q_i)) with p and q normalized
+    to sum 1 over the grid, so 0 for equal densities and 1 for disjoint ones.
+
+    Under the uniform prior of a box the posterior density is exp(loglik), so
+    the log-likelihoods at `grid_points(box)` can be passed as they are.
+    """
+    log_p = np.asarray(log_p, dtype=float) - logsumexp(log_p)
+    log_q = np.asarray(log_q, dtype=float) - logsumexp(log_q)
+    overlap = float(np.exp(0.5 * (log_p + log_q)).sum())
+    return float(np.sqrt(max(0.0, 1.0 - overlap)))

@@ -215,7 +215,7 @@ def heat_fields_sparse(model: HeatSource2D, theta: np.ndarray, cfg: GridSolverCo
     n_cells = cfg.nx * cfg.ny
     lu = splu(sparse_eye(n_cells, format="csc") - cfg.dt * neumann_laplacian(grid).tocsc())
     meas_steps = {int(round(tm / cfg.dt)): tm for tm in model.measure_times}
-    source_steps = int(round(model.source_time / cfg.dt))
+    source_steps = int(round(model.SOURCE_TIME / cfg.dt))
     s = model._source_field(grid, np.asarray(theta, dtype=float)).ravel()
     u = np.zeros(n_cells)
     fields = {}

@@ -1,11 +1,17 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gpinv.adaptive
+import gpinv.cli
 from gpinv.acquisition import AcquisitionResult
-from gpinv.cli import main, read_csv
+from gpinv.cli import build_parser, main, read_csv
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 FAST_ONE_D = """
 [experiment]
@@ -134,12 +140,14 @@ class TestCompareDesigns:
                      "--seed", "0", "--workers", "1", "--out", str(out)]) == 0
         header, table = read_csv(out / "adaptive_table.csv")
         assert header == ["run", "final_n_train", "final_g_min",
-                          "final_rel_improvement", "threshold_met"]
-        assert table.shape == (2, 5)
+                          "final_rel_improvement", "threshold_met", "final_hellinger"]
+        assert table.shape == (2, 6)
         assert np.all(table[:, 1] >= 3)
         header2, lhs = read_csv(out / "lhs_table.csv")
-        assert header2 == ["run", "n_train", "g_min"]
+        assert header2 == ["run", "n_train", "g_min", "hellinger"]
         assert (out / "record_run01.json").exists()
+        for distances in (table[:, -1], lhs[:, -1]):
+            assert np.all((distances >= 0.0) & (distances <= 1.0))
 
     def test_parallel_workers_match_sequential(self, fast_cfg, tmp_path):
         out1, out2 = tmp_path / "seq", tmp_path / "par"
@@ -147,7 +155,32 @@ class TestCompareDesigns:
               "--workers", "1", "--out", str(out1)])
         main(["compare-designs", "--config", fast_cfg, "--runs", "2", "--seed", "4",
               "--workers", "2", "--out", str(out2)])
-        assert (out1 / "adaptive_table.csv").read_text() == (out2 / "adaptive_table.csv").read_text()
+        for name in ("adaptive_table.csv", "lhs_table.csv"):
+            assert (out1 / name).read_text() == (out2 / name).read_text(), name
+
+    def test_rerun_reproduces_hashes(self, fast_cfg, tmp_path):
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        for out in (out1, out2):
+            main(["compare-designs", "--config", fast_cfg, "--runs", "1", "--seed", "2",
+                  "--workers", "1", "--out", str(out)])
+        assert manifest_hashes(out1)[0] == manifest_hashes(out2)[0]
+
+    def test_no_grid_distance_above_two_dimensions(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "perm.cfg"
+        cfg.write_text("[experiment]\nname = permeability\n[adaptive]\nn_max = 1\n"
+                       "[mcmc]\nn_walkers = 20\nn_steps = 10\n[acquisition]\nn_starts = 2\n")
+
+        def unused(*args, **kwargs):
+            raise AssertionError("no grid density or LHS fit for p > 2")
+
+        monkeypatch.setattr(gpinv.cli, "grid_points", unused)
+        monkeypatch.setattr(gpinv.cli, "sample_hyperposterior", unused)
+        out = tmp_path / "cmp"
+        assert main(["compare-designs", "--config", str(cfg), "--runs", "1",
+                     "--workers", "1", "--out", str(out)]) == 0
+        assert np.isnan(read_csv(out / "adaptive_table.csv")[1][0, -1])
+        assert np.isnan(read_csv(out / "lhs_table.csv")[1][0, -1])
+        assert "nan adaptive, nan LHS" in capsys.readouterr().out
 
 
 class TestGenDesign:
@@ -237,6 +270,9 @@ class TestErrors:
         (["compare-designs", "--experiment", "one_d", "--runs", "0"], "--runs"),
         (["run-adaptive", "--experiment", "one_d", "--seed", "-1"], "--seed"),
         (["compare-designs", "--experiment", "one_d", "--workers", "-1"], "--workers"),
+        (["gen-design", "--bounds", " ", "--n", "4"], "--bounds"),
+        (["gen-design", "--bounds", "-inf,inf 0,1", "--n", "4"], "--bounds"),
+        (["eval-model", "--experiment", "one_d", "--theta", "2", "--dump-field"], "--dump-field"),
     ])
     def test_malformed_value_is_a_usage_error(self, argv, option, tmp_path, capsys):
         out = tmp_path / "out"
@@ -252,6 +288,9 @@ class TestErrors:
         ("[mcmc]\nn_walkers = 13\n", "n_walkers"),
         ("[mcmc]\n[mcmc]\n", "mcmc"),
         ("[measurement]\nnoise_sigma = 0\n", "noise_sigma must be positive, got 0.0"),
+        ("[measurement]\nnoise_sigma = inf\n", "noise_sigma must be finite, got inf"),
+        ("[hyper_prior]\nupper = inf 5\n", "[hyper_prior] bounds must be finite"),
+        ("[bounds]\nlower = -inf\n", "[bounds] bounds must be finite"),
         ("[hyper_prior]\nlower = 1e-8 1e-8 1e-8\nupper = 12 5 5\n",
          "hyper_prior has 3 bounds, need 2"),
         ("[measurement]\ntheta_true = 2.41 1.0\n", "theta_true (2.41, 1.0)"),
@@ -293,3 +332,35 @@ class TestErrors:
         samples.write_text("theta_1\n" + "\n".join(str(v) for v in range(rows)) + "\n")
         assert main(["hpd", "--samples", str(samples), "--alpha", alpha]) == 2
         assert option in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, target", [
+        (["run-adaptive", "--config", "CFG"], "file"),
+        (["sample-posterior", "--config", "CFG", "--likelihood", "true", "--n", "10"], "file"),
+        (["compare-designs", "--config", "CFG", "--runs", "1"], "file"),
+        (["eval-model", "--config", "CFG", "--theta", "2"], "file"),
+        (["run-adaptive", "--config", "CFG"], "file/run"),
+        (["gen-design", "--bounds", "0,1", "--n", "4"], "file/x.csv"),
+        (["gen-design", "--bounds", "0,1", "--n", "4"], "dir"),
+    ])
+    def test_unwritable_out_is_a_usage_error(self, argv, target, fast_cfg, tmp_path, capsys):
+        (tmp_path / "file").write_text("x")
+        (tmp_path / "dir").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        argv = [fast_cfg if arg == "CFG" else arg for arg in argv]
+        assert main(argv + ["--out", str(tmp_path / target)]) == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_readme_recipes_parse():
+    """Every `gpinv ...` line in README's code blocks, continuations joined, parses."""
+    blocks = re.findall(r"```[a-z]*\n(.*?)```", README.read_text(), flags=re.S)
+    commands = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("gpinv ")]
+    assert commands
+    for command in commands:
+        try:
+            build_parser().parse_args(shlex.split(command, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")

@@ -147,9 +147,10 @@ class TestHeatEigenbasisSolve:
             assert fields[f"field_t{tm:g}"].shape == ref.shape == (cfg.ny, cfg.nx)
             assert np.abs(fields[f"field_t{tm:g}"] - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    def test_non_finite_field_raises(self):
+    def test_non_finite_field_raises(self, monkeypatch):
+        monkeypatch.setattr(HeatSource2D, "AMPLITUDE", np.inf)
         with pytest.raises(SolverError, match="non-finite"):
-            HeatSource2D(amplitude=np.inf).evaluate([0.5, 0.5])
+            HeatSource2D().evaluate([0.5, 0.5])
 
 
 class TestDarcy:

@@ -3,7 +3,15 @@ import pytest
 from scipy.stats import kstest, norm
 
 from gpinv.mcmc import BoxPrior
-from gpinv.posterior import PosteriorSampleSet, hpd_region, sample_posterior, shortest_interval
+from gpinv.posterior import (
+    GRID_POINTS,
+    PosteriorSampleSet,
+    grid_hellinger,
+    grid_points,
+    hpd_region,
+    sample_posterior,
+    shortest_interval,
+)
 
 
 def flat(points):
@@ -119,3 +127,38 @@ class TestHpdRegion:
         summary = hpd_region(np.random.default_rng(9).random((1_000, 2)), 0.05)
         assert summary.contains(np.array([[0.5, 0.5]]))[0]
         assert not summary.contains(np.array([[5.0, 0.5]]))[0]
+
+
+class TestGridHellinger:
+    def test_grid_holds_cell_centres(self):
+        square = grid_points(BoxPrior([0.0, -1.0], [1.0, 1.0]))
+        assert square.shape == (101**2, 2)
+        np.testing.assert_allclose(np.unique(square[:, 0]), (np.arange(101) + 0.5) / 101)
+        np.testing.assert_allclose(np.unique(square[:, 1]), -1.0 + 2.0 * (np.arange(101) + 0.5) / 101)
+        line = grid_points(BoxPrior([-6.0], [6.0]))
+        assert line.shape == (GRID_POINTS, 1)
+        assert line[0, 0] == pytest.approx(-6.0 + 6.0 / GRID_POINTS)
+
+    def test_identical_densities_are_at_zero(self):
+        log_p = -0.5 * grid_points(BoxPrior([-5.0], [5.0]))[:, 0] ** 2
+        assert grid_hellinger(log_p, log_p) == pytest.approx(0.0, abs=1e-7)
+        assert grid_hellinger(log_p, log_p + 300.0) == pytest.approx(0.0, abs=1e-7)
+
+    def test_symmetric(self):
+        x = grid_points(BoxPrior([-5.0], [5.0]))[:, 0]
+        log_p, log_q = -0.5 * x**2, -np.abs(x - 1.0)
+        assert grid_hellinger(log_p, log_q) == grid_hellinger(log_q, log_p)
+
+    def test_disjoint_densities_are_near_one(self):
+        x = grid_points(BoxPrior([-5.0], [5.0]))[:, 0]
+        far_apart = grid_hellinger(-0.5 * ((x + 3.0) / 0.1) ** 2, -0.5 * ((x - 3.0) / 0.1) ** 2)
+        assert far_apart == pytest.approx(1.0, abs=1e-12)
+
+    def test_matches_gaussian_closed_form(self):
+        x = grid_points(BoxPrior([-30.0], [30.0]))[:, 0]
+        (m1, s1), (m2, s2) = (0.0, 1.0), (1.5, 2.0)
+        closed = 1.0 - np.sqrt(2.0 * s1 * s2 / (s1**2 + s2**2)) * np.exp(
+            -((m1 - m2) ** 2) / (4.0 * (s1**2 + s2**2)))
+        log_p = norm.logpdf(x, m1, s1)
+        log_q = norm.logpdf(x, m2, s2)
+        assert grid_hellinger(log_p, log_q) == pytest.approx(np.sqrt(closed), rel=1e-9)
