@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import _lbfgsb
 
 from .designs import DesignBox, sobol
 from .gp import GpEnsemble
@@ -186,13 +185,16 @@ class _LbfgsbStart:
 
     The settings and the loop are those of scipy's `_minimize_lbfgsb` with
     ftol=STEP_TOL and gtol=GRAD_TOL, so a start takes the same iterates as
-    `minimize(method="L-BFGS-B")` given the same objective values.
+    `minimize(method="L-BFGS-B")` given the same objective values. `setulb`
+    is scipy's `_lbfgsb.setulb`, passed in so that scipy.optimize loads only
+    when an ascent starts.
     """
 
     MAXCOR, MAXLS, MAXFUN, MAXITER = 10, 20, 15000, 500
 
-    def __init__(self, x0: np.ndarray, f0: float, g0: np.ndarray, box: DesignBox):
+    def __init__(self, x0: np.ndarray, f0: float, g0: np.ndarray, box: DesignBox, setulb):
         n, m = x0.shape[0], self.MAXCOR
+        self.setulb = setulb
         self.lower = np.ascontiguousarray(box.lower, dtype=np.float64)
         self.upper = np.ascontiguousarray(box.upper, dtype=np.float64)
         self.nbd = np.full(n, 2, dtype=np.int32)  # both bounds finite
@@ -220,9 +222,9 @@ class _LbfgsbStart:
         """Run setulb until it wants f and g at a new x (True) or stops (False)."""
         factr = STEP_TOL / np.finfo(float).eps
         while True:
-            _lbfgsb.setulb(self.MAXCOR, self.x, self.lower, self.upper, self.nbd, self.f, self.g,
-                           factr, GRAD_TOL, self.wa, self.iwa, self.task, self.lsave,
-                           self.isave, self.dsave, self.MAXLS, self.ln_task)
+            self.setulb(self.MAXCOR, self.x, self.lower, self.upper, self.nbd, self.f, self.g,
+                        factr, GRAD_TOL, self.wa, self.iwa, self.task, self.lsave,
+                        self.isave, self.dsave, self.MAXLS, self.ln_task)
             if self.task[0] == _FG:
                 if not np.array_equal(self.x, self.eval_x):
                     return True
@@ -250,6 +252,8 @@ def multistart_maximize_batch(values_and_grads, starts: np.ndarray, box: DesignB
     maximum whose gradient is already near zero. `degraded=True` flags that
     no start converged.
     """
+    from scipy.optimize import _lbfgsb
+
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     if starts.shape[0] < 1:
         raise ValueError("need at least one start")
@@ -260,7 +264,8 @@ def multistart_maximize_batch(values_and_grads, starts: np.ndarray, box: DesignB
         values, grads = values_and_grads(X)
         return -np.asarray(values, dtype=float), -np.asarray(grads, dtype=float)
 
-    runs = [_LbfgsbStart(x0, float(f), g, box) for x0, f, g in zip(starts, *negated(starts.copy()))]
+    runs = [_LbfgsbStart(x0, float(f), g, box, _lbfgsb.setulb)
+            for x0, f, g in zip(starts, *negated(starts.copy()))]
     pending = [run for run in runs if run.advance()]
     while pending:
         for run, f, g in zip(pending, *negated(np.array([run.x for run in pending]))):

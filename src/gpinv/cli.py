@@ -34,7 +34,7 @@ from .experiments import (
     surrogate_loglik_rows,
     true_loglik_rows,
 )
-from .forward_models import write_grid_field
+from .forward_models import ForwardModel, write_grid_field
 from .gp import GpEnsemble, TrainingSet
 from .likelihood import MeasurementModel, misfit_of_outputs
 from .mcmc import sample_hyperposterior
@@ -206,23 +206,30 @@ def load_surrogate(run_dir: Path) -> tuple[GpEnsemble, TrainingSet]:
     return GpEnsemble(training, psis), training
 
 
-def _load_run_dir(raw: str | None) -> GpEnsemble:
-    """The emulator of a --run-dir; a missing or unreadable one is a usage error."""
+def _load_run_dir(raw: str | None, spec: ExperimentSpec, model: ForwardModel) -> GpEnsemble:
+    """The emulator of a --run-dir; a missing or unreadable one, or one whose
+    design does not fit the experiment's inputs and outputs, is a usage error."""
     if not raw:
         raise UsageError("surrogate likelihood requires --run-dir from a previous run-adaptive")
     try:
-        return load_surrogate(Path(raw))[0]
+        ensemble, training = load_surrogate(Path(raw))
     except (OSError, ValueError) as exc:
         raise UsageError(f"--run-dir {raw}: {exc}") from exc
+    if (training.input_dim, training.n_outputs) != (spec.bounds.dim, model.output_dim):
+        raise UsageError(
+            f"--run-dir {raw}: its design has {training.input_dim} inputs and "
+            f"{training.n_outputs} outputs, but the {spec.name} experiment has "
+            f"{spec.bounds.dim} and {model.output_dim}")
+    return ensemble
 
 
 def cmd_sample_posterior(args) -> int:
     _at_least("--n", args.n, 1)
     _at_least("--seed", args.seed, 0)
     spec = _load_spec(args)
-    ensemble = _load_run_dir(args.run_dir) if args.likelihood == "surrogate" else None
-    out = _prepare_out_dir(args.out, args.force)
     model = spec.build_model()
+    ensemble = _load_run_dir(args.run_dir, spec, model) if args.likelihood == "surrogate" else None
+    out = _prepare_out_dir(args.out, args.force)
     meas = spec.measurement(model)
     prior = spec.bounds
     if ensemble is not None:
@@ -361,6 +368,8 @@ def cmd_compare_designs(args) -> int:
 def cmd_gen_design(args) -> int:
     _at_least("--n", args.n, 1)
     _at_least("--seed", args.seed, 0)
+    if (args.config or args.experiment) and args.bounds:
+        raise UsageError("--bounds cannot be combined with --config or --experiment")
     if args.config or args.experiment:
         box = _load_spec(args).bounds
     elif args.bounds:

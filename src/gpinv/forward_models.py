@@ -9,10 +9,12 @@ finer companion discretization for generating synthetic data, so inversion
 never runs on the same grid that produced the measurements.
 
 The heat step has constant coefficients and zero-flux walls, so the cosine
-transform diagonalizes it and the heat model is solved exactly mode by mode;
-the Darcy operator depends on theta and is factorized by sparse LU on every
-solve. Both PDE models share one grid-model base: each supplies only its
-named solution fields, and the base reads them out at the sensors.
+basis diagonalizes it: the heat model multiplies by the orthonormal DCT-II
+basis matrix of each grid axis and is solved exactly mode by mode. The Darcy
+operator depends on theta and is factorized by sparse LU on every solve;
+`scipy.sparse` is imported there, so importing this module needs numpy alone.
+Both PDE models share one grid-model base: each supplies only its named
+solution fields, and the base reads them out at the sensors.
 
 Every concrete model counts its `evaluate` calls in `n_evals`; data
 generation through `fine_evaluate` is not counted.
@@ -23,9 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dctn, idctn
-from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import splu
 
 from .errors import InvalidParameterError, SolverError
 from .likelihood import MeasurementModel
@@ -150,6 +149,8 @@ def _flux_operator(nx: int, ny: int, coef_x: np.ndarray, coef_y: np.ndarray):
     Rows sum to zero by construction, which is the discrete footprint of the
     zero-flux boundary. coef_x/coef_y hold one value per interior face.
     """
+    from scipy.sparse import coo_matrix
+
     ax, bx, ay, by = _face_pairs(nx, ny)
     a = np.concatenate([ax, ay])
     b = np.concatenate([bx, by])
@@ -168,6 +169,14 @@ def _neumann_eigenvalues(n: int, h: float) -> np.ndarray:
     eigenvectors, with eigenvalues (2 sin(pi k / 2n) / h)^2, k = 0..n-1.
     """
     return (2.0 * np.sin(0.5 * np.pi * np.arange(n) / n) / h) ** 2
+
+
+def _cosine_basis(n: int) -> np.ndarray:
+    """(n, n) orthonormal DCT-II basis: column k is sqrt((2 - [k=0]) / n) cos(pi k (j + 1/2) / n)."""
+    j, k = np.meshgrid(np.arange(n) + 0.5, np.arange(n), indexing="ij")
+    basis = np.sqrt(2.0 / n) * np.cos(np.pi * k * j / n)
+    basis[:, 0] = np.sqrt(1.0 / n)
+    return basis
 
 
 class _GridModel(ForwardModel):
@@ -221,9 +230,10 @@ class HeatSource2D(_GridModel):
 
     Each backward-Euler step solves (I - dt Lap) u_k = u_{k-1} + dt s. The
     five-point Laplacian with zero-flux walls is diagonal in the 2-D cosine
-    basis, so the solve transforms the source once, scales every mode by
-    1 / (1 + dt (lambda_x + lambda_y)) per step, and transforms back only at
-    the measurement times.
+    basis, so the solve transforms the source once (Phi_y^T S Phi_x with the
+    orthonormal DCT-II basis matrices of the two axes), scales every mode by
+    1 / (1 + dt (lambda_x + lambda_y)) per step, and transforms back
+    (Phi_y M Phi_x^T) only at the measurement times.
     """
 
     input_dim = 2
@@ -244,14 +254,16 @@ class HeatSource2D(_GridModel):
         self.measure_times = tuple(measure_times)
         self._steppers: dict[tuple, tuple] = {}
 
-    def _stepper(self, cfg: GridSolverConfig) -> tuple[_CellGrid, np.ndarray]:
-        """The grid and the per-step modal factor 1 / (1 + dt (lambda_x + lambda_y)), (ny, nx)."""
+    def _stepper(self, cfg: GridSolverConfig) -> tuple[_CellGrid, np.ndarray, np.ndarray, np.ndarray]:
+        """The grid, the per-step modal factor 1 / (1 + dt (lambda_x + lambda_y)), (ny, nx),
+        and the cosine bases of the y and x axes."""
         key = (cfg.nx, cfg.ny, cfg.dt)
         if key not in self._steppers:
             grid = _CellGrid(cfg.nx, cfg.ny)
             lam = (_neumann_eigenvalues(grid.ny, grid.dy)[:, None]
                    + _neumann_eigenvalues(grid.nx, grid.dx)[None, :])
-            self._steppers[key] = (grid, 1.0 / (1.0 + cfg.dt * lam))
+            self._steppers[key] = (grid, 1.0 / (1.0 + cfg.dt * lam),
+                                   _cosine_basis(grid.ny), _cosine_basis(grid.nx))
         return self._steppers[key]
 
     def _source_field(self, grid: _CellGrid, theta: np.ndarray) -> np.ndarray:
@@ -262,7 +274,7 @@ class HeatSource2D(_GridModel):
         )
 
     def _fields(self, theta: np.ndarray, cfg: GridSolverConfig) -> dict[str, np.ndarray]:
-        grid, damping = self._stepper(cfg)
+        grid, damping, phi_y, phi_x = self._stepper(cfg)
         meas_steps = {}
         for tm in self.measure_times:
             step = int(round(tm / cfg.dt))
@@ -270,7 +282,10 @@ class HeatSource2D(_GridModel):
                 raise ValueError(f"time step {cfg.dt} does not hit measurement time {tm}")
             meas_steps[step] = tm
         source_steps = int(round(self.SOURCE_TIME / cfg.dt))
-        kick = dctn(cfg.dt * self._source_field(grid, theta), type=2, norm="ortho")
+        source = self._source_field(grid, theta)
+        if not np.all(np.isfinite(source)):
+            raise SolverError("heat source has non-finite values")
+        kick = phi_y.T @ (cfg.dt * source) @ phi_x
         modes = np.zeros_like(kick)
         fields = {}
         for step in range(1, max(meas_steps) + 1):
@@ -278,7 +293,7 @@ class HeatSource2D(_GridModel):
                 modes += kick
             modes *= damping
             if step in meas_steps:
-                u = idctn(modes, type=2, norm="ortho")
+                u = phi_y @ modes @ phi_x.T
                 if not np.all(np.isfinite(u)):
                     raise SolverError(f"heat solve produced non-finite values at step {step}")
                 fields[meas_steps[step]] = u
@@ -350,6 +365,8 @@ class DarcyPermeability2D(_GridModel):
         return grid, _flux_operator(cfg.nx, cfg.ny, harm_x, harm_y)
 
     def _fields(self, theta: np.ndarray, cfg: GridSolverConfig) -> dict[str, np.ndarray]:
+        from scipy.sparse.linalg import splu
+
         grid, A = self.operator(theta, cfg)
         q = self.source_field(grid).ravel()
         u = np.zeros(q.size)

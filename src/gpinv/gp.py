@@ -15,7 +15,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .errors import IllConditionedKernelError
 
@@ -175,7 +174,7 @@ def fit_single(training: TrainingSet, psi: HyperParams, jitter: float = BASE_JIT
         raise _factorization_error(training.inputs, Psi, jitter, np.isnan(shift))
     if shift[0] > jitter * psi.sigma_c**2:
         log.debug("jitter escalated to a shift of %.1e for n_train=%d", shift[0], training.n_train)
-    weights = cho_solve((L[0], True), training.scaled_outputs)
+    weights = _back_subst(L, _forward_subst(L, training.scaled_outputs))[0]
     return GpFit(L[0], weights, psi, training, float(shift[0]))
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .gp import GpEnsemble, TrainingSet
 
@@ -73,6 +72,17 @@ def member_misfits(means_norm: np.ndarray, var_norm: np.ndarray, training: Train
     terms = np.square(resid)
     terms /= den
     return terms.sum(axis=-2), resid, den
+
+
+def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """log(sum(exp(a))) over `axis` (over every entry for None), with the largest
+    entry factored out so that no term overflows; -inf where every entry is -inf."""
+    a = np.asarray(a, dtype=float)
+    shift = np.max(a, axis=axis, keepdims=True)
+    shift[~np.isfinite(shift)] = 0.0
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(a - shift), axis=axis, keepdims=True))
+    return np.squeeze(out + shift, axis=axis)[()]
 
 
 def loglik_of_outputs(outputs: np.ndarray, meas: MeasurementModel) -> float:

@@ -6,9 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .designs import DesignBox
+from .likelihood import logsumexp
 from .mcmc import LogProb, run_chain
 
 DEFAULT_N_SAMPLES = 20_000

@@ -8,14 +8,16 @@ model or through the library's batched kernels. The scalar GP path
 (`sq_exp_cov`, `predict`, `log_marginal_likelihood`) checks the batched GP
 core, and the one-point sampler and maximizer adapters drive the library's
 row-batched `run_chain` and `multistart_maximize_batch` from scalar code.
-The sparse-LU backward-Euler march is the reference for the heat model's
-solve in the cosine eigenbasis, and the Lagrange-multiplier system is the
-reference for the Darcy model's pinned-cell solve.
+The sparse-LU backward-Euler march and the same march in `scipy.fft`'s
+cosine transform are the references for the heat model's solve in the cosine
+basis matrices, and the Lagrange-multiplier system is the reference for the
+Darcy model's pinned-cell solve.
 """
 
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.fft import dctn, idctn
 from scipy.linalg import solve_triangular
 from scipy.sparse import bmat as sparse_bmat
 from scipy.sparse import eye as sparse_eye
@@ -30,6 +32,7 @@ from gpinv.forward_models import (
     _CellGrid,
     _face_pairs,
     _flux_operator,
+    _neumann_eigenvalues,
 )
 from gpinv.gp import (
     BASE_JITTER,
@@ -223,6 +226,30 @@ def heat_fields_sparse(model: HeatSource2D, theta: np.ndarray, cfg: GridSolverCo
         u = lu.solve(u + (cfg.dt * s if step <= source_steps else 0.0))
         if step in meas_steps:
             fields[meas_steps[step]] = u.reshape(grid.ny, grid.nx).copy()
+    return fields
+
+
+def heat_fields_dct(model: HeatSource2D, theta: np.ndarray, cfg: GridSolverConfig
+                    ) -> dict[float, np.ndarray]:
+    """(ny, nx) heat fields at the model's measurement times by the backward-Euler
+    march in the cosine eigenbasis, with `scipy.fft`'s orthonormal DCT-II as the
+    transform: the source is transformed once, every mode scaled by
+    1 / (1 + dt (lambda_x + lambda_y)) per step and transformed back at the times."""
+    grid = _CellGrid(cfg.nx, cfg.ny)
+    damping = 1.0 / (1.0 + cfg.dt * (_neumann_eigenvalues(grid.ny, grid.dy)[:, None]
+                                     + _neumann_eigenvalues(grid.nx, grid.dx)[None, :]))
+    meas_steps = {int(round(tm / cfg.dt)): tm for tm in model.measure_times}
+    source_steps = int(round(model.SOURCE_TIME / cfg.dt))
+    source = model._source_field(grid, np.asarray(theta, dtype=float))
+    kick = dctn(cfg.dt * source, type=2, norm="ortho")
+    modes = np.zeros_like(kick)
+    fields = {}
+    for step in range(1, max(meas_steps) + 1):
+        if step <= source_steps:
+            modes += kick
+        modes *= damping
+        if step in meas_steps:
+            fields[meas_steps[step]] = idctn(modes, type=2, norm="ortho")
     return fields
 
 

@@ -9,7 +9,7 @@ import pytest
 import gpinv.adaptive
 import gpinv.cli
 from gpinv.acquisition import AcquisitionResult
-from gpinv.cli import build_parser, main, read_csv
+from gpinv.cli import build_parser, main, read_csv, write_csv
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -111,6 +111,18 @@ class TestSamplePosterior:
     def test_surrogate_requires_run_dir(self, fast_cfg, tmp_path):
         assert main(["sample-posterior", "--config", fast_cfg, "--likelihood", "surrogate",
                      "--n", "100", "--out", str(tmp_path / "x")]) == 2
+
+    def test_run_dir_of_another_experiment_is_a_usage_error(self, tmp_path, capsys):
+        run_dir = tmp_path / "one_d_run"
+        run_dir.mkdir()
+        write_csv(run_dir / "design.csv", ["theta_1", "f_1"], [[-2.0, 2.1], [0.5, 3.2], [3.0, 0.0]])
+        write_csv(run_dir / "hyperposterior.csv", ["sigma_c", "ell_1"], [[1.0, 2.0], [0.8, 1.5]])
+        out = tmp_path / "post"
+        assert main(["sample-posterior", "--experiment", "heat", "--run-dir", str(run_dir),
+                     "--n", "10", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--run-dir" in err and "1 inputs and 1 outputs" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestHpd:
@@ -272,6 +284,7 @@ class TestErrors:
         (["compare-designs", "--experiment", "one_d", "--workers", "-1"], "--workers"),
         (["gen-design", "--bounds", " ", "--n", "4"], "--bounds"),
         (["gen-design", "--bounds", "-inf,inf 0,1", "--n", "4"], "--bounds"),
+        (["gen-design", "--experiment", "one_d", "--bounds", "0,1", "--n", "4"], "--bounds"),
         (["eval-model", "--experiment", "one_d", "--theta", "2", "--dump-field"], "--dump-field"),
     ])
     def test_malformed_value_is_a_usage_error(self, argv, option, tmp_path, capsys):

@@ -140,3 +140,11 @@ def test_import_leaves_scipy_stats_unloaded():
     env = {**os.environ, "PYTHONPATH": str(Path(gpinv.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, gpinv, gpinv.cli; "
+            "print(sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(gpinv.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

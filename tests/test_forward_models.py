@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,14 @@ from gpinv.forward_models import (
     GridSolverConfig,
     HeatSource2D,
     Rational1D,
+    _CellGrid,
     generate_measurements,
     permeability_field,
     rational_1d,
     sensor_grid,
     write_grid_field,
 )
-from oracles import darcy_field_augmented, heat_fields_sparse
+from oracles import darcy_field_augmented, heat_fields_dct, heat_fields_sparse
 
 
 class TestRational:
@@ -147,10 +150,28 @@ class TestHeatEigenbasisSolve:
             assert fields[f"field_t{tm:g}"].shape == ref.shape == (cfg.ny, cfg.nx)
             assert np.abs(fields[f"field_t{tm:g}"] - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("cfg,times", EIGENBASIS_GRIDS)
+    @pytest.mark.parametrize("theta", [(0.25, 0.75), (0.93, 0.08)])
+    def test_matches_cosine_transform_march(self, cfg, times, theta):
+        model = HeatSource2D(cfg=cfg, measure_times=times)
+        fields = model.fields(theta)
+        reference = heat_fields_dct(model, theta, cfg)
+        # Outputs are scaled by their field's maximum: in the short-time grids the
+        # sensors far from the source read about 1e-18, below both transforms' roundoff.
+        grid = _CellGrid(cfg.nx, cfg.ny)
+        outputs = model.evaluate(theta).reshape(len(times), -1)
+        for tm, out in zip(times, outputs):
+            ref = reference[tm]
+            scale = 1e-13 * np.abs(ref).max()
+            assert np.abs(fields[f"field_t{tm:g}"] - ref).max() <= scale
+            assert np.abs(out - grid.interpolate(ref, model.sensors)).max() <= scale
+
     def test_non_finite_field_raises(self, monkeypatch):
         monkeypatch.setattr(HeatSource2D, "AMPLITUDE", np.inf)
-        with pytest.raises(SolverError, match="non-finite"):
-            HeatSource2D().evaluate([0.5, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match="non-finite"):
+                HeatSource2D().evaluate([0.5, 0.5])
 
 
 class TestDarcy:
@@ -160,7 +181,6 @@ class TestDarcy:
         return DarcyPermeability2D()
 
     def test_source_is_neumann_compatible(self, model):
-        from gpinv.forward_models import _CellGrid
         grid = _CellGrid(32, 32)
         q = model.source_field(grid)
         assert abs(q.sum() * grid.dx * grid.dy) < 1e-10
@@ -198,7 +218,7 @@ class TestDarcy:
         def singular(matrix):
             raise RuntimeError("Factor is exactly singular")
 
-        monkeypatch.setattr("gpinv.forward_models.splu", singular)
+        monkeypatch.setattr("scipy.sparse.linalg.splu", singular)
         with pytest.raises(SolverError, match="singular"):
             model.evaluate(PERMEABILITY_THETA_TRUE)
 

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
+from gpinv import likelihood
 from gpinv.gp import GpEnsemble, HyperParams, TrainingSet, fit_single
 from gpinv.likelihood import (
     DENSITY_BLOCK,
@@ -79,6 +82,29 @@ def small_ensemble(seed=0, n=6, p=2, q=2, n_psi=5):
     psis = [HyperParams(rng.uniform(0.5, 2), rng.uniform(0.3, 1.5, p)).as_vector()
             for _ in range(n_psi)]
     return GpEnsemble(tr, psis), rng
+
+
+LOGSUMEXP_CASES = {
+    "normal": np.random.default_rng(3).normal(0.0, 30.0, (7, 5)),
+    "-inf entries": np.array([[0.0, -np.inf, 2.5], [-np.inf, -np.inf, 1.0], [-3.0, 4.0, -np.inf]]),
+    "-inf column": np.array([[1.0, -np.inf], [2.0, -np.inf], [-1.0, -np.inf]]),  # axis 0: -inf
+    "near 1e300": np.array([[1e300, 1e300 * (1 - 1e-15)], [-1e300, 0.0], [9e299, -9e299]]),
+}
+
+
+class TestLogsumexp:
+    """The library's max-shifted logsumexp against scipy.special.logsumexp."""
+
+    @pytest.mark.parametrize("axis", [None, 0, 1])
+    @pytest.mark.parametrize("case", sorted(LOGSUMEXP_CASES))
+    def test_matches_scipy(self, case, axis):
+        a = LOGSUMEXP_CASES[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = likelihood.logsumexp(a, axis=axis)
+        expected = logsumexp(a, axis=axis)
+        assert np.shape(got) == np.shape(expected)
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
 
 
 class TestMeasurementModel:
