@@ -14,7 +14,10 @@ objective value.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import logging
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -186,8 +189,8 @@ class _LbfgsbStart:
     The settings and the loop are those of scipy's `_minimize_lbfgsb` with
     ftol=STEP_TOL and gtol=GRAD_TOL, so a start takes the same iterates as
     `minimize(method="L-BFGS-B")` given the same objective values. `setulb`
-    is scipy's `_lbfgsb.setulb`, passed in so that scipy.optimize loads only
-    when an ascent starts.
+    is scipy's `_lbfgsb.setulb`, passed in by the driver, which loads that
+    one extension module when an ascent starts (see `_load_lbfgsb`).
     """
 
     MAXCOR, MAXLS, MAXFUN, MAXITER = 10, 20, 15000, 500
@@ -239,6 +242,33 @@ class _LbfgsbStart:
                 return False
 
 
+def _load_lbfgsb():
+    """scipy's compiled L-BFGS-B module, `scipy.optimize._lbfgsb`, loaded alone.
+
+    Importing it through the package would run `scipy.optimize.__init__`,
+    which loads some 300 modules (linalg, sparse, special, ...) that setulb
+    never calls. The extension file is found in scipy's directory without
+    importing scipy, and the module is registered under its own name, so a
+    later `import scipy.optimize` reuses this same module object.
+    """
+    name = "scipy.optimize._lbfgsb"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("scipy is not installed", name=name)
+    directory = f"{scipy.submodule_search_locations[0]}/optimize"
+    finder = importlib.machinery.FileFinder(
+        directory, (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec(name)
+    if spec is None:
+        raise ImportError(f"no _lbfgsb extension module in {directory}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 def multistart_maximize_batch(values_and_grads, starts: np.ndarray, box: DesignBox) -> AcquisitionResult:
     """Bound-constrained quasi-Newton ascent from every start, best result wins.
 
@@ -252,8 +282,7 @@ def multistart_maximize_batch(values_and_grads, starts: np.ndarray, box: DesignB
     maximum whose gradient is already near zero. `degraded=True` flags that
     no start converged.
     """
-    from scipy.optimize import _lbfgsb
-
+    setulb = _load_lbfgsb().setulb
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     if starts.shape[0] < 1:
         raise ValueError("need at least one start")
@@ -264,7 +293,7 @@ def multistart_maximize_batch(values_and_grads, starts: np.ndarray, box: DesignB
         values, grads = values_and_grads(X)
         return -np.asarray(values, dtype=float), -np.asarray(grads, dtype=float)
 
-    runs = [_LbfgsbStart(x0, float(f), g, box, _lbfgsb.setulb)
+    runs = [_LbfgsbStart(x0, float(f), g, box, setulb)
             for x0, f, g in zip(starts, *negated(starts.copy()))]
     pending = [run for run in runs if run.advance()]
     while pending:

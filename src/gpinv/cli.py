@@ -9,6 +9,8 @@ listing each output file and its content hash; reruns with the same seed
 reproduce the same hashes (timings.csv is the one explicitly volatile file).
 
 Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure.
+Every command writes its files before it prints, so a standard output that
+the reader has closed still exits 0, without a traceback.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import functools
 import hashlib
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -263,11 +266,11 @@ def cmd_hpd(args) -> int:
         summary = hpd_region(data, alpha=args.alpha)
     except ValueError as exc:
         raise UsageError(f"--samples {path}: {exc}") from exc
-    for name, lo, hi in zip(header, summary.lower, summary.upper):
-        print(f"{name}: [{lo:.6g}, {hi:.6g}]")
     if out is not None:
         out.parent.mkdir(parents=True, exist_ok=True)
         write_csv(out, ["lower", "upper"], np.column_stack([summary.lower, summary.upper]))
+    for name, lo, hi in zip(header, summary.lower, summary.upper):
+        print(f"{name}: [{lo:.6g}, {hi:.6g}]")
     return 0
 
 
@@ -474,7 +477,14 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of standard output has gone after the files were written.
+        # Send what is still buffered to devnull so the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

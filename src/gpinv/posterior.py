@@ -127,6 +127,8 @@ def hpd_region(samples: PosteriorSampleSet | np.ndarray, alpha: float = 0.05) ->
         raise ValueError(f"need at least 100 samples, got {values.shape[0]}")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("samples must all be finite")
     bounds = np.array([shortest_interval(values[:, j], 1.0 - alpha) for j in range(values.shape[1])])
     return HpdSummary(alpha=alpha, lower=bounds[:, 0], upper=bounds[:, 1])
 

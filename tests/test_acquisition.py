@@ -1,3 +1,10 @@
+import importlib.machinery
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -298,6 +305,36 @@ class TestLockstepDriver:
             np.testing.assert_array_equal(opt.theta, x)
             assert opt.value == value
             assert opt.converged == success
+
+    def test_ascent_loads_only_the_lbfgsb_extension(self):
+        code = """
+import sys
+import numpy as np
+from gpinv.acquisition import multistart_maximize_batch
+from gpinv.designs import DesignBox
+box = DesignBox([-1.0, -1.0], [1.0, 1.0])
+result = multistart_maximize_batch(lambda X: (-((X - 0.3) ** 2).sum(axis=1), -2.0 * (X - 0.3)),
+                                   np.array([[0.9, -0.9], [-0.5, 0.5]]), box)
+assert np.allclose(result.theta, 0.3), result.theta
+print(sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy.")))
+loaded = sys.modules["scipy.optimize._lbfgsb"]
+from scipy.optimize import _lbfgsb, minimize
+assert _lbfgsb is loaded and sys.modules["scipy.optimize._lbfgsb"] is loaded
+res = minimize(lambda x: ((x - 0.3) ** 2).sum(), [0.9, -0.9], method="L-BFGS-B")
+assert res.success and np.allclose(res.x, 0.3, atol=1e-6), res
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(acq.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "['scipy.optimize._lbfgsb']"
+
+    def test_missing_extension_is_an_import_error(self, tmp_path, monkeypatch):
+        monkeypatch.delitem(sys.modules, "scipy.optimize._lbfgsb", raising=False)
+        spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        spec.submodule_search_locations.append(str(tmp_path))
+        monkeypatch.setattr(acq.importlib.util, "find_spec", lambda name: spec)
+        with pytest.raises(ImportError, match=re.escape(str(tmp_path / "optimize"))):
+            acq._load_lbfgsb()
 
 
 class TestMultistartMaximize:

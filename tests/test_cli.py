@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -346,6 +349,18 @@ class TestErrors:
         assert main(["hpd", "--samples", str(samples), "--alpha", alpha]) == 2
         assert option in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_hpd_non_finite_samples_are_a_usage_error(self, bad, tmp_path, capsys):
+        samples = tmp_path / "samples.csv"
+        values = [str(v) for v in range(200)]
+        values[17] = bad
+        samples.write_text("theta_1\n" + "\n".join(values) + "\n")
+        out = tmp_path / "h.csv"
+        assert main(["hpd", "--samples", str(samples), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--samples" in err and "finite" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, target", [
         (["run-adaptive", "--config", "CFG"], "file"),
         (["sample-posterior", "--config", "CFG", "--likelihood", "true", "--n", "10"], "file"),
@@ -364,6 +379,40 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "--out" in err and "Traceback" not in err
         assert sorted(tmp_path.rglob("*")) == before
+
+
+class TestClosedStdout:
+    """A reader that has already exited: the command still writes its files and exits 0."""
+
+    @staticmethod
+    def run(argv, unbuffered):
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(gpinv.cli.__file__).parents[1])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            return subprocess.run([sys.executable, "-m", "gpinv.cli", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(write_end)
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_gen_design(self, unbuffered, tmp_path):
+        out = tmp_path / "x.csv"
+        done = self.run(["gen-design", "--bounds", "0,1 0,1", "--n", "4", "--out", str(out)], unbuffered)
+        assert done.returncode == 0 and done.stderr == ""
+        assert read_csv(out)[1].shape == (4, 2)
+
+    def test_hpd_still_writes_out(self, tmp_path, capsys):
+        samples = tmp_path / "samples.csv"
+        write_csv(samples, ["theta_1"], np.random.default_rng(3).normal(size=(500, 1)))
+        argv = ["hpd", "--samples", str(samples), "--out"]
+        assert main(argv + [str(tmp_path / "open.csv")]) == 0
+        done = self.run(argv + [str(tmp_path / "closed.csv")], unbuffered=True)
+        assert done.returncode == 0 and done.stderr == ""
+        assert (tmp_path / "closed.csv").read_bytes() == (tmp_path / "open.csv").read_bytes()
 
 
 def test_readme_recipes_parse():

@@ -104,6 +104,13 @@ class TestHpdRegion:
         with pytest.raises(ValueError, match="100"):
             hpd_region(np.random.default_rng(0).random((50, 1)), 0.05)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        samples = np.random.default_rng(2).random((200, 2))
+        samples[17, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            hpd_region(samples, 0.05)
+
     def test_one_d_vector_is_one_column(self):
         values = np.random.default_rng(10).normal(size=5_000)
         flat, column = hpd_region(values, 0.05), hpd_region(values[:, None], 0.05)
