@@ -129,15 +129,12 @@ def screen_acquisition(state: AcquisitionState) -> tuple[np.ndarray, np.ndarray]
 def _misfit_grads_batch(thetas: np.ndarray, ens: GpEnsemble, meas: MeasurementModel):
     """Per-member surrogate misfits (J, B) and their gradients (J, p, B) at each row.
 
-    With resid = zt - m and den = a + V from `member_misfits`, dg/dm = -2 resid / den
-    and dg/dV = -sum_q resid^2 / den^2; the ensemble's pullback carries them to theta.
+    `member_misfits` leaves dg/dm in place over the predicted means and returns
+    dg/dV; the ensemble's pullback carries both to theta.
     """
     means, var, pullback = ens.predict_with_pullback(thetas)
-    g, resid, den = member_misfits(means, var, ens.training, meas)       # (J, B), (J, q, B) x2
-    resid /= den
-    coeff_var = -np.sum(np.square(resid), axis=-2)
-    resid *= -2.0
-    return g, pullback(resid, coeff_var)
+    g, _, coeff_var = member_misfits(means, var, ens.training, meas, grads=True)
+    return g, pullback(means, coeff_var)
 
 
 def expected_improvement_smoothed_batch(thetas: np.ndarray, state: AcquisitionState

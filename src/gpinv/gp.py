@@ -331,15 +331,23 @@ class GpEnsemble:
 
     def _cross(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The predictive step at each row of thetas, rows last: cross-covariances
-        c (J, n, B), normalized means W^T c (J, q, B) and L^-1 c (J, n, B)."""
+        c (J, n, B), normalized means W^T c (J, q, B) and L^-1 c (J, n, B).
+
+        The means are a view of an outputs-major (q, J, B) buffer, so each
+        output's plane means[:, k, :] is one contiguous (J, B) array."""
         c = _se_cov(self.training.inputs, thetas, self._sigma2, self._inv_l2)
-        return c, self._weights.transpose(0, 2, 1) @ c, _forward_subst(self._L, c)
+        J, q, B = self._weights.shape[0], self._weights.shape[2], c.shape[2]
+        means = np.empty((q, J, B)).transpose(1, 0, 2)
+        np.matmul(self._weights.transpose(0, 2, 1), c, out=means)
+        return c, means, _forward_subst(self._L, c)
 
     def predict_batch(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Normalized predictive means (J, q, B) and variances (J, B) at each row.
 
         mean = c^T C^-1 y from the stored weights, variance =
-        sigma_c^2 - |L^-1 c|^2 from the Cholesky factor.
+        sigma_c^2 - |L^-1 c|^2 from the Cholesky factor. The means are laid
+        out outputs-major (see `_cross`): a (J, q, B) view whose per-output
+        (J, B) planes are contiguous.
         """
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         _, means, half = self._cross(thetas)

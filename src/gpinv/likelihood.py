@@ -16,8 +16,9 @@ import numpy as np
 
 from .gp import GpEnsemble, TrainingSet
 
-# Rows per predict call in d_restricted_loglik_batch: temporaries grow with
-# rows x members x outputs, and a posterior's start-up pool scores thousands.
+# Rows per predict call in d_restricted_loglik_batch: the predictive means
+# grow with rows x members x outputs, and a posterior's start-up pool scores
+# thousands; the misfit kernel itself adds only (members, rows) buffers.
 DENSITY_BLOCK = 100
 
 
@@ -55,23 +56,47 @@ def _misfit_batch(thetas: np.ndarray, ens: GpEnsemble, meas: MeasurementModel) -
 
 
 def member_misfits(means_norm: np.ndarray, var_norm: np.ndarray, training: TrainingSet,
-                   meas: MeasurementModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                   meas: MeasurementModel, *, log_den: bool = False, grads: bool = False
+                   ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Surrogate misfits of ensemble members from their normalized predictions.
 
     With zt = (z - mu) / s and a = noise_var / v per output (mu, s^2 = v the
     output normalization), a member with mean m and variance V has
     g = sum_q (zt - m)^2 / (a + V), equal to the raw-scale
     sum_q (z - f)^2 / (noise_var + V v). `means_norm` is (..., q, B), outputs
-    on the second-last axis, and `var_norm` (..., B). The residual zt - m is
-    formed in place over `means_norm`, so pass fresh predictions.
-    Returns (g (..., B), zt - m, a + V), the last two shaped like `means_norm`.
+    on the second-last axis, and `var_norm` (..., B). The sum runs one output
+    plane `means_norm[..., k, :]` at a time, in output order, and overwrites
+    each plane, so pass fresh predictions; planes are fastest contiguous, as
+    `GpEnsemble.predict_batch` lays them out.
+
+    Returns (g, sum_q log(a + V) if `log_den` else None, dg/dV if `grads`
+    else None), each shaped like `var_norm`. With `grads` the planes are left
+    holding dg/dm = -2 (zt - m) / (a + V), and dg/dV = -sum_q ((zt - m) / (a + V))^2.
     """
+    q = means_norm.shape[-2]
+    if meas.n_outputs != q:
+        raise ValueError(f"the measurement has {meas.n_outputs} outputs but the "
+                         f"emulator predicts {q}")
     zt = (meas.z - training.out_means) / np.sqrt(training.out_vars)
-    resid = np.subtract(zt[:, None], means_norm, out=means_norm)
-    den = (meas.noise_vars / training.out_vars)[:, None] + var_norm[..., None, :]
-    terms = np.square(resid)
-    terms /= den
-    return terms.sum(axis=-2), resid, den
+    a = meas.noise_vars / training.out_vars
+    shape = var_norm.shape
+    g = np.zeros(shape)
+    log_sum = np.zeros(shape) if log_den else None
+    coeff_var = np.zeros(shape) if grads else None
+    den, term = np.empty(shape), np.empty(shape)
+    for k in range(q):
+        resid = np.subtract(zt[k], means_norm[..., k, :], out=means_norm[..., k, :])
+        np.add(a[k], var_norm, out=den)
+        np.square(resid, out=term)
+        term /= den
+        g += term
+        if grads:
+            resid /= den
+            coeff_var -= np.square(resid, out=term)
+            resid *= -2.0
+        if log_den:
+            log_sum += np.log(den, out=den)
+    return g, log_sum, coeff_var
 
 
 def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray:
@@ -103,8 +128,9 @@ def d_restricted_loglik_batch(thetas: np.ndarray, ens: GpEnsemble, meas: Measure
     out = np.empty(thetas.shape[0])
     for lo in range(0, thetas.shape[0], DENSITY_BLOCK):
         block = thetas[lo:lo + DENSITY_BLOCK]
-        g, _, den = member_misfits(*ens.predict_batch(block), ens.training, meas)  # (J, B)
-        log_k = log_norm - 0.5 * np.log(den, out=den).sum(axis=1)                  # (J, B)
+        g, log_den, _ = member_misfits(*ens.predict_batch(block), ens.training, meas,
+                                       log_den=True)                             # (J, B) x2
+        log_k = log_norm - 0.5 * log_den                                          # (J, B)
         g_star = np.min(g, axis=0)
         body = logsumexp(log_k - 0.5 * (g - g_star), axis=0)
         out[lo:lo + DENSITY_BLOCK] = -0.5 * g_star + body - np.log(g.shape[0])

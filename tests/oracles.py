@@ -51,7 +51,6 @@ from gpinv.likelihood import (
     _misfit_batch,
     d_restricted_loglik_batch,
     loglik_of_outputs,
-    member_misfits,
     misfit_of_outputs,
 )
 from gpinv.mcmc import LogProb, run_chain
@@ -85,8 +84,10 @@ def pred_grad(ens: GpEnsemble, theta: np.ndarray):
 def misfits_and_grads(ens: GpEnsemble, meas: MeasurementModel, theta: np.ndarray):
     """Per-member surrogate misfits (J,) and their gradients (J, p) at theta."""
     m_norm, V_norm, dm, dV = pred_grad(ens, theta)
-    g, resid, den = member_misfits(m_norm[:, :, None], V_norm[:, None], ens.training, meas)
-    g, resid, den = g[:, 0], resid[:, :, 0], den[:, :, 0]
+    tr = ens.training
+    resid = (meas.z - tr.out_means) / np.sqrt(tr.out_vars) - m_norm  # (J, q)
+    den = meas.noise_vars / tr.out_vars + V_norm[:, None]              # (J, q)
+    g = np.sum(resid**2 / den, axis=1)
     coeff_mean = -2.0 * resid / den                          # (J, q)
     coeff_var = -np.sum(resid**2 / den**2, axis=1)           # (J,)
     grad = (coeff_mean[:, None, :] @ dm)[:, 0, :] + coeff_var[:, None] * dV

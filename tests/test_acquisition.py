@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +218,21 @@ class TestGradGpMisfit:
             g_ref, dg_ref = misfits_and_grads(state.ensemble, state.meas, theta)
             np.testing.assert_allclose(g_row, g_ref, rtol=1e-12)
             np.testing.assert_allclose(dg_row, dg_ref, rtol=1e-9, atol=1e-12 * np.abs(dg_ref).max())
+
+    def test_block_allocates_one_means_array(self):
+        # At the heat protocol's scale one block's means take 0.44 MiB; a kernel
+        # that builds (J, q, B) residual, denominator or coefficient arrays
+        # besides the means peaks above the bound.
+        state, rng = make_state(seed=19, n=12, q=18, n_psi=200)
+        thetas = rng.uniform(-1, 1, (acq.SCREEN_BLOCK, 2))
+        acq._misfit_grads_batch(thetas, state.ensemble, state.meas)
+        tracemalloc.start()
+        try:
+            acq._misfit_grads_batch(thetas, state.ensemble, state.meas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.0 * 2**20
 
     def test_single_point_symbolic_oracle(self):
         # One training point at the origin with identity normalization:

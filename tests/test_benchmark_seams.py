@@ -7,9 +7,13 @@ import ast
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 import gpinv.gp
 from gpinv.experiments import load_experiment
 from gpinv.forward_models import HeatSource2D, Rational1D
+from gpinv.gp import GpEnsemble, TrainingSet
+from gpinv.likelihood import MeasurementModel, d_restricted_loglik_batch
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -24,6 +28,23 @@ def test_benchmark_imports_and_patches_resolve(monkeypatch):
     with tracing.Tracer().installed(Rational1D()):
         assert gpinv.gp.GpEnsemble.predict_batch is not original
     assert gpinv.gp.GpEnsemble.predict_batch is original
+
+
+def test_benchmark_sees_prediction_inside_the_density(monkeypatch):
+    """gp.predict and lik.surrogate.self_s split the surrogate density's time
+    only while d_restricted_loglik_batch predicts through GpEnsemble.predict_batch."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    rng = np.random.default_rng(0)
+    training = TrainingSet.from_data(rng.uniform(-1, 1, (6, 2)), rng.normal(0, 1, (6, 3)))
+    ens = GpEnsemble(training, [[1.0, 0.5, 0.7], [1.3, 0.9, 0.4]])
+    meas = MeasurementModel(rng.normal(0, 1, 3), np.full(3, 0.1))
+    tracer = tracing.Tracer()
+    with tracer.installed(Rational1D()):
+        d_restricted_loglik_batch(rng.uniform(-1, 1, (5, 2)), ens, meas)
+    rows = [span[tracing.ATTRS]["rows"] for span in tracer.spans if span[tracing.NAME] == "gp.predict"]
+    assert sum(rows) > 0
 
 
 def test_benchmark_wraps_heat_model_solves(monkeypatch):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -170,10 +171,41 @@ class TestMemberMisfitKernel:
         meas = MeasurementModel(rng.normal(0, 1, tr.n_outputs), rng.uniform(0.05, 0.5, tr.n_outputs))
         means, variances = ens.predict_batch(rng.uniform(-1, 1, (9, tr.input_dim)))
         expected, _ = raw_scale_misfits(means.transpose(2, 0, 1), variances.T, tr, meas)
-        g, resid, den = member_misfits(means, variances, tr, meas)
-        g, resid, den = g.T, resid.transpose(2, 0, 1), den.transpose(2, 0, 1)
-        assert g.shape == (9, 6) and resid.shape == den.shape == (9, 6, 3)
-        np.testing.assert_allclose(g, expected, rtol=1e-12)
+        # The ensemble's outputs-major means and the same values C-contiguous
+        # (J, q, B), whose output planes are strided: one kernel for both.
+        rows_last = np.ascontiguousarray(means)
+        assert not means.flags.c_contiguous and rows_last.flags.c_contiguous
+        g = member_misfits(means, variances, tr, meas)[0]
+        assert g.shape == (6, 9)
+        np.testing.assert_allclose(g.T, expected, rtol=1e-12)
+        np.testing.assert_array_equal(member_misfits(rows_last, variances, tr, meas)[0], g)
+
+    @pytest.mark.parametrize("n_meas", [1, 2])
+    def test_measurement_with_other_output_count_rejected(self, n_meas):
+        ens, rng = small_ensemble(seed=12, n=7, q=3, n_psi=6)
+        meas = MeasurementModel(rng.normal(0, 1, n_meas), np.full(n_meas, 0.1))
+        thetas = rng.uniform(-1, 1, (4, ens.training.input_dim))
+        message = f"measurement has {n_meas} outputs but the emulator predicts 3"
+        with pytest.raises(ValueError, match=message):
+            d_restricted_loglik_batch(thetas, ens, meas)
+        with pytest.raises(ValueError, match=message):
+            member_misfits(*ens.predict_batch(thetas), ens.training, meas)
+
+    def test_density_block_allocates_one_means_array(self):
+        # At the heat protocol's scale one block's means take 2.75 MiB and its
+        # cross-covariances 1.83 MiB; a kernel that builds (J, q, B) residual,
+        # denominator or term arrays besides the means peaks above the bound.
+        ens, rng = small_ensemble(seed=13, n=12, q=18, n_psi=200)
+        meas = MeasurementModel(rng.normal(0, 1, 18), np.full(18, 0.1))
+        thetas = rng.uniform(-1, 1, (DENSITY_BLOCK, ens.training.input_dim))
+        d_restricted_loglik_batch(thetas, ens, meas)
+        tracemalloc.start()
+        try:
+            d_restricted_loglik_batch(thetas, ens, meas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.5 * 2**20
 
     def test_d_restricted_batch_matches_raw_scale_oracle(self):
         ens, rng = small_ensemble(seed=9, n=7, q=3, n_psi=6)
