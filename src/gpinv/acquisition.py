@@ -62,7 +62,9 @@ def smoothed_pos(x, eta: float):
     if np.any(mid):
         xm = np.where(mid, x, 0.0)
         value = np.where(mid, xm**3 / eta**2 - xm**4 / (2.0 * eta**3), value)
-        deriv = np.where(mid, 3.0 * xm**2 / eta**2 - 2.0 * xm**3 / eta**3, deriv)
+        # The ramp's slope rounds to 1 + 1 ulp just below eta; keep it in [0, 1].
+        ramp = np.minimum(3.0 * xm**2 / eta**2 - 2.0 * xm**3 / eta**3, 1.0)
+        deriv = np.where(mid, ramp, deriv)
     if value.ndim == 0:
         return float(value), float(deriv)
     return value, deriv
@@ -247,6 +249,12 @@ def _load_lbfgsb():
     never calls. The extension file is found in scipy's directory without
     importing scipy, and the module is registered under its own name, so a
     later `import scipy.optimize` reuses this same module object.
+
+    That later import leaves the package attribute `scipy.optimize._lbfgsb`
+    unbound: the import system binds a submodule to its package only when it
+    loads the submodule itself. `from scipy.optimize import _lbfgsb`, the
+    form scipy's own `minimize(method="L-BFGS-B")` uses, falls back to
+    `sys.modules` and returns this module.
     """
     name = "scipy.optimize._lbfgsb"
     if name in sys.modules:

@@ -136,9 +136,13 @@ class TrainingSet:
 
 def _se_cov(A: np.ndarray, B: np.ndarray, sigma2: np.ndarray, inv_l2: np.ndarray) -> np.ndarray:
     """(J, |A|, |B|) squared-exponential covariances between the rows of A and B,
-    one slab per row of sigma2 (J,) and inv_l2 = 1/l^2 (J, p)."""
+    one slab per row of sigma2 (J,) and inv_l2 = 1/l^2 (J, p).
+
+    The result is a view of a rows-major (|A|, J, |B|) buffer: the plane
+    K[:, i, :] of each row of A is one contiguous (J, |B|) array, so a
+    substitution over the rows of A reads and writes whole planes."""
     diff2 = (A[:, None, :] - B[None, :, :]) ** 2  # (|A|, |B|, p)
-    K = (inv_l2 @ diff2.reshape(-1, diff2.shape[2]).T).reshape(-1, *diff2.shape[:2])
+    K = np.matmul(inv_l2, diff2.transpose(0, 2, 1)).transpose(1, 0, 2)
     np.exp(np.negative(K, out=K), out=K)
     K *= sigma2[:, None, None]
     return K
@@ -256,14 +260,17 @@ def _lml_batch(training: TrainingSet, Psi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _forward_subst(L: np.ndarray, R: np.ndarray) -> np.ndarray:
+def _forward_subst(L: np.ndarray, R: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Solve L X = R for a stack of lower-triangular factors L (..., n, n).
 
     R is (..., n, k) and broadcasts against the stack. Row i of X comes from
     rows 0..i-1 by one stacked matmul, so the loop runs n times whatever the
-    stack size.
+    stack size. X is written into `out` when given, in any layout; `out=R`
+    solves in place, since row i reads R[..., i, :] before it writes that row.
     """
-    X = np.empty(np.broadcast_shapes(L.shape[:-2], R.shape[:-2]) + R.shape[-2:])
+    X = out
+    if X is None:
+        X = np.empty(np.broadcast_shapes(L.shape[:-2], R.shape[:-2]) + R.shape[-2:])
     for i in range(L.shape[-1]):
         known = (L[..., i:i + 1, :i] @ X[..., :i, :])[..., 0, :]
         X[..., i, :] = (R[..., i, :] - known) / L[..., i, i, None]
@@ -317,7 +324,9 @@ class GpEnsemble:
         self._sigma2 = hyperparams[:, 0] ** 2
         self._inv_l2 = 1.0 / hyperparams[:, 1:] ** 2
         self._L = L
-        self._weights = _back_subst(L, _forward_subst(L, training.scaled_outputs))
+        # Contiguous, unlike the reversed view _back_subst returns: a negative
+        # stride keeps matmul off BLAS for W^T c and the pullback's W coeff_mean.
+        self._weights = np.ascontiguousarray(_back_subst(L, _forward_subst(L, training.scaled_outputs)))
         self.jitter_shifts = shift
         self.sweeps = 0
         escalated = int(np.count_nonzero(shift > BASE_JITTER * self._sigma2))
@@ -329,17 +338,20 @@ class GpEnsemble:
     def n_psi(self) -> int:
         return self.hyperparams.shape[0]
 
-    def _cross(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The predictive step at each row of thetas, rows last: cross-covariances
-        c (J, n, B), normalized means W^T c (J, q, B) and L^-1 c (J, n, B).
+    def _cross(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The cross-covariances c (J, n, B) and normalized means W^T c (J, q, B)
+        at each row of thetas, rows last.
 
-        The means are a view of an outputs-major (q, J, B) buffer, so each
-        output's plane means[:, k, :] is one contiguous (J, B) array."""
+        c is a view of a rows-major (n, J, B) buffer (see `_se_cov`), so the
+        substitution L^-1 c reads and writes one contiguous (J, B) plane per
+        design point. The means are a view of an outputs-major (q, J, B)
+        buffer, so each output's plane means[:, k, :] is one contiguous (J, B)
+        array."""
         c = _se_cov(self.training.inputs, thetas, self._sigma2, self._inv_l2)
         J, q, B = self._weights.shape[0], self._weights.shape[2], c.shape[2]
         means = np.empty((q, J, B)).transpose(1, 0, 2)
         np.matmul(self._weights.transpose(0, 2, 1), c, out=means)
-        return c, means, _forward_subst(self._L, c)
+        return c, means
 
     def predict_batch(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Normalized predictive means (J, q, B) and variances (J, B) at each row.
@@ -347,11 +359,12 @@ class GpEnsemble:
         mean = c^T C^-1 y from the stored weights, variance =
         sigma_c^2 - |L^-1 c|^2 from the Cholesky factor. The means are laid
         out outputs-major (see `_cross`): a (J, q, B) view whose per-output
-        (J, B) planes are contiguous.
+        (J, B) planes are contiguous. L^-1 c is solved in place over c, which
+        nothing reads afterwards, so a block holds two large arrays, not three.
         """
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        _, means, half = self._cross(thetas)
-        return means, self._variances(half)
+        c, means = self._cross(thetas)
+        return means, self._variances(_forward_subst(self._L, c, out=c))
 
     def _variances(self, half: np.ndarray) -> np.ndarray:
         """sigma_c^2 - |L^-1 c|^2 per member and row, clamped at 0; squares `half` in place."""
@@ -370,10 +383,14 @@ class GpEnsemble:
         dc_n/dtheta = -2 inv_l2 * (theta - x_n) c_n, the gradient is
         -2 inv_l2 * (theta sum_n w - X^T w): two small products, no
         (J, B, p, q) tensor of mean derivatives. C^-1 c takes one more
-        (backward) substitution.
+        (backward) substitution. The pullback needs c, so L^-1 c goes into a
+        buffer of c's rows-major layout: the substitution then runs the same
+        products as `predict_batch`'s in-place one, and the means and
+        variances are bit-identical to `predict_batch`'s.
         """
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        c, means, half = self._cross(thetas)
+        c, means = self._cross(thetas)
+        half = _forward_subst(self._L, c, out=np.empty_like(c))
         cinv_c = _back_subst(self._L, half)
         var = self._variances(half)
 

@@ -16,9 +16,11 @@ import numpy as np
 
 from .gp import GpEnsemble, TrainingSet
 
-# Rows per predict call in d_restricted_loglik_batch: the predictive means
-# grow with rows x members x outputs, and a posterior's start-up pool scores
-# thousands; the misfit kernel itself adds only (members, rows) buffers.
+# Rows per predict call in d_restricted_loglik_batch: a block holds the
+# predictive means (members x outputs x rows) and the cross-covariances
+# (members x design points x rows), which L^-1 c overwrites in place, and a
+# posterior's start-up pool scores thousands of rows; the misfit kernel
+# itself adds only (members, rows) buffers.
 DENSITY_BLOCK = 100
 
 

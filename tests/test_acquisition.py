@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize, rosen, rosen_der
 
@@ -62,6 +62,7 @@ class TestSmoothedPos:
             smoothed_pos(1.0, 0.0)
 
     @given(x=st.floats(-10, 10), eta=st.floats(1e-6, 5.0))
+    @example(x=1e-6, eta=1.0000000000000002e-6)  # the ramp's slope rounded to 1 + 1 ulp
     @settings(max_examples=500, deadline=None)
     def test_sandwich_property(self, x, eta):
         value, deriv = smoothed_pos(x, eta)
@@ -343,6 +344,31 @@ assert res.success and np.allclose(res.x, 0.3, atol=1e-6), res
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "['scipy.optimize._lbfgsb']"
+
+    def test_package_import_after_an_ascent_leaves_the_attribute_unbound(self):
+        # The import system binds a submodule as a package attribute only when
+        # it loads the submodule itself; scipy's own L-BFGS-B reaches the
+        # shared module through `from . import _lbfgsb`, which still works.
+        code = """
+import sys
+import numpy as np
+from gpinv.acquisition import multistart_maximize_batch
+from gpinv.designs import DesignBox
+box = DesignBox([-1.0, -1.0], [1.0, 1.0])
+multistart_maximize_batch(lambda X: (-((X - 0.3) ** 2).sum(axis=1), -2.0 * (X - 0.3)),
+                          np.array([[0.9, -0.9]]), box)
+loaded = sys.modules["scipy.optimize._lbfgsb"]
+import scipy.optimize
+assert "_lbfgsb" not in vars(scipy.optimize)
+res = scipy.optimize.minimize(lambda x: ((x - 0.3) ** 2).sum(), [0.9, -0.9], method="L-BFGS-B")
+assert res.success and np.allclose(res.x, 0.3, atol=1e-6), res
+from scipy.optimize import _lbfgsb
+assert _lbfgsb is loaded
+assert "_lbfgsb" not in vars(scipy.optimize)
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(acq.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
 
     def test_missing_extension_is_an_import_error(self, tmp_path, monkeypatch):
         monkeypatch.delitem(sys.modules, "scipy.optimize._lbfgsb", raising=False)

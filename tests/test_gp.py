@@ -407,10 +407,28 @@ class TestTriangularSolves:
     def test_right_hand_side_broadcasts_over_stack(self, factors):
         L, rng = factors
         R = rng.normal(0, 1, (L.shape[1], 2))
+        kept = R.copy()
         X = _forward_subst(L, R)
         assert X.shape == (L.shape[0],) + R.shape
         for Lj, Xj in zip(L, X):
             assert_normwise_close(Xj, solve_triangular(Lj, R, lower=True))
+        # The default output is a fresh stack; the shared right-hand side is not touched.
+        np.testing.assert_array_equal(R, kept)
+        assert not np.shares_memory(X, R)
+        np.testing.assert_array_equal(X, _forward_subst(L, np.broadcast_to(R, X.shape).copy()))
+
+    @pytest.mark.parametrize("layout", ["members-major", "rows-major"])
+    def test_in_place_solve_matches_default_output(self, factors, layout):
+        # Rows-major is the layout of the cross-covariances (n, J, B) that
+        # predict_batch substitutes over in place.
+        L, rng = factors
+        R = rng.normal(0, 1, (L.shape[0], L.shape[1], 5))
+        if layout == "rows-major":
+            R = np.ascontiguousarray(R.transpose(1, 0, 2)).transpose(1, 0, 2)
+        expected = _forward_subst(L, R)
+        X = _forward_subst(L, R, out=R)
+        assert X is R
+        np.testing.assert_array_equal(X, expected)
 
 
 def test_predict_batch_matches_scalar_predict_per_member():
@@ -427,6 +445,23 @@ def test_predict_batch_matches_scalar_predict_per_member():
             mean, var = predict(fit, theta)
             np.testing.assert_allclose(means[b, j], mean, rtol=1e-12, atol=1e-14)
             assert variances[b, j] == pytest.approx(var, rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [4, 7, 12])
+def test_pullback_path_predicts_the_same_bits(n):
+    """predict_with_pullback keeps c and solves L^-1 c into a second buffer;
+    predict_batch solves in place over c. Both buffers must share c's
+    rows-major layout, or the substitution's products, and so the last bits
+    of the variances, differ between the two paths at small B."""
+    rng = np.random.default_rng(20 + n)
+    tr = make_training(rng, n, 2, 3)
+    ens = GpEnsemble(tr, [random_psi(rng, 2).as_vector() for _ in range(40)])
+    for B in (1, 2, 3, 16, 50):
+        thetas = rng.uniform(-2, 2, (B, 2))
+        means, variances = ens.predict_batch(thetas)
+        p_means, p_variances, _ = ens.predict_with_pullback(thetas)
+        np.testing.assert_array_equal(p_means, means)
+        np.testing.assert_array_equal(p_variances, variances)
 
 
 def test_ensemble_members_match_fit_single(monkeypatch):

@@ -207,6 +207,22 @@ class TestMemberMisfitKernel:
             tracemalloc.stop()
         assert peak < 7.5 * 2**20
 
+    def test_density_block_allocates_no_third_covariance_array(self):
+        # The cross-covariances c (1.83 MiB here) are overwritten by L^-1 c in
+        # place, so c and the means (2.75 MiB) are the only large arrays; a
+        # separate L^-1 c buffer adds another 1.83 MiB and exceeds the bound.
+        ens, rng = small_ensemble(seed=13, n=12, q=18, n_psi=200)
+        meas = MeasurementModel(rng.normal(0, 1, 18), np.full(18, 0.1))
+        thetas = rng.uniform(-1, 1, (DENSITY_BLOCK, ens.training.input_dim))
+        d_restricted_loglik_batch(thetas, ens, meas)
+        tracemalloc.start()
+        try:
+            d_restricted_loglik_batch(thetas, ens, meas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5 * 2**20
+
     def test_d_restricted_batch_matches_raw_scale_oracle(self):
         ens, rng = small_ensemble(seed=9, n=7, q=3, n_psi=6)
         tr = ens.training
