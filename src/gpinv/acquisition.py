@@ -8,7 +8,7 @@ scored in one batched call of the smoothed objective.
 The improvement at a point is the ensemble average of the positive part of
 (best misfit so far) - (that member's surrogate misfit). The hinge is
 replaced by a twice continuously differentiable ramp during optimization so
-gradient-based ascent applies; the substitution costs at most eta/2 in
+gradient-based ascent applies; the substitution costs at most ETA/2 in
 objective value.
 """
 
@@ -29,7 +29,7 @@ from .likelihood import MeasurementModel, _misfit_batch, member_misfits, misfit_
 
 log = logging.getLogger(__name__)
 
-DEFAULT_ETA = 1e-4
+ETA = 1e-4  # width of the smoothed hinge in the acquisition's ascent
 
 # Ascent stops when the projected gradient falls below GRAD_TOL or successive
 # objective values differ by less than STEP_TOL.
@@ -78,20 +78,16 @@ class AcquisitionState:
     meas: MeasurementModel
     g_min: float
     bounds: DesignBox
-    eta: float = DEFAULT_ETA
 
     def __post_init__(self):
-        if self.eta <= 0.0:
-            raise ValueError("eta must be positive")
         if self.g_min < 0.0:
             raise ValueError("g_min cannot be negative")
 
     @classmethod
-    def from_ensemble(cls, ens: GpEnsemble, meas: MeasurementModel, bounds: DesignBox,
-                      eta: float = DEFAULT_ETA) -> "AcquisitionState":
+    def from_ensemble(cls, ens: GpEnsemble, meas: MeasurementModel, bounds: DesignBox) -> "AcquisitionState":
         """Incumbent misfit computed from the stored training outputs."""
         g_min = min(misfit_of_outputs(row, meas) for row in ens.training.raw_outputs)
-        return cls(ens, meas, g_min, bounds, eta)
+        return cls(ens, meas, g_min, bounds)
 
 
 def expected_improvement(theta: np.ndarray, state: AcquisitionState) -> float:
@@ -147,7 +143,7 @@ def expected_improvement_smoothed_batch(thetas: np.ndarray, state: AcquisitionSt
     grads = np.empty(thetas.shape)
     for lo in range(0, thetas.shape[0], SCREEN_BLOCK):
         g, dg = _misfit_grads_batch(thetas[lo:lo + SCREEN_BLOCK], state.ensemble, state.meas)
-        value, slope = smoothed_pos(state.g_min - g, state.eta)
+        value, slope = smoothed_pos(state.g_min - g, ETA)
         values[lo:lo + SCREEN_BLOCK] = np.mean(value, axis=0)
         dg *= slope[:, None, :]
         grads[lo:lo + SCREEN_BLOCK] = -dg.sum(axis=0).T / g.shape[0]

@@ -40,17 +40,17 @@ EPS_THRESH = 0.01  # stop once the best expected improvement is under this fract
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
-    """Knobs for one adaptive run."""
+    """The protocol of one adaptive run; `ExperimentSpec.adaptive_config` sets it."""
 
     bounds: DesignBox
     hyper_prior: DesignBox
     initial_design: np.ndarray            # (n0, p) points inside bounds
     n_max: int                            # added-point budget (iterations)
-    n_walkers: int = 200
-    n_steps: int = 400                    # sweep cap per hyperposterior chain
-    n_starts: int = 50                    # multistart seeds: a grid in 1-D, Sobol points otherwise
-    extra_starts: int = 100               # > 0 with p >= 2: screen + second sweep before accepting a stop
-    seed: int = 0
+    n_walkers: int
+    n_steps: int                          # sweep cap per hyperposterior chain
+    n_starts: int                         # multistart seeds: a grid in 1-D, Sobol points otherwise
+    extra_starts: int                     # > 0 with p >= 2: screen + second sweep before accepting a stop
+    seed: int
 
     def __post_init__(self):
         if self.hyper_prior.dim != self.bounds.dim + 1:
@@ -58,6 +58,8 @@ class AdaptiveConfig:
                              f"{self.bounds.dim + 1} (sigma_c and one length scale per parameter)")
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
+        if self.n_steps < 1:
+            raise ValueError(f"n_steps must be at least 1, got {self.n_steps}")
         if self.n_starts < 1:
             raise ValueError(f"n_starts must be at least 1, got {self.n_starts}")
         if self.extra_starts < 0:

@@ -5,8 +5,8 @@ samples with either likelihood, summarize samples into HPD boxes, reproduce
 the multi-run design comparison (with each surrogate posterior's grid distance
 from the true one), generate space-filling designs, and evaluate forward
 models. Every run writes into a fresh directory with a manifest
-listing each output file and its content hash; reruns with the same seed
-reproduce the same hashes (timings.csv is the one explicitly volatile file).
+listing each file the command wrote and its content hash; reruns with the same
+seed reproduce the same hashes (timings.csv is the one explicitly volatile file).
 
 Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure.
 Every command writes its files before it prints, so a standard output that
@@ -55,17 +55,12 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(out_dir: Path, status: str = "complete") -> Path:
-    entries = []
-    for path in sorted(out_dir.iterdir()):
-        if path.name == "manifest.json" or path.is_dir():
-            continue
-        entries.append({
-            "name": path.name,
-            "bytes": path.stat().st_size,
-            "sha256": _sha256(path),
-            "volatile": path.name in VOLATILE_FILES,
-        })
+def write_manifest(out_dir: Path, names: list[str], status: str = "complete") -> Path:
+    """List the files `names` in out_dir with their sizes and hashes. Other
+    files there, such as a --force rerun's leftovers, stay unlisted."""
+    entries = [{"name": path.name, "bytes": path.stat().st_size, "sha256": _sha256(path),
+                "volatile": path.name in VOLATILE_FILES}
+               for path in sorted(out_dir / name for name in names)]
     manifest = {"schema_version": MANIFEST_SCHEMA_VERSION, "status": status, "files": entries}
     target = out_dir / "manifest.json"
     target.write_text(json.dumps(manifest, indent=1, sort_keys=True))
@@ -167,7 +162,7 @@ def _load_spec(args) -> ExperimentSpec:
     raise UsageError("provide --config FILE or --experiment NAME")
 
 
-def _write_run_outputs(out: Path, spec: ExperimentSpec, result: AdaptiveResult, meas) -> None:
+def _write_run_outputs(out: Path, spec: ExperimentSpec, result: AdaptiveResult, meas) -> list[str]:
     p = result.training.input_dim
     q = result.training.n_outputs
     write_csv(out / "design.csv",
@@ -182,6 +177,8 @@ def _write_run_outputs(out: Path, spec: ExperimentSpec, result: AdaptiveResult, 
     (out / "config_snapshot.json").write_text(json.dumps(
         {k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(spec).items()},
         indent=1, sort_keys=True))
+    return ["design.csv", "hyperposterior.csv", "measurement.csv", "record.json", "timings.csv",
+            "config_snapshot.json"]
 
 
 def cmd_run_adaptive(args) -> int:
@@ -191,9 +188,9 @@ def cmd_run_adaptive(args) -> int:
     model = spec.build_model()
     meas = spec.measurement(model)
     result = run_adaptive(model, meas, spec.adaptive_config(seed=args.seed))
-    _write_run_outputs(out, spec, result, meas)
+    written = _write_run_outputs(out, spec, result, meas)
     partial = result.record.termination in ("forward-failure", "duplicate-point")
-    write_manifest(out, status="partial" if partial else "complete")
+    write_manifest(out, written, status="partial" if partial else "complete")
     print(f"terminated: {result.record.termination}; design size {result.training.n_train}; "
           f"forward evaluations {model.n_evals}")
     print(f"outputs in {out}")
@@ -249,7 +246,7 @@ def cmd_sample_posterior(args) -> int:
     write_csv(out / "samples.csv", _theta_names(prior.dim), samples.samples)
     (out / "sampling_metadata.json").write_text(json.dumps(
         {"source": samples.source, **samples.metadata}, indent=1, sort_keys=True))
-    write_manifest(out)
+    write_manifest(out, ["samples.csv", "sampling_metadata.json"])
     print(f"{samples.n_samples} samples ({args.likelihood}) in {out}")
     return 0
 
@@ -358,9 +355,10 @@ def cmd_compare_designs(args) -> int:
     lhs_table = np.array([[r + 1, row["n_train"], row["g_min"], row["hellinger"]]
                           for r, row in enumerate(lhs_rows)])
     write_csv(out / "lhs_table.csv", ["run", "n_train", "g_min", "hellinger"], lhs_table)
-    for r, row in enumerate(adaptive_rows):
-        (out / f"record_run{r + 1:02d}.json").write_text(row["record_json"])
-    write_manifest(out)
+    records = [f"record_run{r + 1:02d}.json" for r in range(args.runs)]
+    for name, row in zip(records, adaptive_rows):
+        (out / name).write_text(row["record_json"])
+    write_manifest(out, ["adaptive_table.csv", "lhs_table.csv", *records])
     met = sum(row["threshold_met"] for row in adaptive_rows)
     print(f"{args.runs} adaptive runs: {met} met the threshold; median Hellinger distance "
           f"{np.median(table[:, -1]):.3g} adaptive, {np.median(lhs_table[:, -1]):.3g} LHS; "
@@ -402,10 +400,12 @@ def cmd_eval_model(args) -> int:
     out = _prepare_out_dir(args.out, args.force)
     outputs = model.fine_evaluate(theta) if args.fine else model.evaluate(theta)
     write_csv(out / "outputs.csv", [f"f_{i + 1}" for i in range(outputs.size)], outputs[None, :])
+    written = ["outputs.csv"]
     if args.dump_field:
         for name, field in model.fields(theta, fine=args.fine).items():
             write_grid_field(out / f"{name}.txt", field)
-    write_manifest(out)
+            written.append(f"{name}.txt")
+    write_manifest(out, written)
     print(f"outputs in {out}")
     return 0
 

@@ -13,7 +13,7 @@ class IllConditionedKernelError(GpinvError):
     the mask of the rows that failed in a stacked factorization.
     """
 
-    def __init__(self, message, cond_estimate=float("inf"), failed=None):
+    def __init__(self, message, cond_estimate, failed):
         super().__init__(message)
         self.cond_estimate = cond_estimate
         self.failed = failed

@@ -175,29 +175,23 @@ PERMEABILITY = ExperimentSpec(
 
 EXPERIMENTS = {spec.name: spec for spec in (ONE_D, HEAT, PERMEABILITY)}
 
-# The one config key of each settable field: section -> keys, each key named
-# after its field, plus the tuple-valued fields under their own key names.
-_FIELD_SECTIONS = {
-    "experiment": ("name",),
-    "measurement": ("noise_sigma", "meas_seed"),
-    "adaptive": ("n_initial", "n_max"),
-    "mcmc": ("n_walkers", "n_steps"),
-    "acquisition": ("n_starts", "extra_starts"),
-    "posterior": ("posterior_walkers",),
-}
-
-_TUPLE_FIELDS = {
-    "bounds_lower": ("bounds", "lower"),
-    "bounds_upper": ("bounds", "upper"),
-    "hyper_lower": ("hyper_prior", "lower"),
-    "hyper_upper": ("hyper_prior", "upper"),
-    "theta_true": ("measurement", "theta_true"),
-}
-
-# (section, key) -> ExperimentSpec field
+# (section, key) -> ExperimentSpec field: the one config key of each settable field
 CONFIG_KEYS = {
-    **{(section, key): key for section, keys in _FIELD_SECTIONS.items() for key in keys},
-    **{place: field for field, place in _TUPLE_FIELDS.items()},
+    ("experiment", "name"): "name",
+    ("bounds", "lower"): "bounds_lower",
+    ("bounds", "upper"): "bounds_upper",
+    ("hyper_prior", "lower"): "hyper_lower",
+    ("hyper_prior", "upper"): "hyper_upper",
+    ("measurement", "theta_true"): "theta_true",
+    ("measurement", "noise_sigma"): "noise_sigma",
+    ("measurement", "meas_seed"): "meas_seed",
+    ("adaptive", "n_initial"): "n_initial",
+    ("adaptive", "n_max"): "n_max",
+    ("mcmc", "n_walkers"): "n_walkers",
+    ("mcmc", "n_steps"): "n_steps",
+    ("acquisition", "n_starts"): "n_starts",
+    ("acquisition", "extra_starts"): "extra_starts",
+    ("posterior", "posterior_walkers"): "posterior_walkers",
 }
 
 

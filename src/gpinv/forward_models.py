@@ -349,9 +349,8 @@ class DarcyPermeability2D(_GridModel):
             q += w / (2.0 * np.pi * SOURCE_WIDTH**2) * np.exp(-r2 / (2.0 * SOURCE_WIDTH**2))
         return q
 
-    def operator(self, theta: np.ndarray, cfg: GridSolverConfig | None = None):
-        """Sparse flux-balance operator A with A @ const = 0 (pure Neumann)."""
-        cfg = cfg or self.cfg
+    def operator(self, theta: np.ndarray, cfg: GridSolverConfig):
+        """Sparse flux-balance operator A with A @ const = 0 (pure Neumann) on cfg's grid."""
         grid = _CellGrid(cfg.nx, cfg.ny)
         X, Y = grid.centers()
         kappa = permeability_field(np.column_stack([X.ravel(), Y.ravel()]), theta)

@@ -20,11 +20,9 @@ from .errors import IllConditionedKernelError
 
 log = logging.getLogger(__name__)
 
-# Diagonal jitter policy: start at BASE_JITTER * sigma_c^2, escalate by
-# JITTER_GROWTH until MAX_JITTER * sigma_c^2, then give up.
-BASE_JITTER = 1e-10
-MAX_JITTER = 1e-6
-JITTER_GROWTH = 10.0
+# The jitter ladder: the relative diagonal shifts tried in order, each
+# applied as level * sigma_c^2; a row that fails the last level is given up.
+JITTER_LEVELS = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 
 # Columns whose population variance falls below VAR_FLOOR * max(1, mean^2)
 # are treated as constant: scaled to zeros, variance pinned at the floor.
@@ -148,6 +146,17 @@ def _se_cov(A: np.ndarray, B: np.ndarray, sigma2: np.ndarray, inv_l2: np.ndarray
     return K
 
 
+def _train_cov(X: np.ndarray, Psi: np.ndarray) -> np.ndarray:
+    """(m, n, n) members-major training covariances of X for every row of Psi.
+
+    One zero row against the n^2 differences X_i - X_j makes `_se_cov`'s
+    rows-major buffer (1, m, n^2), which is the members-major stack: one
+    gemm, and the reshape copies nothing."""
+    n, p = X.shape
+    diffs = (X[:, None, :] - X[None, :, :]).reshape(n * n, p)
+    return _se_cov(np.zeros((1, p)), diffs, Psi[:, 0] ** 2, 1.0 / Psi[:, 1:] ** 2).reshape(-1, n, n)
+
+
 @dataclass(frozen=True)
 class GpFit:
     """A single-hyperparameter predictor: Cholesky factor plus per-output weights."""
@@ -160,44 +169,37 @@ class GpFit:
 
 
 # perfbench/tracing.py patches gpinv.mcmc.fit_single, so it stays, and with it GpFit and HyperParams.
-def fit_single(training: TrainingSet, psi: HyperParams, jitter: float = BASE_JITTER) -> GpFit:
-    """Factorize the training covariance and solve for the predictive weights.
-
-    `jitter` is the relative starting value for the diagonal shift
-    (absolute shift = jitter * sigma_c^2); it escalates by factors of
-    10 up to MAX_JITTER before failing. Passing 0 attempts a single raw
-    factorization with no safeguard.
-    """
+def fit_single(training: TrainingSet, psi: HyperParams) -> GpFit:
+    """Factorize the training covariance on the jitter ladder and solve for
+    the predictive weights."""
     if psi.input_dim != training.input_dim:
         raise ValueError(
             f"hyperparameter dimension {psi.input_dim} != input dimension {training.input_dim}"
         )
     Psi = psi.as_vector()[None, :]
-    L, shift = _factorize(training.inputs, Psi, jitter)
+    L, shift = _factorize(training.inputs, Psi)
     if np.isnan(shift[0]):
-        raise _factorization_error(training.inputs, Psi, jitter, np.isnan(shift))
-    if shift[0] > jitter * psi.sigma_c**2:
+        raise _factorization_error(training.inputs, Psi, np.isnan(shift))
+    if shift[0] > JITTER_LEVELS[0] * psi.sigma_c**2:
         log.debug("jitter escalated to a shift of %.1e for n_train=%d", shift[0], training.n_train)
     weights = _back_subst(L, _forward_subst(L, training.scaled_outputs))[0]
     return GpFit(L[0], weights, psi, training, float(shift[0]))
 
 
-def _factorize(X: np.ndarray, Psi: np.ndarray, jitter: float) -> tuple[np.ndarray, np.ndarray]:
+def _factorize(X: np.ndarray, Psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cholesky factors of the covariance of X for every row of Psi = [sigma_c, l_1..l_p].
 
-    Every row is tried at the relative shift `jitter` (absolute shift
-    jitter * sigma_c^2); the rows that fail escalate together by factors of
-    JITTER_GROWTH up to MAX_JITTER, and jitter = 0 tries the raw covariance
-    alone. Returns the factor stack (m, n, n) and the absolute shift per row
-    (m,), both NaN for a row that no level factorized.
+    Every row is tried at the first level of JITTER_LEVELS (absolute shift
+    level * sigma_c^2); the rows that fail go up the ladder together.
+    Returns the factor stack (m, n, n) and the absolute shift per row (m,),
+    both NaN for a row that no level factorized.
     """
     sigma2 = Psi[:, 0] ** 2
-    C = _se_cov(X, X, sigma2, 1.0 / Psi[:, 1:] ** 2)
+    C = _train_cov(X, Psi)
     eye = np.eye(X.shape[0])
-    levels = _jitter_levels(jitter)
-    shift = levels[0] * sigma2
+    shift = JITTER_LEVELS[0] * sigma2
     L, ok = _batched_cholesky(C + shift[:, None, None] * eye)
-    for level in levels[1:]:
+    for level in JITTER_LEVELS[1:]:
         if ok.all():
             break
         failed = np.flatnonzero(~ok)
@@ -208,34 +210,20 @@ def _factorize(X: np.ndarray, Psi: np.ndarray, jitter: float) -> tuple[np.ndarra
     return L, shift
 
 
-def _jitter_levels(jitter: float) -> list[float]:
-    """Relative shifts tried from `jitter`: x JITTER_GROWTH up to MAX_JITTER; 0 tries 0 alone."""
-    levels = [jitter]
-    while 0.0 < levels[-1] * JITTER_GROWTH <= MAX_JITTER * (1.0 + 1e-12):
-        levels.append(levels[-1] * JITTER_GROWTH)
-    return levels
-
-
-def _factorization_error(X: np.ndarray, Psi: np.ndarray, jitter: float,
-                         failed: np.ndarray) -> IllConditionedKernelError:
-    """Error for the `failed` rows of Psi: the last jitter level tried, cond of the first row."""
+def _factorization_error(X: np.ndarray, Psi: np.ndarray, failed: np.ndarray) -> IllConditionedKernelError:
+    """Error for the `failed` rows of Psi: the last jitter level, the 2-norm
+    condition number of the unshifted covariance of the first failed row."""
     first = int(np.flatnonzero(failed)[0])
-    cond = _condition_estimate(X, Psi[first:first + 1])
+    try:
+        cond = float(np.linalg.cond(_train_cov(X, Psi[first:first + 1])[0]))
+    except np.linalg.LinAlgError:
+        cond = float("inf")
     return IllConditionedKernelError(
         f"covariance factorization failed for {failed.sum()} of {failed.size} rows at "
-        f"relative jitter {_jitter_levels(jitter)[-1]:g}, the last level tried "
+        f"relative jitter {JITTER_LEVELS[-1]:g}, the last level tried "
         f"(n_train={X.shape[0]}, cond~{cond:.2e})",
         cond_estimate=cond, failed=failed,
     )
-
-
-def _condition_estimate(X: np.ndarray, Psi: np.ndarray) -> float:
-    """2-norm condition number of the unshifted covariance of X for the one row of Psi."""
-    C = _se_cov(X, X, Psi[:, 0] ** 2, 1.0 / Psi[:, 1:] ** 2)[0]
-    try:
-        return float(np.linalg.cond(C))
-    except np.linalg.LinAlgError:
-        return float("inf")
 
 
 def _lml_batch(training: TrainingSet, Psi: np.ndarray) -> np.ndarray:
@@ -250,7 +238,7 @@ def _lml_batch(training: TrainingSet, Psi: np.ndarray) -> np.ndarray:
     valid = np.all(Psi > 0.0, axis=1)
     if not np.any(valid):
         return out
-    L, shift = _factorize(training.inputs, Psi[valid], BASE_JITTER)
+    L, shift = _factorize(training.inputs, Psi[valid])
     Y = training.scaled_outputs
     n, q = Y.shape
     quad = np.sum(_forward_subst(L, Y) ** 2, axis=(1, 2))
@@ -316,9 +304,9 @@ class GpEnsemble:
                              f"got {hyperparams.shape}")
         if not np.all(hyperparams > 0.0):
             raise ValueError("hyperparameters must be positive")
-        L, shift = _factorize(training.inputs, hyperparams, BASE_JITTER)
+        L, shift = _factorize(training.inputs, hyperparams)
         if np.any(np.isnan(shift)):
-            raise _factorization_error(training.inputs, hyperparams, BASE_JITTER, np.isnan(shift))
+            raise _factorization_error(training.inputs, hyperparams, np.isnan(shift))
         self.training = training
         self.hyperparams = hyperparams
         self._sigma2 = hyperparams[:, 0] ** 2
@@ -329,14 +317,10 @@ class GpEnsemble:
         self._weights = np.ascontiguousarray(_back_subst(L, _forward_subst(L, training.scaled_outputs)))
         self.jitter_shifts = shift
         self.sweeps = 0
-        escalated = int(np.count_nonzero(shift > BASE_JITTER * self._sigma2))
+        escalated = int(np.count_nonzero(shift > JITTER_LEVELS[0] * self._sigma2))
         if escalated:
             log.debug("%d of %d members escalated past the base jitter for n_train=%d",
                       escalated, len(shift), training.n_train)
-
-    @property
-    def n_psi(self) -> int:
-        return self.hyperparams.shape[0]
 
     def _cross(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The cross-covariances c (J, n, B) and normalized means W^T c (J, q, B)

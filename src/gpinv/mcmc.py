@@ -206,9 +206,9 @@ def run_chain(
 def sample_hyperposterior(
     training: TrainingSet,
     prior: DesignBox,
-    n_walkers: int = 200,
-    n_steps: int = 400,
-    seed: int = 0,
+    n_walkers: int,
+    n_steps: int,
+    seed: int,
     init_positions: np.ndarray | None = None,
 ) -> GpEnsemble:
     """Draw hyperparameter samples from their posterior and fit the ensemble.

@@ -11,8 +11,6 @@ from .designs import DesignBox
 from .likelihood import logsumexp
 from .mcmc import LogProb, run_chain
 
-DEFAULT_N_SAMPLES = 20_000
-DEFAULT_N_WALKERS = 100
 POOL_FACTOR = 20  # walkers start at the best of POOL_FACTOR * n_walkers uniform draws
 GRID_POINTS = 10_201  # posterior-distance grid: 101^2 cells in 2-D, 10,201 in 1-D
 
@@ -37,10 +35,10 @@ class PosteriorSampleSet:
 def sample_posterior(
     loglik: LogProb,
     prior: DesignBox,
-    n_samples: int = DEFAULT_N_SAMPLES,
-    seed: int = 0,
-    n_walkers: int = DEFAULT_N_WALKERS,
-    source: str = "custom",
+    n_samples: int,
+    seed: int,
+    n_walkers: int,
+    source: str,
 ) -> PosteriorSampleSet:
     """Ensemble-MCMC samples from p(theta) proportional to exp(loglik) in the box.
 

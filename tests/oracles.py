@@ -35,7 +35,6 @@ from gpinv.forward_models import (
     _neumann_eigenvalues,
 )
 from gpinv.gp import (
-    BASE_JITTER,
     GpEnsemble,
     GpFit,
     HyperParams,
@@ -146,7 +145,7 @@ def log_marginal_likelihood(training: TrainingSet, psi: HyperParams) -> float:
     Psi = psi.as_vector()[None, :]
     value = _lml_batch(training, Psi)[0]
     if not np.isfinite(value):
-        raise _factorization_error(training.inputs, Psi, BASE_JITTER, np.array([True]))
+        raise _factorization_error(training.inputs, Psi, np.array([True]))
     return float(value)
 
 

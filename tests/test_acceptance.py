@@ -13,6 +13,7 @@ import pytest
 from scipy.optimize import minimize
 
 from gpinv.acquisition import (
+    ETA,
     AcquisitionState,
     expected_improvement,
     expected_improvement_smoothed,
@@ -135,8 +136,8 @@ def test_criterion_2_gradient_suite():
             g0, dg = misfits_and_grads(ens, meas, theta)
             # stay clear of the hinge's smoothing band: the finite-difference
             # oracle is invalid where the third derivative is O(1/eta^2)
-            margin = 10 * state.eta + 20 * h * (1 + np.abs(dg).max())
-            if np.any(np.abs(state.g_min - g0 - state.eta / 2) < state.eta / 2 + margin):
+            margin = 10 * ETA + 20 * h * (1 + np.abs(dg).max())
+            if np.any(np.abs(state.g_min - g0 - ETA / 2) < ETA / 2 + margin):
                 continue
             m0, V0, dm, dV = pred_grad(ens, theta)
             fd_m = np.zeros_like(dm)
@@ -181,7 +182,7 @@ def test_criterion_3_d_restricted_likelihood_oracle():
         z = pred.means.mean(axis=0) + rng.normal(0, 0.3, q)
         meas = MeasurementModel(z, rng.uniform(0.35, 1.0, q))
         exact = np.exp(d_restricted_loglik(theta, ens, meas))
-        comp = rng.integers(0, ens.n_psi, draws)
+        comp = rng.integers(0, len(ens.hyperparams), draws)
         f = pred.means[comp] + rng.normal(size=(draws, q)) * np.sqrt(pred.cov_diags[comp])
         dens = np.prod(np.exp(-0.5 * (meas.z - f) ** 2 / meas.noise_vars)
                        / np.sqrt(2 * np.pi * meas.noise_vars), axis=1)
@@ -248,10 +249,10 @@ def test_criterion_6_one_d_end_to_end():
     RECORDS["one_d"] = [result.record]
     size = result.training.n_train
     prior = BoxPrior(spec.bounds.lower, spec.bounds.upper)
-    true_set = sample_posterior(true_loglik_rows(model, meas), prior, 20_000,
-                                seed=7, source="true-model")
-    surr_set = sample_posterior(surrogate_loglik_rows(result.ensemble, meas), prior,
-                                20_000, seed=8, source="surrogate")
+    true_set = sample_posterior(true_loglik_rows(model, meas), prior, 20_000, seed=7,
+                                n_walkers=spec.posterior_walkers, source="true-model")
+    surr_set = sample_posterior(surrogate_loglik_rows(result.ensemble, meas), prior, 20_000,
+                                seed=8, n_walkers=spec.posterior_walkers, source="surrogate")
     bins = np.linspace(-6, 6, 51)
     h_true, _ = np.histogram(true_set.samples[:, 0], bins=bins)
     h_surr, _ = np.histogram(surr_set.samples[:, 0], bins=bins)
@@ -324,8 +325,8 @@ def test_criterion_7_heat_experiment():
     hits_ok = hits >= 6
 
     prior = BoxPrior(spec.bounds.lower, spec.bounds.upper)
-    posterior = sample_posterior(true_loglik_rows(model, meas), prior, 20_000,
-                                 seed=777, source="true-model")
+    posterior = sample_posterior(true_loglik_rows(model, meas), prior, 20_000, seed=777,
+                                 n_walkers=spec.posterior_walkers, source="true-model")
     hpd = np.array(hpd_region(posterior).intervals())
     paper_box = np.array([[0.19, 0.38], [0.61, 0.83]])
     hpd_dev = np.abs(hpd - paper_box).max()
@@ -364,8 +365,8 @@ def test_criterion_8_permeability_experiment():
     iters_ok = len(result.record.iterations) <= 20
 
     prior = BoxPrior(box.lower, box.upper)
-    posterior = sample_posterior(surrogate_loglik_rows(result.ensemble, meas), prior,
-                                 20_000, seed=1234, source="surrogate")
+    posterior = sample_posterior(surrogate_loglik_rows(result.ensemble, meas), prior, 20_000,
+                                 seed=1234, n_walkers=spec.posterior_walkers, source="surrogate")
     ours = np.array(hpd_region(posterior).intervals())
     paper_gp = np.array([
         [0.17, 0.49], [0.53, 0.66], [0.71, 0.83], [1.34, 1.49], [0.66, 0.79],

@@ -30,7 +30,7 @@ from gpinv.likelihood import MeasurementModel
 from oracles import misfits_and_grads, multistart_maximize, pred_grad
 
 
-def make_state(seed=0, n=6, p=2, q=2, n_psi=6, eta=1e-4):
+def make_state(seed=0, n=6, p=2, q=2, n_psi=6):
     rng = np.random.default_rng(seed)
     tr = TrainingSet.from_data(rng.uniform(-1, 1, (n, p)), rng.normal(0, 1, (n, q)))
     psis = [HyperParams(rng.uniform(0.5, 2), rng.uniform(0.3, 1.5, p)).as_vector()
@@ -38,7 +38,7 @@ def make_state(seed=0, n=6, p=2, q=2, n_psi=6, eta=1e-4):
     ens = GpEnsemble(tr, psis)
     meas = MeasurementModel(rng.normal(0, 1, q), np.full(q, 0.25))
     box = DesignBox(np.full(p, -1.0), np.full(p, 1.0))
-    return AcquisitionState.from_ensemble(ens, meas, box, eta=eta), rng
+    return AcquisitionState.from_ensemble(ens, meas, box), rng
 
 
 class TestSmoothedPos:
@@ -107,7 +107,7 @@ class TestExpectedImprovement:
         state, _ = make_state(seed=3, n_psi=2)
         monkeypatch.setattr(acq, "_misfit_batch",
                             lambda thetas, ens, meas: np.array([[4.0, 16.0]]).T)
-        fixed = AcquisitionState(state.ensemble, state.meas, 10.0, state.bounds, state.eta)
+        fixed = AcquisitionState(state.ensemble, state.meas, 10.0, state.bounds)
         assert expected_improvement(np.zeros(2), fixed) == pytest.approx(3.0)
 
     def test_batch_matches_pointwise(self):
@@ -134,18 +134,19 @@ class TestExpectedImprovement:
         state, _ = make_state(seed=4, n_psi=3)
         monkeypatch.setattr(acq, "_misfit_batch",
                             lambda thetas, ens, meas: np.zeros((1, 3)).T)
-        fixed = AcquisitionState(state.ensemble, state.meas, 7.5, state.bounds, state.eta)
+        fixed = AcquisitionState(state.ensemble, state.meas, 7.5, state.bounds)
         assert expected_improvement(np.zeros(2), fixed) == pytest.approx(7.5)
 
 
 class TestSmoothedObjective:
-    def test_sandwich_bound_everywhere(self):
-        state, rng = make_state(seed=5, eta=1e-3)
+    def test_sandwich_bound_everywhere(self, monkeypatch):
+        monkeypatch.setattr(acq, "ETA", 1e-3)
+        state, rng = make_state(seed=5)
         for theta in rng.uniform(-1, 1, (100, 2)):
             smoothed, _ = expected_improvement_smoothed(theta, state)
             exact = expected_improvement(theta, state)
             assert smoothed <= exact + 1e-14
-            assert exact <= smoothed + 0.5 * state.eta + 1e-14
+            assert exact <= smoothed + 0.5 * acq.ETA + 1e-14
 
     def test_gradient_matches_finite_differences(self):
         state, rng = make_state(seed=6)
@@ -457,5 +458,3 @@ def test_acquisition_state_validation():
     state, _ = make_state(seed=13)
     with pytest.raises(ValueError):
         AcquisitionState(state.ensemble, state.meas, -1.0, state.bounds)
-    with pytest.raises(ValueError):
-        AcquisitionState(state.ensemble, state.meas, 1.0, state.bounds, eta=0.0)

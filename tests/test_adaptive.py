@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from gpinv.adaptive import (
     run_adaptive,
 )
 from gpinv.designs import DesignBox
+from gpinv.experiments import HEAT
 from gpinv.forward_models import Rational1D, generate_measurements
 from gpinv.gp import GpEnsemble, TrainingSet
 from gpinv.likelihood import MeasurementModel
@@ -57,7 +60,7 @@ class TestAdaptiveConfig:
             fast_config(initial_design=np.array([[99.0]]))
 
     @pytest.mark.parametrize("field, value", [
-        ("n_starts", 0), ("extra_starts", -1), ("n_walkers", 31), ("n_walkers", 2),
+        ("n_steps", 0), ("n_starts", 0), ("extra_starts", -1), ("n_walkers", 31), ("n_walkers", 2),
         ("hyper_prior", BoxPrior([1e-8] * 3, [12.0, 5.0, 5.0])),
     ])
     def test_protocol_values_checked(self, field, value):
@@ -66,23 +69,17 @@ class TestAdaptiveConfig:
 
     def test_confirm_default_depends_on_dimension(self):
         assert not fast_config().confirm  # 1-D
-        cfg2 = AdaptiveConfig(
-            bounds=DesignBox([0.0, 0.0], [1.0, 1.0]),
-            hyper_prior=BoxPrior([1e-8] * 3, [2.0, 1.0, 1.0]),
-            initial_design=np.array([[0.5, 0.5]]),
-            n_max=2,
-        )
+        cfg2 = fast_config(bounds=DesignBox([0.0, 0.0], [1.0, 1.0]),
+                           hyper_prior=BoxPrior([1e-8] * 3, [2.0, 1.0, 1.0]),
+                           initial_design=np.array([[0.5, 0.5]]), extra_starts=100)
         assert cfg2.confirm
 
     def test_make_starts(self):
         pts = make_starts(fast_config(n_starts=5))
         np.testing.assert_allclose(pts.ravel(), np.linspace(-6, 6, 5))
-        cfg2 = AdaptiveConfig(
-            bounds=DesignBox([0.0, 0.0], [1.0, 1.0]),
-            hyper_prior=BoxPrior([1e-8] * 3, [2.0, 1.0, 1.0]),
-            initial_design=np.array([[0.5, 0.5]]),
-            n_max=2, n_starts=10,
-        )
+        cfg2 = fast_config(bounds=DesignBox([0.0, 0.0], [1.0, 1.0]),
+                           hyper_prior=BoxPrior([1e-8] * 3, [2.0, 1.0, 1.0]),
+                           initial_design=np.array([[0.5, 0.5]]), n_starts=10)
         pts2 = make_starts(cfg2)
         assert pts2.shape == (10, 2)
         assert np.all(cfg2.bounds.contains(pts2))
@@ -209,7 +206,7 @@ class TestConfirmStop:
 
         The surrogate interpolates the identity map on a 5x5 grid; the data sit
         0.02 from the design point (0.1, 0.5), so EI is positive only on a small
-        disc there, away from every Sobol start of the default protocol.
+        disc there, away from every Sobol start of the heat protocol.
         """
         box = DesignBox([0.0, 0.0], [1.0, 1.0])
         axis = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
@@ -218,8 +215,7 @@ class TestConfirmStop:
         psis = [[1.0, 0.6, 0.6], [1.2, 0.7, 0.5], [0.9, 0.5, 0.7]]
         meas = MeasurementModel(np.array([0.12, 0.52]), np.full(2, 0.01**2))
         state = AcquisitionState.from_ensemble(GpEnsemble(tr, psis), meas, box)
-        cfg = AdaptiveConfig(bounds=box, hyper_prior=BoxPrior([1e-8] * 3, [2.0, 1.0, 1.0]),
-                             initial_design=design, n_max=1)
+        cfg = dataclasses.replace(HEAT.adaptive_config(seed=0), initial_design=design, n_max=1)
         return state, make_starts(cfg), make_extra_starts(cfg), EPS_THRESH * state.g_min
 
     def test_sliver_holds_no_start(self, sliver):

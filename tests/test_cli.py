@@ -1,5 +1,8 @@
+import ast
+import importlib
 import json
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -9,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gpinv
 import gpinv.adaptive
 import gpinv.cli
 from gpinv.acquisition import AcquisitionResult
@@ -180,6 +184,16 @@ class TestCompareDesigns:
                   "--workers", "1", "--out", str(out)])
         assert manifest_hashes(out1)[0] == manifest_hashes(out2)[0]
 
+    def test_forced_rerun_lists_only_its_records(self, fast_cfg, tmp_path):
+        out = tmp_path / "cmp"
+        out.mkdir()
+        (out / "record_run02.json").write_text("{}")  # left by an earlier study of two runs
+        assert main(["compare-designs", "--config", fast_cfg, "--runs", "1", "--workers", "1",
+                     "--out", str(out), "--force"]) == 0
+        hashes, _ = manifest_hashes(out)
+        assert sorted(hashes) == ["adaptive_table.csv", "lhs_table.csv", "record_run01.json"]
+        assert (out / "record_run02.json").read_text() == "{}"
+
     def test_no_grid_distance_above_two_dimensions(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "perm.cfg"
         cfg.write_text("[experiment]\nname = permeability\n[adaptive]\nn_max = 1\n"
@@ -245,6 +259,16 @@ class TestEvalModel:
         assert sorted(p.name for p in out.glob("field*")) == ["field_t0.1.txt", "field_t0.2.txt"]
         assert (out / "field_t0.1.txt").read_text().splitlines()[0] == "128 128"
 
+    def test_forced_rerun_lists_only_its_files(self, tmp_path):
+        out = tmp_path / "eval"
+        assert main(["eval-model", "--experiment", "heat", "--theta", "0.25,0.75",
+                     "--dump-field", "--out", str(out)]) == 0
+        assert main(["eval-model", "--experiment", "one_d", "--theta", "1",
+                     "--out", str(out), "--force"]) == 0
+        hashes, _ = manifest_hashes(out)
+        assert sorted(hashes) == ["outputs.csv"]
+        assert (out / "field_t0.1.txt").exists() and (out / "field_t0.2.txt").exists()
+
     def test_permeability_field_dump(self, tmp_path):
         out = tmp_path / "eval"
         theta = "0.3,0.6,0.8,1.5,0.8,1.0,1.0,0.3,0.3"
@@ -302,6 +326,7 @@ class TestErrors:
         ("model_kind = darcy\n", "experiment.model_kind"),
         ("[acquisition]\nn_starts = 0\n", "n_starts"),
         ("[mcmc]\nn_walkers = 13\n", "n_walkers"),
+        ("[mcmc]\nn_steps = -3\n", "n_steps must be at least 1, got -3"),
         ("[mcmc]\n[mcmc]\n", "mcmc"),
         ("[measurement]\nnoise_sigma = 0\n", "noise_sigma must be positive, got 0.0"),
         ("[measurement]\nnoise_sigma = inf\n", "noise_sigma must be finite, got inf"),
@@ -426,3 +451,18 @@ def test_readme_recipes_parse():
             build_parser().parse_args(shlex.split(command, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {command}")
+
+
+def test_readme_constants_are_defined():
+    """Every backticked upper-case name in README (`NAME` or `NAME = value`) is
+    defined by some gpinv module, with README's value where README gives one."""
+    modules = [importlib.import_module(f"gpinv.{info.name}")
+               for info in pkgutil.iter_modules(gpinv.__path__)]
+    named = re.findall(r"`([A-Z][A-Z0-9_]*[A-Z0-9])(?: = ([^`]+))?`", README.read_text())
+    assert named
+    for name, value in named:
+        owners = [module for module in modules if name in vars(module)]
+        assert owners, f"README names `{name}`, which no gpinv module defines"
+        if value:
+            assert any(getattr(module, name) == ast.literal_eval(value) for module in owners), \
+                f"README gives `{name} = {value}`, but gpinv defines {getattr(owners[0], name)!r}"

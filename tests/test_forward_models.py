@@ -190,7 +190,7 @@ class TestDarcy:
         assert abs(u.mean()) < 1e-12
 
     def test_operator_annihilates_constants(self, model):
-        _, A = model.operator(PERMEABILITY_THETA_TRUE)
+        _, A = model.operator(PERMEABILITY_THETA_TRUE, model.cfg)
         residual = np.abs(A @ np.ones(A.shape[0])).max()
         assert residual < 1e-9 * abs(A.diagonal()).max()
 

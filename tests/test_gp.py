@@ -50,6 +50,11 @@ def mixture_moments(means: np.ndarray, variances: np.ndarray) -> tuple[np.ndarra
     return mean, cov
 
 
+# The jitter ladder with 1e-20 in front: a well-posed row factorizes at a shift
+# too small to see, and a singular one must go up the ladder.
+LADDER_FROM_1E_20 = (1e-20, *gpinv.gp.JITTER_LEVELS)
+
+
 def make_training(rng, n, p, q):
     return TrainingSet.from_data(rng.uniform(-2, 2, (n, p)), rng.normal(0, 1, (n, q)))
 
@@ -133,10 +138,11 @@ class TestFitSingle:
         assert fit.chol[0, 0] == pytest.approx(1.0, abs=1e-9)
         assert fit.weights[0, 0] == pytest.approx(0.5, rel=1e-8)
 
-    def test_duplicate_rows_without_jitter_fail(self):
+    def test_duplicate_rows_without_jitter_fail(self, monkeypatch):
         tr = TrainingSet.from_data(np.array([[0.0], [0.0]]), np.array([1.0, -1.0]))
+        monkeypatch.setattr(gpinv.gp, "JITTER_LEVELS", (0.0,))
         with pytest.raises(IllConditionedKernelError) as err:
-            fit_single(tr, HyperParams(1.0, [1.0]), jitter=0.0)
+            fit_single(tr, HyperParams(1.0, [1.0]))
         assert err.value.cond_estimate > 1e10
 
     def test_two_point_weights_match_dense_solve(self):
@@ -171,47 +177,48 @@ class TestFactorize:
         tr = TrainingSet.from_data(X, rng.normal(0, 1, (6, 1)))
         return tr, np.array([[1.0, 0.5, 0.5], [1.0, 0.5, 1e100]])
 
-    def test_first_level_and_escalated_rows(self, stack):
+    def test_first_level_and_escalated_rows(self, stack, monkeypatch):
         tr, Psi = stack
-        L, shift = _factorize(tr.inputs, Psi, 1e-20)
+        monkeypatch.setattr(gpinv.gp, "JITTER_LEVELS", LADDER_FROM_1E_20)
+        L, shift = _factorize(tr.inputs, Psi)
         assert shift[0] == 1e-20
         assert shift[1] > 1e-20
         for row, L_row, shift_row in zip(Psi, L, shift):
             psi = hyperparams_from_vector(row)
             C = np.array([[sq_exp_cov(a, b, psi) for b in tr.inputs] for a in tr.inputs])
             np.testing.assert_allclose(L_row @ L_row.T, C + shift_row * np.eye(6), rtol=1e-10, atol=1e-12)
-        escalated = fit_single(tr, hyperparams_from_vector(Psi[1]), jitter=1e-20)
+        escalated = fit_single(tr, hyperparams_from_vector(Psi[1]))
         assert escalated.jitter == shift[1]
         np.testing.assert_array_equal(escalated.chol, L[1])
 
     def test_ensemble_records_escalated_rows(self, stack, monkeypatch, caplog):
         tr, Psi = stack
-        monkeypatch.setattr(gpinv.gp, "BASE_JITTER", 1e-20)
+        monkeypatch.setattr(gpinv.gp, "JITTER_LEVELS", LADDER_FROM_1E_20)
         with caplog.at_level(logging.DEBUG, logger="gpinv.gp"):
             ens = GpEnsemble(tr, Psi)
-        np.testing.assert_array_equal(ens.jitter_shifts, _factorize(tr.inputs, Psi, 1e-20)[1])
+        np.testing.assert_array_equal(ens.jitter_shifts, _factorize(tr.inputs, Psi)[1])
         assert ens.jitter_shifts[0] == 1e-20 and ens.jitter_shifts[1] > 1e-20
         assert "1 of 2 members escalated" in caplog.text
 
     def test_raw_factorization_failure(self, stack, monkeypatch):
         tr, Psi = stack
-        L, shift = _factorize(tr.inputs, Psi, 0.0)
+        # A ladder of the raw covariance alone leaves the singular row no level.
+        monkeypatch.setattr(gpinv.gp, "JITTER_LEVELS", (0.0,))
+        L, shift = _factorize(tr.inputs, Psi)
         assert shift[0] == 0.0 and np.isnan(shift[1])
         assert np.all(np.isfinite(L[0])) and np.all(np.isnan(L[1]))
         with pytest.raises(IllConditionedKernelError) as err:
-            fit_single(tr, hyperparams_from_vector(Psi[1]), jitter=0.0)
+            fit_single(tr, hyperparams_from_vector(Psi[1]))
         assert err.value.cond_estimate > 1e10
-        # A ladder that starts at 0 leaves the singular row no level: -inf.
-        monkeypatch.setattr(gpinv.gp, "BASE_JITTER", 0.0)
         lml = _lml_batch(tr, Psi)
         assert np.isfinite(lml[0]) and lml[1] == -np.inf
 
     def test_raw_failure_names_the_level_tried(self, stack, monkeypatch):
         tr, Psi = stack
-        # jitter = 0 tries the raw covariance alone; there is no escalation to name.
+        # A one-level ladder tries the raw covariance alone; there is no escalation to name.
+        monkeypatch.setattr(gpinv.gp, "JITTER_LEVELS", (0.0,))
         with pytest.raises(IllConditionedKernelError, match="relative jitter 0, the last level tried"):
-            fit_single(tr, hyperparams_from_vector(Psi[1]), jitter=0.0)
-        monkeypatch.setattr(gpinv.gp, "BASE_JITTER", 0.0)
+            fit_single(tr, hyperparams_from_vector(Psi[1]))
         with pytest.raises(IllConditionedKernelError,
                            match="1 of 2 rows at relative jitter 0, the last level tried") as err:
             GpEnsemble(tr, Psi)
@@ -375,7 +382,7 @@ def assert_normwise_close(actual, expected, tol=1e-12):
 
 class TestTriangularSolves:
     @pytest.fixture
-    def factors(self):
+    def factors(self, monkeypatch):
         """Stack of Cholesky factors; the last one is near-singular.
 
         Two design rows coincide, so the factorization started at a 1e-20
@@ -386,7 +393,8 @@ class TestTriangularSolves:
         X[5] = X[4]
         tr = TrainingSet.from_data(X, rng.normal(0, 1, (6, 1)))
         fits = [fit_single(tr, random_psi(rng, 2)) for _ in range(3)]
-        fits.append(fit_single(tr, HyperParams(1.0, [3.0, 3.0]), jitter=1e-20))
+        monkeypatch.setattr(gpinv.gp, "JITTER_LEVELS", LADDER_FROM_1E_20)
+        fits.append(fit_single(tr, HyperParams(1.0, [3.0, 3.0])))
         assert fits[-1].jitter > 1e-20
         return np.array([fit.chol for fit in fits]), rng
 
@@ -475,9 +483,9 @@ def test_ensemble_members_match_fit_single(monkeypatch):
     X[1] = X[0] + np.array([0.0, 0.5])
     tr = TrainingSet.from_data(X, rng.normal(0, 1, (6, 2)))
     psis = [random_psi(rng, 2) for _ in range(3)] + [HyperParams(1.0, [0.5, 1e100])]
-    monkeypatch.setattr(gpinv.gp, "BASE_JITTER", 1e-20)
+    monkeypatch.setattr(gpinv.gp, "JITTER_LEVELS", LADDER_FROM_1E_20)
     ens = GpEnsemble(tr, [psi.as_vector() for psi in psis])
-    fits = [fit_single(tr, psi, jitter=1e-20) for psi in psis]
+    fits = [fit_single(tr, psi) for psi in psis]
     assert fits[0].jitter == 1e-20 * psis[0].sigma_c**2 and fits[-1].jitter > 1e-20
     for L, weights, fit in zip(ens._L, ens._weights, fits):
         assert_normwise_close(L, fit.chol)

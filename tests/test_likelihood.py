@@ -157,7 +157,7 @@ class TestGpMisfit:
         meas = MeasurementModel(rng.normal(0, 1, tr.n_outputs), np.full(tr.n_outputs, 0.2))
         theta = rng.uniform(-1, 1, tr.input_dim)
         pred = ensemble_predict_vector(ens, theta)
-        for j in range(ens.n_psi):
+        for j in range(len(ens.hyperparams)):
             fast = gp_misfit(pred.means[j], pred.cov_diags[j], meas)
             dense = gp_misfit_dense(pred.means[j], np.diag(pred.cov_diags[j]),
                                     np.diag(meas.noise_vars), meas.z)
@@ -308,12 +308,12 @@ class TestDRestrictedLoglik:
         theta = rng.uniform(-1, 1, tr.input_dim)
         pred = ensemble_predict_vector(ens, theta)
         g = np.array([gp_misfit(pred.means[j], pred.cov_diags[j], meas)
-                      for j in range(ens.n_psi)])
+                      for j in range(len(ens.hyperparams))])
         assert g.max() - g.min() < 30.0
         k = np.array([
             np.prod(1.0 / np.sqrt(2 * np.pi * (meas.noise_vars + pred.cov_diags[j])))
-            for j in range(ens.n_psi)])
-        naive = np.log(np.sum(k / ens.n_psi * np.exp(-0.5 * g)))
+            for j in range(len(ens.hyperparams))])
+        naive = np.log(np.sum(k / len(ens.hyperparams) * np.exp(-0.5 * g)))
         assert d_restricted_loglik(theta, ens, meas) == pytest.approx(naive, rel=1e-12)
 
     def test_monte_carlo_oracle_single_instance(self):
@@ -324,7 +324,7 @@ class TestDRestrictedLoglik:
         meas = MeasurementModel(pred.means.mean(axis=0) + 0.3, np.full(tr.n_outputs, 0.4))
         value = np.exp(d_restricted_loglik(theta, ens, meas))
         draws = 1_000_000
-        comp = rng.integers(0, ens.n_psi, draws)
+        comp = rng.integers(0, len(ens.hyperparams), draws)
         f = pred.means[comp] + rng.normal(size=(draws, tr.n_outputs)) * np.sqrt(pred.cov_diags[comp])
         dens = np.prod(
             np.exp(-0.5 * (meas.z - f) ** 2 / meas.noise_vars)

@@ -260,7 +260,7 @@ class TestSampleHyperposterior:
         # Scalar-problem protocol: box (1e-8, 12) x (1e-8, 5), 100 samples.
         prior = BoxPrior([1e-8, 1e-8], [12.0, 5.0])
         ens = sample_hyperposterior(training, prior, n_walkers=100, n_steps=60, seed=21)
-        assert ens.n_psi == 100
+        assert len(ens.hyperparams) == 100
         psis = ens.hyperparams
         assert np.all(psis > 1e-8 - 1e-15)
         assert np.all(psis <= [12.0, 5.0])
@@ -293,9 +293,9 @@ class TestSampleHyperposterior:
         calls = []
         real_factorize = gpinv.gp._factorize
 
-        def flaky_factorize(X, Psi, jitter):
+        def flaky_factorize(X, Psi):
             calls.append(Psi.copy())
-            L, shift = real_factorize(X, Psi, jitter)
+            L, shift = real_factorize(X, Psi)
             if len(calls) == 1:
                 L[2], shift[2] = np.nan, np.nan
             return L, shift
@@ -303,13 +303,13 @@ class TestSampleHyperposterior:
         self.factorize_after_sampling(monkeypatch, flaky_factorize)
         ens = sample_hyperposterior(training, BoxPrior([1e-8, 1e-8], [2.0, 1.0]),
                                     n_walkers=10, n_steps=5, seed=24)
-        assert len(calls) == 2 and len(calls[0]) == 10 and ens.n_psi == 10
+        assert len(calls) == 2 and len(calls[0]) == 10 and len(ens.hyperparams) == 10
         assert not any(np.array_equal(row, calls[0][2]) for row in ens.hyperparams)
         assert any(np.array_equal(row, other)
                    for k, row in enumerate(ens.hyperparams) for other in ens.hyperparams[:k])
 
     def test_no_factorized_row_raises(self, training, monkeypatch):
-        def failing_factorize(X, Psi, jitter):
+        def failing_factorize(X, Psi):
             return np.full((len(Psi), len(X), len(X)), np.nan), np.full(len(Psi), np.nan)
 
         self.factorize_after_sampling(monkeypatch, failing_factorize)
@@ -318,7 +318,7 @@ class TestSampleHyperposterior:
                                   n_walkers=10, n_steps=5, seed=24)
 
     def test_other_fit_errors_propagate(self, training, monkeypatch):
-        def broken_factorize(X, Psi, jitter):
+        def broken_factorize(X, Psi):
             raise ValueError("not a conditioning problem")
 
         self.factorize_after_sampling(monkeypatch, broken_factorize)
@@ -349,7 +349,7 @@ class TestSampleHyperposterior:
         rows = sample_hyperposterior(training, prior, n_walkers=20, n_steps=30, seed=28).hyperparams
         init = rows[np.arange(20) % 7]
         ens = sample_hyperposterior(training, prior, 20, 30, seed=29, init_positions=init)
-        assert ens.n_psi == 20 and np.all(prior.contains(ens.hyperparams))
+        assert len(ens.hyperparams) == 20 and np.all(prior.contains(ens.hyperparams))
         assert np.unique(ens.hyperparams, axis=0).shape[0] > 7
 
     def test_dimension_check(self, training):

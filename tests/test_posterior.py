@@ -21,7 +21,7 @@ def flat(points):
 class TestSamplePosterior:
     def test_flat_target_recovers_prior(self):
         prior = BoxPrior([0.0, -2.0], [1.0, 2.0])
-        result = sample_posterior(flat, prior, n_samples=20_000, seed=0, source="flat")
+        result = sample_posterior(flat, prior, n_samples=20_000, seed=0, n_walkers=100, source="flat")
         assert result.n_samples == 20_000
         assert np.all(prior.contains(result.samples))
         # Draws within a walker are autocorrelated (a few sweeps), which a
@@ -38,7 +38,7 @@ class TestSamplePosterior:
 
     def test_sample_count_and_metadata(self):
         prior = BoxPrior([0.0], [1.0])
-        result = sample_posterior(flat, prior, n_samples=1234, seed=1, n_walkers=10)
+        result = sample_posterior(flat, prior, n_samples=1234, seed=1, n_walkers=10, source="flat")
         assert result.samples.shape == (1234, 1)
         assert result.metadata["n_walkers"] == 10
         assert result.metadata["burn_in_steps"] == result.metadata["kept_steps"]
@@ -49,19 +49,20 @@ class TestSamplePosterior:
         def loglik(points):
             return -0.5 * np.atleast_2d(points)[:, 0] ** 2
 
-        result = sample_posterior(loglik, prior, n_samples=20_000, seed=2)
+        result = sample_posterior(loglik, prior, n_samples=20_000, seed=2, n_walkers=100, source="gaussian")
         assert abs(result.samples.mean()) < 0.05
         assert abs(result.samples.std() - 1.0) < 0.05
 
     def test_determinism(self):
         prior = BoxPrior([0.0], [1.0])
-        a = sample_posterior(flat, prior, n_samples=500, seed=3)
-        b = sample_posterior(flat, prior, n_samples=500, seed=3)
+        a = sample_posterior(flat, prior, n_samples=500, seed=3, n_walkers=100, source="flat")
+        b = sample_posterior(flat, prior, n_samples=500, seed=3, n_walkers=100, source="flat")
         np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_invalid_count(self):
         with pytest.raises(ValueError):
-            sample_posterior(flat, BoxPrior([0.0], [1.0]), n_samples=0)
+            sample_posterior(flat, BoxPrior([0.0], [1.0]), n_samples=0, seed=0, n_walkers=100,
+                             source="flat")
 
 
 class TestShortestInterval:
