@@ -90,14 +90,9 @@ class AcquisitionState:
         return cls(ens, meas, g_min, bounds)
 
 
-def expected_improvement(theta: np.ndarray, state: AcquisitionState) -> float:
-    """Ensemble mean of the exact hinge [g_min - g_j]+ at theta."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    return float(expected_improvement_batch(theta[None, :], state)[0])
-
-
-def expected_improvement_batch(thetas: np.ndarray, state: AcquisitionState) -> np.ndarray:
-    """Exact expected improvement at every row of thetas, SCREEN_BLOCK rows at a time."""
+def expected_improvement(thetas: np.ndarray, state: AcquisitionState) -> np.ndarray:
+    """Exact expected improvement, the ensemble mean of the hinge [g_min - g_j]+,
+    at every row of thetas, SCREEN_BLOCK rows at a time."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     values = np.empty(thetas.shape[0])
     for lo in range(0, thetas.shape[0], SCREEN_BLOCK):
@@ -121,7 +116,7 @@ def screen_acquisition(state: AcquisitionState) -> tuple[np.ndarray, np.ndarray]
     near = state.ensemble.training.inputs[:, None, :] + offsets[None, :, :]
     candidates = np.vstack([sobol(SCREEN_POINTS, box, skip=1),
                             box.clip(near.reshape(-1, box.dim))])
-    return candidates, expected_improvement_batch(candidates, state)
+    return candidates, expected_improvement(candidates, state)
 
 
 def _misfit_grads_batch(thetas: np.ndarray, ens: GpEnsemble, meas: MeasurementModel):
@@ -135,8 +130,8 @@ def _misfit_grads_batch(thetas: np.ndarray, ens: GpEnsemble, meas: MeasurementMo
     return g, pullback(means, coeff_var)
 
 
-def expected_improvement_smoothed_batch(thetas: np.ndarray, state: AcquisitionState
-                                        ) -> tuple[np.ndarray, np.ndarray]:
+def expected_improvement_smoothed(thetas: np.ndarray, state: AcquisitionState
+                                  ) -> tuple[np.ndarray, np.ndarray]:
     """Smoothed objective values (B,) and analytic gradients (B, p), SCREEN_BLOCK rows at a time."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     values = np.empty(thetas.shape[0])
@@ -148,14 +143,6 @@ def expected_improvement_smoothed_batch(thetas: np.ndarray, state: AcquisitionSt
         dg *= slope[:, None, :]
         grads[lo:lo + SCREEN_BLOCK] = -dg.sum(axis=0).T / g.shape[0]
     return values, grads
-
-
-# perfbench/tracing.py patches this one-point adapter for its acq.ei_grad span, so it stays.
-def expected_improvement_smoothed(theta: np.ndarray, state: AcquisitionState) -> tuple[float, np.ndarray]:
-    """Smoothed objective value and its analytic gradient at theta."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    values, grads = expected_improvement_smoothed_batch(theta[None, :], state)
-    return float(values[0]), grads[0]
 
 
 @dataclass
@@ -311,7 +298,11 @@ def multistart_maximize_batch(values_and_grads, starts: np.ndarray, box: DesignB
 
 
 def maximize_acquisition(state: AcquisitionState, starts: Sequence[np.ndarray]) -> AcquisitionResult:
-    """Multistart ascent of the smoothed expected improvement inside the box."""
+    """Multistart ascent of the smoothed expected improvement inside the box.
+
+    The objective is looked up in this module at each call, so a wrapper
+    bound to `gpinv.acquisition.expected_improvement_smoothed` sees every
+    evaluation."""
     return multistart_maximize_batch(
-        lambda thetas: expected_improvement_smoothed_batch(thetas, state), starts, state.bounds,
+        lambda thetas: expected_improvement_smoothed(thetas, state), starts, state.bounds,
     )

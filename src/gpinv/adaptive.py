@@ -57,7 +57,7 @@ class AdaptiveConfig:
             raise ValueError(f"hyper_prior has {self.hyper_prior.dim} bounds, need "
                              f"{self.bounds.dim + 1} (sigma_c and one length scale per parameter)")
         if self.n_max < 1:
-            raise ValueError("n_max must be at least 1")
+            raise ValueError(f"n_max must be at least 1, got {self.n_max}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be at least 1, got {self.n_steps}")
         if self.n_starts < 1:
@@ -196,7 +196,7 @@ def confirm_stop(state: AcquisitionState, extra: np.ndarray) -> tuple[np.ndarray
     candidates, values = screen_acquisition(state)
     top = np.argsort(-values, kind="stable")[:SCREEN_TOP]
     ascent = maximize_acquisition(state, np.vstack([extra, candidates[top]]))
-    ascended = expected_improvement(ascent.theta, state)
+    ascended = float(expected_improvement(ascent.theta, state)[0])
     if values[top[0]] > ascended:
         return candidates[top[0]].copy(), float(values[top[0]])
     return ascent.theta, ascended
@@ -241,7 +241,7 @@ def run_adaptive(model, meas: MeasurementModel, cfg: AdaptiveConfig) -> Adaptive
         )
         state = AcquisitionState.from_ensemble(ensemble, meas, cfg.bounds)
         theta = maximize_acquisition(state, starts).theta
-        improvement = expected_improvement(theta, state)
+        improvement = float(expected_improvement(theta, state)[0])
         stop = improvement < EPS_THRESH * state.g_min
         if stop and extra is not None:
             confirm_theta, confirm_improvement = confirm_stop(state, extra)

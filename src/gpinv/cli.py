@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .adaptive import AdaptiveResult, run_adaptive
-from .designs import DesignBox, latin_hypercube, sobol
+from .designs import SOBOL_MAX_DIM, DesignBox, latin_hypercube, sobol
 from .errors import GpinvError
 from .experiments import (
     EXPERIMENTS,
@@ -369,6 +369,8 @@ def cmd_compare_designs(args) -> int:
 def cmd_gen_design(args) -> int:
     _at_least("--n", args.n, 1)
     _at_least("--seed", args.seed, 0)
+    if args.kind == "lhs" and args.skip:
+        raise UsageError(f"--skip {args.skip}: only --kind sobol skips points")
     if (args.config or args.experiment) and args.bounds:
         raise UsageError("--bounds cannot be combined with --config or --experiment")
     if args.config or args.experiment:
@@ -377,6 +379,8 @@ def cmd_gen_design(args) -> int:
         box = _parse_bounds(args.bounds)
     else:
         raise UsageError("provide --config, --experiment, or --bounds")
+    if args.kind == "sobol" and box.dim > SOBOL_MAX_DIM:
+        raise UsageError(f"--bounds has {box.dim} pairs; sobol designs have at most {SOBOL_MAX_DIM}")
     out = _out_file(args.out)
     if args.kind == "lhs":
         points = latin_hypercube(args.n, box, seed=args.seed)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError
 
 # Primitive polynomials (coefficient bits, leading and trailing 1 included)
 # and initial direction integers m_1..m_deg of dimensions 1..21, from Joe &
@@ -117,7 +116,7 @@ def sobol(n: int, box: DesignBox, skip: int = 0) -> np.ndarray:
     Gray code k ^ (k >> 1), times 2^-SOBOL_BITS.
     """
     if box.dim > SOBOL_MAX_DIM:
-        raise CapabilityError(f"Sobol direction numbers configured up to d={SOBOL_MAX_DIM}")
+        raise ValueError(f"Sobol direction numbers go up to d={SOBOL_MAX_DIM}, got d={box.dim}")
     if n < 1:
         raise ValueError("need at least one point")
     if skip < 0 or skip + n > 2**SOBOL_BITS:

@@ -29,7 +29,3 @@ class InvalidParameterError(GpinvError):
 
 class InitializationError(GpinvError):
     """Sampler could not be started (e.g. no walker has finite log-probability)."""
-
-
-class CapabilityError(GpinvError):
-    """Requested operation exceeds a supported limit (e.g. sequence dimension)."""

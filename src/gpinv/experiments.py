@@ -30,11 +30,7 @@ from .forward_models import (
     generate_measurements,
 )
 from .gp import GpEnsemble
-from .likelihood import (
-    MeasurementModel,
-    d_restricted_loglik_batch,
-    loglik_of_outputs,
-)
+from .likelihood import MeasurementModel, d_restricted_loglik_batch, misfit_of_outputs
 from .mcmc import check_walkers
 
 
@@ -85,6 +81,8 @@ class ExperimentSpec:
                              f"for {p} parameters")
         if not np.all(np.isfinite(self.theta_true)):
             raise ValueError(f"theta_true {self.theta_true} must be finite")
+        if not self.bounds.contains(np.array(self.theta_true))[0]:
+            raise ValueError(f"theta_true {self.theta_true} lies outside the [bounds] box")
         check_walkers("posterior_walkers", self.posterior_walkers, p)
         self.adaptive_config(seed=0)
 
@@ -244,11 +242,13 @@ def _coerce(raw: str, current):
 
 
 def true_loglik_rows(model: ForwardModel, meas: MeasurementModel):
-    """Row-batched true log-likelihood for the samplers (one forward solve per row)."""
+    """Row-batched true Gaussian log-likelihood for the samplers (one forward
+    solve per row): -(g + sum log(2 pi noise_vars)) / 2 with g the misfit."""
+    log_norm = float(np.sum(np.log(2.0 * np.pi * meas.noise_vars)))
 
     def loglik(thetas: np.ndarray) -> np.ndarray:
-        thetas = np.atleast_2d(thetas)
-        return np.array([loglik_of_outputs(model.evaluate(row), meas) for row in thetas])
+        g = np.array([misfit_of_outputs(model.evaluate(row), meas) for row in np.atleast_2d(thetas)])
+        return -0.5 * (g + log_norm)
 
     return loglik
 

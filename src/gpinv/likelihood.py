@@ -112,11 +112,6 @@ def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray:
     return np.squeeze(out + shift, axis=axis)[()]
 
 
-def loglik_of_outputs(outputs: np.ndarray, meas: MeasurementModel) -> float:
-    g = misfit_of_outputs(outputs, meas)
-    return -0.5 * (g + float(np.sum(np.log(2.0 * np.pi * meas.noise_vars))))
-
-
 def d_restricted_loglik_batch(thetas: np.ndarray, ens: GpEnsemble, meas: MeasurementModel) -> np.ndarray:
     """Surrogate log-likelihood of every row of thetas, DENSITY_BLOCK rows at a time.
 

@@ -130,17 +130,23 @@ def _init_ensemble(
     rng: np.random.Generator,
     init_positions: np.ndarray | None = None,
 ) -> WalkerEnsemble:
+    """Walkers at `init_positions` (at least n_walkers rows in the box) or
+    uniform in the box. The rows are scored once; from more rows than walkers
+    the n_walkers most probable are kept, best first, ties to the earlier row."""
     check_walkers("n_walkers", n_walkers, prior.dim)
     if init_positions is not None:
         positions = np.array(init_positions, dtype=float)
-        if positions.shape != (n_walkers, prior.dim):
-            raise ValueError(f"init_positions must be ({n_walkers}, {prior.dim})")
+        if positions.shape[1:] != (prior.dim,) or len(positions) < n_walkers:
+            raise ValueError(f"init_positions must have at least {n_walkers} rows of {prior.dim}")
         if not np.all(prior.contains(positions)):
             raise ValueError("init_positions must lie inside the prior box")
     else:
         positions = prior.sample(rng, n_walkers)
     log_probs = np.asarray(log_prob(positions), dtype=float)
     log_probs = np.where(np.isnan(log_probs), -np.inf, log_probs)
+    if positions.shape[0] > n_walkers:
+        best = np.argsort(-log_probs, kind="stable")[:n_walkers]
+        positions, log_probs = positions[best], log_probs[best]
     if not np.any(log_probs > -np.inf):
         raise InitializationError("every initial walker has zero probability")
     # Walkers stuck at -inf would poison acceptance ratios; restart them on

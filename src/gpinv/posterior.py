@@ -47,16 +47,16 @@ def sample_posterior(
     follows the row-batched convention of :mod:`gpinv.mcmc`.
 
     Walkers start at the best of a uniform candidate pool of
-    POOL_FACTOR * n_walkers points, so sharply concentrated targets do not
-    leave walkers stranded behind likelihood barriers.
+    POOL_FACTOR * n_walkers points, scored once, so sharply concentrated
+    targets do not leave walkers stranded behind likelihood barriers.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     kept_steps = -(-n_samples // n_walkers)
-    init = _best_of_pool(loglik, prior, n_walkers, seed)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9001]))
     chain, acceptance, _ = run_chain(
         loglik, prior, n_walkers, 2 * kept_steps, seed=seed,
-        keep_every_step=True, init_positions=init,
+        keep_every_step=True, init_positions=prior.sample(rng, POOL_FACTOR * n_walkers),
     )
     samples = chain[kept_steps:].reshape(-1, prior.dim)[:n_samples]
     return PosteriorSampleSet(
@@ -71,16 +71,6 @@ def sample_posterior(
             "init": f"best-of-pool({POOL_FACTOR * n_walkers})",
         },
     )
-
-
-def _best_of_pool(loglik: LogProb, prior: DesignBox, n_walkers: int, seed: int) -> np.ndarray:
-    """Top-n_walkers points of a uniform candidate pool (stable under ties)."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9001]))
-    pool = prior.sample(rng, POOL_FACTOR * n_walkers)
-    values = np.asarray(loglik(pool), dtype=float)
-    values = np.where(np.isnan(values), -np.inf, values)
-    order = np.argsort(-values, kind="stable")
-    return pool[order[:n_walkers]]
 
 
 @dataclass(frozen=True)

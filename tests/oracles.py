@@ -49,7 +49,6 @@ from gpinv.likelihood import (
     MeasurementModel,
     _misfit_batch,
     d_restricted_loglik_batch,
-    loglik_of_outputs,
     misfit_of_outputs,
 )
 from gpinv.mcmc import LogProb, run_chain
@@ -99,8 +98,10 @@ def true_misfit(theta: np.ndarray, forward_model, meas: MeasurementModel) -> flo
 
 
 def true_loglik(theta: np.ndarray, forward_model, meas: MeasurementModel) -> float:
-    """Gaussian log-likelihood of the data given exact forward outputs."""
-    return loglik_of_outputs(forward_model.evaluate(theta), meas)
+    """Gaussian log-likelihood of the data given exact forward outputs:
+    -(g + sum_i log(2 pi sigma_i^2)) / 2 with g the misfit."""
+    g = true_misfit(theta, forward_model, meas)
+    return -0.5 * (g + float(np.sum(np.log(2.0 * np.pi * meas.noise_vars))))
 
 
 def gp_misfits(theta: np.ndarray, ens: GpEnsemble, meas: MeasurementModel) -> np.ndarray:

@@ -154,9 +154,9 @@ def test_criterion_2_gradient_suite():
                 gp_, _ = misfits_and_grads(ens, meas, theta + e)
                 gm_, _ = misfits_and_grads(ens, meas, theta - e)
                 fd_g[:, k] = (gp_ - gm_) / (2 * h)
-                fd_I[k] = (expected_improvement_smoothed(theta + e, state)[0]
-                           - expected_improvement_smoothed(theta - e, state)[0]) / (2 * h)
-            _, dI = expected_improvement_smoothed(theta, state)
+                fd_I[k] = (expected_improvement_smoothed((theta + e)[None], state)[0][0]
+                           - expected_improvement_smoothed((theta - e)[None], state)[0][0]) / (2 * h)
+            dI = expected_improvement_smoothed(theta[None], state)[1][0]
             worst["m"] = max(worst["m"], rel_err(dm, fd_m))
             worst["V"] = max(worst["V"], rel_err(dV, fd_V))
             worst["g"] = max(worst["g"], rel_err(dg, fd_g))

@@ -16,9 +16,7 @@ import gpinv.acquisition as acq
 from gpinv.acquisition import (
     AcquisitionState,
     expected_improvement,
-    expected_improvement_batch,
     expected_improvement_smoothed,
-    expected_improvement_smoothed_batch,
     maximize_acquisition,
     multistart_maximize_batch,
     screen_acquisition,
@@ -95,12 +93,12 @@ class TestExpectedImprovement:
     def test_zero_at_training_inputs(self):
         state, _ = make_state(seed=1)
         for theta in state.ensemble.training.inputs:
-            assert expected_improvement(theta, state) == pytest.approx(0.0, abs=1e-9)
+            assert expected_improvement(theta[None], state)[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_bounded_by_g_min(self):
         state, rng = make_state(seed=2)
         for theta in rng.uniform(-1, 1, (50, 2)):
-            value = expected_improvement(theta, state)
+            value = expected_improvement(theta[None], state)[0]
             assert 0.0 <= value <= state.g_min + 1e-12
 
     def test_hand_arithmetic_average(self, monkeypatch):
@@ -108,13 +106,13 @@ class TestExpectedImprovement:
         monkeypatch.setattr(acq, "_misfit_batch",
                             lambda thetas, ens, meas: np.array([[4.0, 16.0]]).T)
         fixed = AcquisitionState(state.ensemble, state.meas, 10.0, state.bounds)
-        assert expected_improvement(np.zeros(2), fixed) == pytest.approx(3.0)
+        assert expected_improvement(np.zeros((1, 2)), fixed)[0] == pytest.approx(3.0)
 
     def test_batch_matches_pointwise(self):
         state, rng = make_state(seed=14)
         thetas = np.vstack([rng.uniform(-1, 1, (37, 2)), state.ensemble.training.inputs])
-        batch = expected_improvement_batch(thetas, state)
-        pointwise = [expected_improvement(theta, state) for theta in thetas]
+        batch = expected_improvement(thetas, state)
+        pointwise = [expected_improvement(theta[None], state)[0] for theta in thetas]
         np.testing.assert_allclose(batch, pointwise, rtol=1e-10, atol=1e-12)
 
     def test_screen_covers_box_and_design_neighbourhoods(self):
@@ -127,7 +125,7 @@ class TestExpectedImprovement:
         offsets = np.abs(near - state.ensemble.training.inputs[:, None, :]).max(axis=2)
         assert np.all(offsets <= acq.SCREEN_RADIUS * 2.0 + 1e-12)  # box width 2
         assert np.all(offsets > 0.0)
-        np.testing.assert_array_equal(values, expected_improvement_batch(candidates, state))
+        np.testing.assert_array_equal(values, expected_improvement(candidates, state))
 
     def test_maximum_achievable_improvement(self, monkeypatch):
         # Every member predicting the data exactly yields I = g_min.
@@ -135,7 +133,7 @@ class TestExpectedImprovement:
         monkeypatch.setattr(acq, "_misfit_batch",
                             lambda thetas, ens, meas: np.zeros((1, 3)).T)
         fixed = AcquisitionState(state.ensemble, state.meas, 7.5, state.bounds)
-        assert expected_improvement(np.zeros(2), fixed) == pytest.approx(7.5)
+        assert expected_improvement(np.zeros((1, 2)), fixed)[0] == pytest.approx(7.5)
 
 
 class TestSmoothedObjective:
@@ -143,8 +141,8 @@ class TestSmoothedObjective:
         monkeypatch.setattr(acq, "ETA", 1e-3)
         state, rng = make_state(seed=5)
         for theta in rng.uniform(-1, 1, (100, 2)):
-            smoothed, _ = expected_improvement_smoothed(theta, state)
-            exact = expected_improvement(theta, state)
+            smoothed = expected_improvement_smoothed(theta[None], state)[0][0]
+            exact = expected_improvement(theta[None], state)[0]
             assert smoothed <= exact + 1e-14
             assert exact <= smoothed + 0.5 * acq.ETA + 1e-14
 
@@ -154,13 +152,13 @@ class TestSmoothedObjective:
         checked = 0
         while checked < 100:
             theta = rng.uniform(-1, 1, 2)
-            value, grad = expected_improvement_smoothed(theta, state)
+            grad = expected_improvement_smoothed(theta[None], state)[1][0]
             fd = np.zeros(2)
             for k in range(2):
                 e = np.zeros(2)
                 e[k] = h
-                fd[k] = (expected_improvement_smoothed(theta + e, state)[0]
-                         - expected_improvement_smoothed(theta - e, state)[0]) / (2 * h)
+                fd[k] = (expected_improvement_smoothed((theta + e)[None], state)[0][0]
+                         - expected_improvement_smoothed((theta - e)[None], state)[0][0]) / (2 * h)
             scale = max(np.linalg.norm(grad), 1e-8)
             assert np.linalg.norm(grad - fd) / scale < 1e-4
             checked += 1
@@ -254,20 +252,20 @@ class TestSmoothedBatch:
     def test_row_independent_of_its_block(self):
         state, rng = make_state(seed=17, n=8, q=3, n_psi=9)
         block = rng.uniform(-1, 1, (acq.SCREEN_BLOCK, 2))
-        values, grads = expected_improvement_smoothed_batch(block, state)
+        values, grads = expected_improvement_smoothed(block, state)
         assert values.shape == (acq.SCREEN_BLOCK,) and grads.shape == (acq.SCREEN_BLOCK, 2)
         assert np.count_nonzero(values) > acq.SCREEN_BLOCK // 2
         for theta, value, grad in zip(block, values, grads):
-            alone, alone_grad = expected_improvement_smoothed(theta, state)
-            assert alone == pytest.approx(value, rel=1e-12, abs=0.0)
-            np.testing.assert_allclose(alone_grad, grad, rtol=1e-12, atol=0.0)
+            alone, alone_grad = expected_improvement_smoothed(theta[None], state)
+            assert alone[0] == pytest.approx(value, rel=1e-12, abs=0.0)
+            np.testing.assert_allclose(alone_grad[0], grad, rtol=1e-12, atol=0.0)
 
     def test_blocks_cover_more_rows_than_one_block(self):
         state, rng = make_state(seed=18)
         thetas = rng.uniform(-1, 1, (2 * acq.SCREEN_BLOCK + 3, 2))
-        values, grads = expected_improvement_smoothed_batch(thetas, state)
+        values, grads = expected_improvement_smoothed(thetas, state)
         for lo in range(0, len(thetas), acq.SCREEN_BLOCK):
-            part = expected_improvement_smoothed_batch(thetas[lo:lo + acq.SCREEN_BLOCK], state)
+            part = expected_improvement_smoothed(thetas[lo:lo + acq.SCREEN_BLOCK], state)
             np.testing.assert_array_equal(values[lo:lo + acq.SCREEN_BLOCK], part[0])
             np.testing.assert_array_equal(grads[lo:lo + acq.SCREEN_BLOCK], part[1])
 
@@ -450,8 +448,8 @@ class TestMultistartMaximize:
         interior = np.all((result.theta > state.bounds.lower + 1e-6)
                           & (result.theta < state.bounds.upper - 1e-6))
         if interior and not result.degraded and result.value > 1e-8:
-            _, grad = expected_improvement_smoothed(result.theta, state)
-            assert np.linalg.norm(grad) < 1e-6
+            _, grads = expected_improvement_smoothed(result.theta[None], state)
+            assert np.linalg.norm(grads[0]) < 1e-6
 
 
 def test_acquisition_state_validation():

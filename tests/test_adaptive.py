@@ -8,7 +8,6 @@ from gpinv.acquisition import (
     AcquisitionResult,
     AcquisitionState,
     expected_improvement,
-    expected_improvement_batch,
     maximize_acquisition,
 )
 from gpinv.adaptive import (
@@ -222,18 +221,18 @@ class TestConfirmStop:
         state, starts, extra, _ = sliver
         axis = np.linspace(0.0, 1.0, 201)
         grid = np.array([[a, b] for a in axis for b in axis])
-        assert 0.0 < np.mean(expected_improvement_batch(grid, state) > 0.0) < 0.01
-        assert np.all(expected_improvement_batch(np.vstack([starts, extra]), state) == 0.0)
+        assert 0.0 < np.mean(expected_improvement(grid, state) > 0.0) < 0.01
+        assert np.all(expected_improvement(np.vstack([starts, extra]), state) == 0.0)
 
     def test_sweeps_alone_miss_the_sliver(self, sliver):
         state, starts, extra, threshold = sliver
         for seeds in (starts, extra):
             theta = maximize_acquisition(state, seeds).theta
-            assert expected_improvement(theta, state) < threshold
+            assert expected_improvement(theta[None], state)[0] < threshold
 
     def test_confirm_finds_the_sliver(self, sliver):
         state, _, extra, threshold = sliver
         theta, improvement = confirm_stop(state, extra)
         assert improvement >= threshold
-        assert improvement == pytest.approx(expected_improvement(theta, state), rel=1e-9)
+        assert improvement == pytest.approx(expected_improvement(theta[None], state)[0], rel=1e-9)
         assert state.bounds.contains(theta[None, :])[0]

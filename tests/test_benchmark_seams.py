@@ -84,3 +84,22 @@ def test_benchmark_overrides_apply(monkeypatch):
         replace(spec, **dict(work.overrides))  # a spec checks its values when built
         small = replace(spec, **{**dict(work.overrides), **toy})
         assert all(getattr(small, key) == value for key, value in toy.items())
+
+
+def test_traced_adaptive_unit_reads_every_seam(monkeypatch):
+    """One heat-adaptive unit at the self-test's toy sizes counts work in every
+    layer the loop passes through; a seam whose patch target the library no
+    longer calls reads 0."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    import workloads
+
+    heat = workloads.WORKLOADS["heat-adaptive"]
+    work = replace(heat, overrides=tuple({**dict(heat.overrides), **_toy_overrides()}.items()))
+    tracer = tracing.Tracer()
+    outcome = work.run(work.setup(tracer, unit=-1), seed=0, tracer=tracer, unit=0)
+    assert not outcome.problems
+    metrics = tracing.layer_metrics(tracer, 0)
+    for name in ("acq.ei_grad.calls", "acq.ei_exact.calls", "gp.lml.rows", "gp.predict.rows",
+                 "mcmc.hyper.calls", "fwd.evals"):
+        assert metrics[name] > 0, name

@@ -69,7 +69,8 @@ class TestRunAdaptive:
     def test_duplicate_point_run_is_partial(self, fast_cfg, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(gpinv.adaptive, "maximize_acquisition", lambda state, starts:
                             AcquisitionResult(state.ensemble.training.inputs[0].copy(), 1.0))
-        monkeypatch.setattr(gpinv.adaptive, "expected_improvement", lambda theta, state: state.g_min)
+        monkeypatch.setattr(gpinv.adaptive, "expected_improvement",
+                            lambda thetas, state: np.array([state.g_min]))
         out = tmp_path / "run"
         assert main(["run-adaptive", "--config", fast_cfg, "--out", str(out)]) == 0
         _, doc = manifest_hashes(out)
@@ -313,6 +314,8 @@ class TestErrors:
         (["gen-design", "--bounds", "-inf,inf 0,1", "--n", "4"], "--bounds"),
         (["gen-design", "--experiment", "one_d", "--bounds", "0,1", "--n", "4"], "--bounds"),
         (["eval-model", "--experiment", "one_d", "--theta", "2", "--dump-field"], "--dump-field"),
+        (["gen-design", "--bounds", " ".join(["0,1"] * 22), "--kind", "sobol", "--n", "4"], "--bounds"),
+        (["gen-design", "--experiment", "heat", "--n", "4", "--skip", "7"], "--skip"),
     ])
     def test_malformed_value_is_a_usage_error(self, argv, option, tmp_path, capsys):
         out = tmp_path / "out"
@@ -340,6 +343,8 @@ class TestErrors:
          "posterior_walkers must be even and at least 2, got 3"),
         ("[measurement]\nmeas_seed = -1\n", "meas_seed must be at least 0, got -1"),
         ("[adaptive]\nn_initial = 0\n", "n_initial must be at least 1, got 0"),
+        ("[adaptive]\nn_max = 0\n", "n_max must be at least 1, got 0"),
+        ("[measurement]\ntheta_true = 7\n", "theta_true (7.0,) lies outside the [bounds] box"),
         ("[bounds]\nlower = 0 0\nupper = 1 1\n[hyper_prior]\nlower = 1e-8 1e-8 1e-8\n"
          "upper = 2 1 1\n[measurement]\ntheta_true = 0.25 0.75\n",
          "bounds.lower has 2 values, need 1 for one_d"),

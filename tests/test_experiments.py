@@ -87,13 +87,13 @@ n_max = 3
 [mcmc]
 n_walkers = 22
 [bounds]
-lower = -2
-upper = 2
+lower = -3
+upper = 3
 """)
         spec = load_experiment(cfg)
         assert spec.n_max == 3
         assert spec.n_walkers == 22
-        assert spec.bounds.lower[0] == -2.0
+        assert spec.bounds.lower[0] == -3.0
 
     def test_unknown_name_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -7,12 +7,13 @@ from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 from gpinv import likelihood
+from gpinv.experiments import true_loglik_rows
+from gpinv.forward_models import Rational1D
 from gpinv.gp import GpEnsemble, HyperParams, TrainingSet, fit_single
 from gpinv.likelihood import (
     DENSITY_BLOCK,
     MeasurementModel,
     d_restricted_loglik_batch,
-    loglik_of_outputs,
     member_misfits,
     misfit_of_outputs,
 )
@@ -279,6 +280,14 @@ class TestTrueLoglik:
         expected = multivariate_normal(mean=f, cov=np.diag(noise)).logpdf(z)
         assert true_loglik(None, Lookup(f), meas) == pytest.approx(expected, rel=1e-12)
 
+    def test_rows_match_the_oracle(self):
+        model = Rational1D()
+        meas = MeasurementModel([0.3], [0.05])
+        thetas = np.linspace(-6.0, 6.0, 7)[:, None]
+        rows = true_loglik_rows(model, meas)(thetas)
+        np.testing.assert_array_equal(rows, [true_loglik(theta, model, meas) for theta in thetas])
+        assert model.n_evals == 2 * len(thetas)
+
 
 class TestDRestrictedLoglik:
     def test_single_member_zero_variance_equals_true_loglik(self):
@@ -289,7 +298,7 @@ class TestDRestrictedLoglik:
         meas = MeasurementModel(rng.normal(0, 1, tr.n_outputs), np.full(tr.n_outputs, 0.35))
         theta = tr.inputs[0]
         value = d_restricted_loglik(theta, ens, meas)
-        expected = loglik_of_outputs(tr.raw_outputs[0], meas)
+        expected = true_loglik(None, Lookup(tr.raw_outputs[0]), meas)
         assert value == pytest.approx(expected, abs=1e-6)
 
     def test_huge_misfits_stay_finite(self):

@@ -218,6 +218,35 @@ class TestRunSampler:
         _, counts = np.unique(ens.positions, axis=0, return_counts=True)
         assert counts.max() <= 1 + -(-n_stuck // n_finite)
 
+    def test_more_rows_than_walkers_keeps_the_most_probable(self):
+        prior = BoxPrior([0.0], [10.0])
+        rows = np.array([[2.5], [7.25], [10.0], [5.0], [7.75], [1.0]])
+
+        def steps(points):  # 2, 7, -inf, 5, 7, 1: rows 1 and 4 tie
+            return np.where(points[:, 0] < 10.0, np.floor(points[:, 0]), -np.inf)
+
+        ens = gpinv.mcmc._init_ensemble(steps, prior, 4, np.random.default_rng(0), rows)
+        np.testing.assert_array_equal(ens.positions[:, 0], [7.25, 7.75, 5.0, 2.5])
+        np.testing.assert_array_equal(ens.log_probs, [7.0, 7.0, 5.0, 2.0])
+
+    def test_more_rows_than_walkers_still_moves_stuck_walkers(self, caplog):
+        prior = BoxPrior([0.0], [1.0])
+        rows = np.array([[0.1], [0.9], [0.2], [0.8], [0.7], [0.6]])
+
+        def left(points):
+            return np.where(points[:, 0] < 0.5, -points[:, 0], -np.inf)
+
+        with caplog.at_level(logging.WARNING, logger="gpinv.mcmc"):
+            ens = gpinv.mcmc._init_ensemble(left, prior, 4, np.random.default_rng(0), rows)
+        np.testing.assert_array_equal(ens.positions[:, 0], [0.1, 0.2, 0.1, 0.2])
+        np.testing.assert_array_equal(ens.log_probs, [-0.1, -0.2, -0.1, -0.2])
+        assert sum("re-seeded 2 walkers" in r.message for r in caplog.records) == 1
+
+    def test_fewer_rows_than_walkers_rejected(self):
+        prior = BoxPrior([0.0], [1.0])
+        with pytest.raises(ValueError, match="at least 4 rows"):
+            gpinv.mcmc._init_ensemble(flat, prior, 4, np.random.default_rng(0), np.full((3, 1), 0.5))
+
     def test_too_few_walkers_rejected(self):
         prior = BoxPrior([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
         with pytest.raises(ValueError, match="walker"):

@@ -5,6 +5,7 @@ from scipy.stats import kstest, norm
 from gpinv.mcmc import BoxPrior
 from gpinv.posterior import (
     GRID_POINTS,
+    POOL_FACTOR,
     PosteriorSampleSet,
     grid_hellinger,
     grid_points,
@@ -58,6 +59,20 @@ class TestSamplePosterior:
         a = sample_posterior(flat, prior, n_samples=500, seed=3, n_walkers=100, source="flat")
         b = sample_posterior(flat, prior, n_samples=500, seed=3, n_walkers=100, source="flat")
         np.testing.assert_array_equal(a.samples, b.samples)
+
+    def test_pool_is_scored_once(self):
+        """The first density call scores the whole start pool; the next one is
+        already a half-sweep's proposals, not a second scoring of the walkers."""
+        rows = []
+
+        def counted(points):
+            rows.append(len(points))
+            return flat(points)
+
+        sample_posterior(counted, BoxPrior([0.0, 0.0], [1.0, 1.0]), n_samples=40, seed=4,
+                         n_walkers=10, source="flat")
+        assert rows[0] == POOL_FACTOR * 10
+        assert 0 < rows[1] <= 5
 
     def test_invalid_count(self):
         with pytest.raises(ValueError):
