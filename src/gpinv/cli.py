@@ -369,8 +369,9 @@ def cmd_compare_designs(args) -> int:
 def cmd_gen_design(args) -> int:
     _at_least("--n", args.n, 1)
     _at_least("--seed", args.seed, 0)
-    if args.kind == "lhs" and args.skip:
-        raise UsageError(f"--skip {args.skip}: only --kind sobol skips points")
+    option, value = ("--skip", args.skip) if args.kind == "lhs" else ("--seed", args.seed)
+    if value:
+        raise UsageError(f"{option} {value}: --kind {args.kind} does not use {option}")
     if (args.config or args.experiment) and args.bounds:
         raise UsageError("--bounds cannot be combined with --config or --experiment")
     if args.config or args.experiment:

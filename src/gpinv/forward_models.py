@@ -11,8 +11,8 @@ never runs on the same grid that produced the measurements.
 The heat step has constant coefficients and zero-flux walls, so the cosine
 basis diagonalizes it: the heat model multiplies by the orthonormal DCT-II
 basis matrix of each grid axis and is solved exactly mode by mode. The Darcy
-operator depends on theta and is factorized by sparse LU on every solve;
-`scipy.sparse` is imported there, so importing this module needs numpy alone.
+operator depends on theta and is factorized by a banded Cholesky on every
+solve; `scipy.linalg` is imported there, so importing this module needs numpy alone.
 Both PDE models share one grid-model base: each supplies only its named
 solution fields, and the base reads them out at the sensors.
 
@@ -133,33 +133,6 @@ class _CellGrid:
         f11 = field[j0 + 1, i0 + 1]
         return (f00 * (1 - fx) * (1 - fy) + f01 * fx * (1 - fy)
                 + f10 * (1 - fx) * fy + f11 * fx * fy)
-
-
-def _face_pairs(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Flattened index pairs of cells sharing an x-face and a y-face."""
-    idx = np.arange(nx * ny).reshape(ny, nx)
-    ax, bx = idx[:, :-1].ravel(), idx[:, 1:].ravel()
-    ay, by = idx[:-1, :].ravel(), idx[1:, :].ravel()
-    return ax, bx, ay, by
-
-
-def _flux_operator(nx: int, ny: int, coef_x: np.ndarray, coef_y: np.ndarray):
-    """Assemble sum-over-faces coef*(u_a - u_b) as a sparse matrix.
-
-    Rows sum to zero by construction, which is the discrete footprint of the
-    zero-flux boundary. coef_x/coef_y hold one value per interior face.
-    """
-    from scipy.sparse import coo_matrix
-
-    ax, bx, ay, by = _face_pairs(nx, ny)
-    a = np.concatenate([ax, ay])
-    b = np.concatenate([bx, by])
-    c = np.concatenate([coef_x, coef_y])
-    rows = np.concatenate([a, b, a, b])
-    cols = np.concatenate([a, b, b, a])
-    vals = np.concatenate([c, c, -c, -c])
-    n = nx * ny
-    return coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
 
 
 def _neumann_eigenvalues(n: int, h: float) -> np.ndarray:
@@ -326,6 +299,40 @@ def permeability_field(points: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return basis @ theta
 
 
+def _face_conductivities(theta: np.ndarray, grid: _CellGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Harmonic means of the adjacent cells' permeabilities over dx^2 on the
+    (ny, nx - 1) x-faces and over dy^2 on the (ny - 1, nx) y-faces."""
+    X, Y = grid.centers()
+    kappa = permeability_field(np.column_stack([X.ravel(), Y.ravel()]), theta).reshape(X.shape)
+    if np.any(kappa <= 0.0):
+        raise InvalidParameterError(f"permeability must be positive everywhere (min {kappa.min():.3e})")
+    west, east, south, north = kappa[:, :-1], kappa[:, 1:], kappa[:-1], kappa[1:]
+    return (2.0 * west * east / (west + east) / grid.dx**2,
+            2.0 * south * north / (south + north) / grid.dy**2)
+
+
+def _flux_balance(u: np.ndarray, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+    """A u for a (ny, nx) field: each cell's sum over its faces of coef * (u_cell - u_neighbour)."""
+    fx, fy = cx * (u[:, :-1] - u[:, 1:]), cy * (u[:-1] - u[1:])
+    # The outflow of each cell is the difference of its face fluxes; none crosses the walls.
+    return (np.diff(fx, axis=1, prepend=0.0, append=0.0)
+            + np.diff(fy, axis=0, prepend=0.0, append=0.0))
+
+
+def _pinned_band(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+    """LAPACK lower band storage, shape (nx + 1, nx ny - 1), of A[1:, 1:], the
+    flux matrix without its first cell's row and column: row 0 holds the
+    diagonal, row 1 the x-face couplings and row nx the y-face couplings."""
+    ny, nx = cx.shape[0], cy.shape[1]
+    band = np.zeros((nx + 1, ny, nx))
+    band[1, :, :-1], band[nx, :-1] = -cx, -cy
+    # A's rows sum to zero: the diagonal is minus a cell's couplings to its east and
+    # north neighbours and, rolled by 1 and nx cells over the zero last column and
+    # row, to its west and south ones.
+    band[0] = -(band[1] + np.roll(band[1], 1) + band[nx] + np.roll(band[nx], nx))
+    return band.reshape(nx + 1, -1)[:, 1:]
+
+
 class DarcyPermeability2D(_GridModel):
     """Steady flow: -div(kappa grad u) = q, zero flux across the boundary,
     zero-mean pressure. The nine parameters weigh the radial basis functions
@@ -335,7 +342,8 @@ class DarcyPermeability2D(_GridModel):
     flux operator A is symmetric and annihilates constants, so A u = q is
     solvable only for zero-mean q, and then only up to a constant: the solve
     removes the mean of the discretized source, pins the first cell at 0 and
-    shifts the result to zero mean.
+    shifts the result to zero mean. A[1:, 1:] is then positive definite with
+    bandwidth nx: a banded Cholesky factors it straight from the face conductivities.
     """
 
     input_dim = 9
@@ -349,33 +357,24 @@ class DarcyPermeability2D(_GridModel):
             q += w / (2.0 * np.pi * SOURCE_WIDTH**2) * np.exp(-r2 / (2.0 * SOURCE_WIDTH**2))
         return q
 
-    def operator(self, theta: np.ndarray, cfg: GridSolverConfig):
-        """Sparse flux-balance operator A with A @ const = 0 (pure Neumann) on cfg's grid."""
-        grid = _CellGrid(cfg.nx, cfg.ny)
-        X, Y = grid.centers()
-        kappa = permeability_field(np.column_stack([X.ravel(), Y.ravel()]), theta)
-        if np.any(kappa <= 0.0):
-            raise InvalidParameterError(
-                f"permeability must be positive everywhere (min {kappa.min():.3e})"
-            )
-        ax, bx, ay, by = _face_pairs(cfg.nx, cfg.ny)
-        harm_x = 2.0 * kappa[ax] * kappa[bx] / (kappa[ax] + kappa[bx]) / grid.dx**2
-        harm_y = 2.0 * kappa[ay] * kappa[by] / (kappa[ay] + kappa[by]) / grid.dy**2
-        return grid, _flux_operator(cfg.nx, cfg.ny, harm_x, harm_y)
-
     def _fields(self, theta: np.ndarray, cfg: GridSolverConfig) -> dict[str, np.ndarray]:
-        from scipy.sparse.linalg import splu
+        from scipy.linalg import cho_solve_banded, cholesky_banded
 
-        grid, A = self.operator(theta, cfg)
-        q = self.source_field(grid).ravel()
-        u = np.zeros(q.size)
+        grid = _CellGrid(cfg.nx, cfg.ny)
+        cx, cy = _face_conductivities(theta, grid)
+        q = self.source_field(grid)
         try:
-            u[1:] = splu(A[1:, 1:]).solve((q - q.mean())[1:])
-        except RuntimeError as exc:
+            factor = cholesky_banded(_pinned_band(cx, cy), lower=True, check_finite=False), True
+        except np.linalg.LinAlgError as exc:
             raise SolverError(f"Darcy system is singular: {exc}") from exc
+        # Solve from u = 0, then refine once on the same factor (2e-12 error without it).
+        u = np.zeros_like(q)
+        for _ in range(2):
+            residual = q - q.mean() - _flux_balance(u, cx, cy)
+            u.flat[1:] += cho_solve_banded(factor, residual.flat[1:], check_finite=False)
         if not np.all(np.isfinite(u)):
             raise SolverError("Darcy solve produced non-finite values")
-        return {"field": (u - u.mean()).reshape(cfg.ny, cfg.nx)}
+        return {"field": u - u.mean()}
 
 
 def generate_measurements(model: ForwardModel, theta_true: np.ndarray, noise_vars,

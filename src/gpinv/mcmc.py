@@ -42,7 +42,7 @@ STRETCH_A = 2.0
 # 400-sweep chains on the same designs; the sampling error of a 10 % quantile
 # over 200 walkers is near 0.01. Heat seeds 0-9 ran 15.1k sweeps instead of
 # 30.4k. In 10-D (permeability) the largest of the 30 quantile moves sits near
-# SETTLE_TOL, so a chain can stop there by chance (ROADMAP item 2).
+# SETTLE_TOL, so a chain can stop there by chance (see ROADMAP).
 SETTLE_EVERY = 50
 SETTLE_MIN = 100
 SETTLE_TOL = 0.02

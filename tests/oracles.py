@@ -10,8 +10,9 @@ core, and the one-point sampler and maximizer adapters drive the library's
 row-batched `run_chain` and `multistart_maximize_batch` from scalar code.
 The sparse-LU backward-Euler march and the same march in `scipy.fft`'s
 cosine transform are the references for the heat model's solve in the cosine
-basis matrices, and the Lagrange-multiplier system is the reference for the
-Darcy model's pinned-cell solve.
+basis matrices, and a sparse LU of the Lagrange-multiplier system is the
+reference for the Darcy model's pinned-cell banded Cholesky. Both assemble
+their sparse matrices here with `flux_operator`, from per-face coefficients.
 """
 
 from typing import Callable, NamedTuple
@@ -20,6 +21,7 @@ import numpy as np
 from scipy.fft import dctn, idctn
 from scipy.linalg import solve_triangular
 from scipy.sparse import bmat as sparse_bmat
+from scipy.sparse import coo_matrix
 from scipy.sparse import eye as sparse_eye
 from scipy.sparse.linalg import splu
 
@@ -30,8 +32,7 @@ from gpinv.forward_models import (
     GridSolverConfig,
     HeatSource2D,
     _CellGrid,
-    _face_pairs,
-    _flux_operator,
+    _face_conductivities,
     _neumann_eigenvalues,
 )
 from gpinv.gp import (
@@ -203,12 +204,29 @@ def multistart_maximize(value_and_grad, starts: np.ndarray, box: DesignBox) -> A
     return multistart_maximize_batch(rows, starts, box)
 
 
+def flux_operator(coef_x: np.ndarray, coef_y: np.ndarray):
+    """Sparse (n, n) matrix of the sum over faces of coef * (u_a - u_b), from the
+    coefficients of the (ny, nx - 1) x-faces and the (ny - 1, nx) y-faces.
+
+    Rows sum to zero by construction, which is the discrete footprint of the
+    zero-flux boundary.
+    """
+    ny, nx = coef_x.shape[0], coef_y.shape[1]
+    idx = np.arange(nx * ny).reshape(ny, nx)
+    a = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
+    b = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()])
+    c = np.concatenate([coef_x.ravel(), coef_y.ravel()])
+    rows = np.concatenate([a, b, a, b])
+    cols = np.concatenate([a, b, b, a])
+    vals = np.concatenate([c, c, -c, -c])
+    return coo_matrix((vals, (rows, cols)), shape=(nx * ny, nx * ny)).tocsc()
+
+
 def neumann_laplacian(grid: _CellGrid):
     """Five-point Laplacian with mirrored (zero-flux) boundaries, as a sparse matrix."""
-    ax, _, ay, _ = _face_pairs(grid.nx, grid.ny)
-    coef_x = np.full(ax.size, 1.0 / grid.dx**2)
-    coef_y = np.full(ay.size, 1.0 / grid.dy**2)
-    return -_flux_operator(grid.nx, grid.ny, coef_x, coef_y)
+    coef_x = np.full((grid.ny, grid.nx - 1), 1.0 / grid.dx**2)
+    coef_y = np.full((grid.ny - 1, grid.nx), 1.0 / grid.dy**2)
+    return -flux_operator(coef_x, coef_y)
 
 
 def heat_fields_sparse(model: HeatSource2D, theta: np.ndarray, cfg: GridSolverConfig
@@ -257,8 +275,10 @@ def heat_fields_dct(model: HeatSource2D, theta: np.ndarray, cfg: GridSolverConfi
 def darcy_field_augmented(model: DarcyPermeability2D, theta: np.ndarray, cfg: GridSolverConfig
                           ) -> np.ndarray:
     """(ny, nx) zero-mean Darcy pressure from one sparse-LU solve of the
-    multiplier-augmented system [[A, 1], [1^T, 0]] [u; lambda] = [q; 0]."""
-    grid, A = model.operator(np.asarray(theta, dtype=float), cfg)
+    multiplier-augmented system [[A, 1], [1^T, 0]] [u; lambda] = [q; 0], with A
+    assembled from the model's face conductivities."""
+    grid = _CellGrid(cfg.nx, cfg.ny)
+    A = flux_operator(*_face_conductivities(np.asarray(theta, dtype=float), grid))
     ones = np.ones((cfg.nx * cfg.ny, 1))
     augmented = sparse_bmat([[A, ones], [ones.T, None]], format="csc")
     rhs = np.append(model.source_field(grid).ravel(), 0.0)

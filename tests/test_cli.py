@@ -316,6 +316,7 @@ class TestErrors:
         (["eval-model", "--experiment", "one_d", "--theta", "2", "--dump-field"], "--dump-field"),
         (["gen-design", "--bounds", " ".join(["0,1"] * 22), "--kind", "sobol", "--n", "4"], "--bounds"),
         (["gen-design", "--experiment", "heat", "--n", "4", "--skip", "7"], "--skip"),
+        (["gen-design", "--experiment", "heat", "--kind", "sobol", "--n", "4", "--seed", "5"], "--seed"),
     ])
     def test_malformed_value_is_a_usage_error(self, argv, option, tmp_path, capsys):
         out = tmp_path / "out"

@@ -147,3 +147,12 @@ def test_import_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": str(Path(gpinv.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_darcy_solve_loads_no_scipy_sparse():
+    code = ("import sys; from gpinv.forward_models import DarcyPermeability2D as D, "
+            "PERMEABILITY_THETA_TRUE as t; D().evaluate(t); "
+            "print(sorted(k for k in sys.modules if k.startswith('scipy.sparse')), 'scipy.linalg' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(gpinv.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[] True"

@@ -14,6 +14,9 @@ from gpinv.forward_models import (
     HeatSource2D,
     Rational1D,
     _CellGrid,
+    _face_conductivities,
+    _flux_balance,
+    _pinned_band,
     generate_measurements,
     permeability_field,
     rational_1d,
@@ -190,9 +193,22 @@ class TestDarcy:
         assert abs(u.mean()) < 1e-12
 
     def test_operator_annihilates_constants(self, model):
-        _, A = model.operator(PERMEABILITY_THETA_TRUE, model.cfg)
-        residual = np.abs(A @ np.ones(A.shape[0])).max()
-        assert residual < 1e-9 * abs(A.diagonal()).max()
+        shape = (model.cfg.ny, model.cfg.nx)
+        cx, cy = _face_conductivities(PERMEABILITY_THETA_TRUE, _CellGrid(model.cfg.nx, model.cfg.ny))
+        band = _pinned_band(cx, cy)
+        residual = np.abs(_flux_balance(np.ones(shape), cx, cy)).max()
+        assert residual < 1e-9 * band[0].max()
+        # The band rows are the flux balance's matrix: they multiply a field whose
+        # first cell is pinned at 0 to its flux balance on every other cell.
+        u = np.random.default_rng(3).normal(size=shape)
+        u[0, 0] = 0.0
+        v = u.reshape(-1)[1:]
+        product = band[0] * v
+        for offset in range(1, band.shape[0]):
+            product[offset:] += band[offset, :-offset] * v[:-offset]
+            product[:-offset] += band[offset, :-offset] * v[offset:]
+        np.testing.assert_allclose(product, _flux_balance(u, cx, cy).reshape(-1)[1:],
+                                   rtol=0, atol=1e-12 * band[0].max())
 
     def test_permeability_field_rbf_sum_oracle(self):
         x = np.array([[0.5, 0.5]])
@@ -215,10 +231,10 @@ class TestDarcy:
         assert model.evaluate(PERMEABILITY_THETA_TRUE).shape == (25,)
 
     def test_singular_factorization_is_a_solver_error(self, model, monkeypatch):
-        def singular(matrix):
-            raise RuntimeError("Factor is exactly singular")
+        def singular(band, lower, check_finite):
+            raise np.linalg.LinAlgError("2-th leading minor not positive definite")
 
-        monkeypatch.setattr("scipy.sparse.linalg.splu", singular)
+        monkeypatch.setattr("scipy.linalg.cholesky_banded", singular)
         with pytest.raises(SolverError, match="singular"):
             model.evaluate(PERMEABILITY_THETA_TRUE)
 
@@ -228,15 +244,19 @@ DARCY_THETAS = [PERMEABILITY_THETA_TRUE] + list(
 
 
 class TestDarcyPinnedSolve:
-    @pytest.mark.parametrize("n", [32, 64, 128])
+    # Non-square grids catch a band offset of ny where nx belongs.
+    @pytest.mark.parametrize("nx, ny", [(32, 32), (64, 64), (128, 128), (8, 12), (12, 8)],
+                             ids=["32", "64", "128", "8x12", "12x8"])
     @pytest.mark.parametrize("theta", DARCY_THETAS)
-    def test_matches_augmented_solve(self, n, theta):
-        cfg = GridSolverConfig(n, n)
+    def test_matches_augmented_solve(self, nx, ny, theta):
+        cfg = GridSolverConfig(nx, ny)
         field = DarcyPermeability2D(cfg=cfg).fields(theta)["field"]
         reference = darcy_field_augmented(DarcyPermeability2D(), theta, cfg)
-        # Each solve rounds differently: on 128^2 both lie up to 6.2e-13 from an
-        # extended-precision refinement of the same system, so they may differ by twice that.
-        assert field.shape == reference.shape == (n, n)
+        # Each solve rounds differently: on 64^2 and 128^2 the augmented LU lies up to
+        # 1.0e-14 and the refined banded solve up to 3.5e-15 from an extended-precision
+        # refinement of the same system. Without its refinement step the banded solve
+        # misses this bound (2.2e-12).
+        assert field.shape == reference.shape == (ny, nx)
         assert np.abs(field - reference).max() <= 2e-12 * np.abs(reference).max()
 
 
