@@ -200,7 +200,7 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
     every other key overrides one field. An unknown section or key, or a value
     that does not parse, raises ValueError naming it.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         read = parser.read(str(path))
     except configparser.Error as exc:

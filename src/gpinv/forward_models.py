@@ -294,7 +294,7 @@ def permeability_field(points: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Weighted radial-basis sum kappa(x; theta) at the given (m, 2) points."""
     points = np.atleast_2d(points)
     theta = np.asarray(theta, dtype=float).reshape(-1)
-    r2 = np.sum((points[:, None, :] - RBF_CENTERS[None, :, :]) ** 2, axis=2)
+    r2 = (points[:, :1] - RBF_CENTERS[:, 0]) ** 2 + (points[:, 1:] - RBF_CENTERS[:, 1]) ** 2
     basis = np.exp(-r2 / (2.0 * RBF_WIDTH**2))
     return basis @ theta
 

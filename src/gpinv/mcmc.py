@@ -8,14 +8,16 @@ values. That is what makes runs reproducible bit for bit and lets density
 evaluations run in parallel without perturbing the stream.
 
 Log-probability callables are vectorized: they receive an (m, d) array of row
-points and return an (m,) array.
+points and return an (m,) array. `run_chain` yields the walkers after every
+sweep and never stops; each caller owns its stopping rule: the settle rule in
+`sample_hyperposterior`, a fixed length in `gpinv.posterior.sample_posterior`.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -32,7 +34,7 @@ LogProb = Callable[[np.ndarray], np.ndarray]
 # Goodman & Weare (2010) recommend.
 STRETCH_A = 2.0
 
-# Settle rule of the hyperposterior chain: every SETTLE_EVERY sweeps the
+# Settle rule of sample_hyperposterior's chain: every SETTLE_EVERY sweeps the
 # 10/50/90 % walker quantiles of each coordinate are taken in prior-box
 # widths; from SETTLE_MIN sweeps on, the chain ends once none has moved more
 # than SETTLE_TOL since the previous check (n_steps stays the cap). On heat
@@ -168,45 +170,22 @@ def run_chain(
     log_prob: LogProb,
     prior: DesignBox,
     n_walkers: int,
-    n_steps: int,
     seed: int,
-    keep_every_step: bool = False,
     init_positions: np.ndarray | None = None,
-    settle: bool = False,
-) -> tuple[np.ndarray, float, int]:
-    """Drive the sampler for up to n_steps sweeps from a uniform start in the box.
-
-    Returns (samples, acceptance_rate, sweeps). With keep_every_step the
-    samples have shape (sweeps, n_walkers, d) — the position after every
-    sweep — otherwise just the final (n_walkers, d) states. `init_positions`
-    overrides the uniform-in-box walker initialization. Without `settle` the
-    chain runs exactly n_steps sweeps; with it, the chain also ends at the
-    first check that finds the walkers settled (see SETTLE_EVERY). The check
-    reads positions only, so a settled chain equals the fixed-length chain of
-    the same seed cut at the same sweep.
-    """
+) -> Iterator[tuple[np.ndarray, float]]:
+    """Endless generator of sweeps from a uniform start in the box (or from
+    `init_positions`): after each sweep it yields the walker positions
+    (n_walkers, d), the live array the next sweep updates in place, and the
+    acceptance rate so far. The caller decides when to stop and copies what
+    it keeps."""
     rng = np.random.default_rng(seed)
     target = _restrict_to_box(log_prob, prior)
     ens = _init_ensemble(target, prior, n_walkers, rng, init_positions)
-    history = np.empty((n_steps, n_walkers, prior.dim)) if keep_every_step else None
-    width = prior.upper - prior.lower
-    accepted = sweeps = 0
-    last = None
-    while sweeps < n_steps:
+    accepted = proposed = 0
+    while True:
         accepted += stretch_step(ens, target)
-        if keep_every_step:
-            history[sweeps] = ens.positions
-        sweeps += 1
-        if settle and sweeps % SETTLE_EVERY == 0:
-            quantiles = np.quantile(ens.positions, SETTLE_QUANTILES, axis=0) / width
-            if sweeps >= SETTLE_MIN and np.max(np.abs(quantiles - last)) <= SETTLE_TOL:
-                break
-            last = quantiles
-    rate = accepted / max(1, sweeps * n_walkers)
-    log.debug("sampler finished: %d walkers, %d sweeps, acceptance %.3f", n_walkers, sweeps, rate)
-    if keep_every_step:
-        return history[:sweeps], rate, sweeps
-    return ens.positions.copy(), rate, sweeps
+        proposed += n_walkers
+        yield ens.positions, accepted / proposed
 
 
 def sample_hyperposterior(
@@ -223,7 +202,9 @@ def sample_hyperposterior(
     box indicator. The walkers start at `init_positions` (n_walkers rows in
     the box, duplicates allowed; rows of zero probability are re-seeded as
     `_init_ensemble` does) or uniformly in the box, and the chain runs until
-    it settles, at most n_steps sweeps. The final walkers are factorized as
+    it settles (see SETTLE_EVERY), at most n_steps sweeps. The check reads
+    positions only, so a settled chain equals the fixed-length chain of the
+    same seed cut at the same sweep. The final walkers are factorized as
     one stack; a row that no jitter level factorizes is replaced by
     duplicating a uniformly chosen factorized row, so the ensemble size stays
     fixed. The ensemble's `sweeps` is the number of sweeps the chain ran.
@@ -232,12 +213,23 @@ def sample_hyperposterior(
         raise ValueError(
             f"hyperparameter prior dimension {prior.dim} != p+1 = {training.input_dim + 1}"
         )
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be at least 1, got {n_steps}")
 
     def target(psis: np.ndarray) -> np.ndarray:
         return _lml_batch(training, psis)
 
-    psis, _, sweeps = run_chain(target, prior, n_walkers, n_steps, seed,
-                                init_positions=init_positions, settle=True)
+    chain = run_chain(target, prior, n_walkers, seed, init_positions)
+    width = prior.upper - prior.lower
+    last = None
+    for sweeps in range(1, n_steps + 1):
+        positions, _ = next(chain)
+        if sweeps % SETTLE_EVERY == 0:
+            quantiles = np.quantile(positions, SETTLE_QUANTILES, axis=0) / width
+            if sweeps >= SETTLE_MIN and np.max(np.abs(quantiles - last)) <= SETTLE_TOL:
+                break
+            last = quantiles
+    psis = positions.copy()
     try:
         ensemble = GpEnsemble(training, psis)
     except IllConditionedKernelError as err:

@@ -42,9 +42,10 @@ def sample_posterior(
 ) -> PosteriorSampleSet:
     """Ensemble-MCMC samples from p(theta) proportional to exp(loglik) in the box.
 
-    Runs 2k sweeps of n_walkers walkers where k = ceil(n_samples / n_walkers),
-    discards the first half as burn-in, and flattens the remainder. `loglik`
-    follows the row-batched convention of :mod:`gpinv.mcmc`.
+    Takes 2k sweeps of n_walkers walkers from `run_chain`, k = ceil(n_samples /
+    n_walkers), and keeps the walkers after sweeps k+1..2k, flattened; the
+    acceptance rate is the chain's after sweep 2k. `loglik` follows the
+    row-batched convention of :mod:`gpinv.mcmc`.
 
     Walkers start at the best of a uniform candidate pool of
     POOL_FACTOR * n_walkers points, scored once, so sharply concentrated
@@ -54,11 +55,14 @@ def sample_posterior(
         raise ValueError("need at least one sample")
     kept_steps = -(-n_samples // n_walkers)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9001]))
-    chain, acceptance, _ = run_chain(
-        loglik, prior, n_walkers, 2 * kept_steps, seed=seed,
-        keep_every_step=True, init_positions=prior.sample(rng, POOL_FACTOR * n_walkers),
-    )
-    samples = chain[kept_steps:].reshape(-1, prior.dim)[:n_samples]
+    chain = run_chain(loglik, prior, n_walkers, seed,
+                      init_positions=prior.sample(rng, POOL_FACTOR * n_walkers))
+    for _ in range(kept_steps):  # burn-in
+        next(chain)
+    kept = np.empty((kept_steps, n_walkers, prior.dim))
+    for step in range(kept_steps):
+        kept[step], acceptance = next(chain)
+    samples = kept.reshape(-1, prior.dim)[:n_samples]
     return PosteriorSampleSet(
         samples=samples,
         source=source,

@@ -189,10 +189,13 @@ def run_sampler(
     n_walkers: int = 200,
     n_steps: int = 400,
     seed: int = 0,
+    init_positions: np.ndarray | None = None,
 ) -> np.ndarray:
     """Final walker states after n_steps sweeps: an (n_walkers, d) sample set."""
-    samples, _, _ = run_chain(log_prob, prior, n_walkers, n_steps, seed)
-    return samples
+    chain = run_chain(log_prob, prior, n_walkers, seed, init_positions)
+    for _ in range(n_steps):
+        samples, _ = next(chain)
+    return samples.copy()
 
 
 def multistart_maximize(value_and_grad, starts: np.ndarray, box: DesignBox) -> AcquisitionResult:

@@ -31,7 +31,7 @@ from gpinv.experiments import (
 from gpinv.forward_models import DarcyPermeability2D, GridSolverConfig, HeatSource2D
 from gpinv.gp import GpEnsemble, HyperParams, TrainingSet
 from gpinv.likelihood import MeasurementModel, misfit_of_outputs
-from gpinv.mcmc import BoxPrior, run_chain
+from gpinv.mcmc import BoxPrior
 from gpinv.posterior import hpd_region, sample_posterior
 from oracles import (
     d_restricted_loglik,
@@ -230,10 +230,10 @@ def test_criterion_5_sampler_calibration_and_affine_invariance():
 
     scale = np.array([2.0, 0.25])  # powers of two keep the arithmetic exact
     init = np.random.default_rng(55).uniform(-2, 2, (40, 2))
-    plain, _, _ = run_chain(gaussian, prior, 40, 150, seed=9, init_positions=init)
-    mapped, _, _ = run_chain(lambda pts: gaussian(np.atleast_2d(pts) / scale),
-                             BoxPrior(prior.lower * scale, prior.upper * scale),
-                             40, 150, seed=9, init_positions=init * scale)
+    plain = run_sampler(gaussian, prior, 40, 150, seed=9, init_positions=init)
+    mapped = run_sampler(lambda pts: gaussian(np.atleast_2d(pts) / scale),
+                         BoxPrior(prior.lower * scale, prior.upper * scale),
+                         40, 150, seed=9, init_positions=init * scale)
     affine_ok = np.array_equal(mapped, plain * scale)
     ok = mean_err < 0.1 and cov_err < 0.15 and affine_ok
     report(5, "Gaussian target recovered and affine map reproduced bit-exactly", ok,

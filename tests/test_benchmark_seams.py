@@ -101,5 +101,23 @@ def test_traced_adaptive_unit_reads_every_seam(monkeypatch):
     assert not outcome.problems
     metrics = tracing.layer_metrics(tracer, 0)
     for name in ("acq.ei_grad.calls", "acq.ei_exact.calls", "gp.lml.rows", "gp.predict.rows",
-                 "mcmc.hyper.calls", "fwd.evals"):
+                 "mcmc.hyper.calls", "mcmc.hyper.sweeps", "fwd.evals"):
         assert metrics[name] > 0, name
+
+
+def test_traced_posterior_unit_counts_every_sweep(monkeypatch):
+    """One heat-surrogate-posterior unit at the self-test's toy sizes runs
+    2 ceil(n / walkers) sweeps; a sampler that steps past the patched
+    stretch_step reads fewer."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    import workloads
+
+    post = workloads.WORKLOADS["heat-surrogate-posterior"]
+    toy = _toy_overrides()
+    work = replace(post, overrides=tuple({**dict(post.overrides), **toy}.items()), n_samples=200)
+    tracer = tracing.Tracer()
+    outcome = work.run(work.setup(tracer, unit=-1), seed=1, tracer=tracer, unit=0)
+    assert not outcome.problems
+    sweeps = tracing.layer_metrics(tracer, 0)["post.sweeps"]
+    assert sweeps == 2 * -(-200 // toy["posterior_walkers"])

@@ -334,6 +334,7 @@ class TestErrors:
         ("[mcmc]\n[mcmc]\n", "mcmc"),
         ("[measurement]\nnoise_sigma = 0\n", "noise_sigma must be positive, got 0.0"),
         ("[measurement]\nnoise_sigma = inf\n", "noise_sigma must be finite, got inf"),
+        ("[measurement]\nnoise_sigma = 0.1%\n", "measurement.noise_sigma"),
         ("[hyper_prior]\nupper = inf 5\n", "[hyper_prior] bounds must be finite"),
         ("[bounds]\nlower = -inf\n", "[bounds] bounds must be finite"),
         ("[hyper_prior]\nlower = 1e-8 1e-8 1e-8\nupper = 12 5 5\n",

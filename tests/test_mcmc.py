@@ -115,9 +115,9 @@ class TestStretchStep:
             return np.where(points[:, 0] <= 0.5, 0.0, -np.inf)
 
         init = np.linspace(0.01, 0.49, 20)[:, None]
-        chain, _, _ = run_chain(half, prior, 20, 200, seed=3, keep_every_step=True,
-                                init_positions=init)
-        assert np.all(chain[..., 0] <= 0.5)
+        chain = run_chain(half, prior, 20, seed=3, init_positions=init)
+        for _, (positions, _) in zip(range(200), chain):
+            assert np.all(positions[:, 0] <= 0.5)
 
     def test_odd_walker_count_rejected(self):
         ens = WalkerEnsemble(np.zeros((3, 1)), np.zeros(3), np.random.default_rng(0))
@@ -184,9 +184,9 @@ class TestRunSampler:
         def target_scaled(points):
             return gaussian(np.atleast_2d(points) / scale)
 
-        plain, _, _ = run_chain(gaussian, prior, 40, 120, seed=9, init_positions=init)
-        mapped, _, _ = run_chain(target_scaled, prior_scaled, 40, 120, seed=9,
-                                 init_positions=init * scale)
+        plain = run_sampler(gaussian, prior, 40, 120, seed=9, init_positions=init)
+        mapped = run_sampler(target_scaled, prior_scaled, 40, 120, seed=9,
+                             init_positions=init * scale)
         np.testing.assert_array_equal(mapped, plain * scale)
 
     def test_all_minus_inf_initialization_fails(self):
@@ -258,24 +258,31 @@ class TestRunSampler:
 
 
 class TestSettleRule:
-    FAR = np.full((40, 2), 18.0) + np.random.default_rng(13).random((40, 2))
+    # Hyperparameter rows must be positive, so the box and the mode of the
+    # Gaussian stand-in for the marginal likelihood sit at +MODE.
+    MODE = 21.0
+    FAR = np.full((40, 2), 18.0 + MODE) + np.random.default_rng(13).random((40, 2))
+
+    @staticmethod
+    def centred(psis):
+        return gaussian(psis - TestSettleRule.MODE)
 
     @pytest.mark.parametrize("n_steps, init, settles", [
         (230, None, True),
         (10, None, False),   # the cap is below one check block
         (130, FAR, False),   # walkers still travelling to the mode at the cap
     ])
-    def test_stops_at_a_check_within_the_cap(self, n_steps, init, settles):
-        prior = BoxPrior([-20.0, -20.0], [20.0, 20.0])
-        settled, rate, sweeps = run_chain(gaussian, prior, 40, n_steps, seed=12,
-                                          init_positions=init, settle=True)
-        assert (sweeps < n_steps) == settles
-        assert sweeps == n_steps or sweeps % SETTLE_EVERY == 0
+    def test_stops_at_a_check_within_the_cap(self, n_steps, init, settles, monkeypatch):
+        monkeypatch.setattr(gpinv.mcmc, "_lml_batch", lambda tr, psis: self.centred(psis))
+        X = np.linspace(-4.0, 4.0, 6)[:, None]
+        training = TrainingSet.from_data(X, np.sin(X[:, 0]))
+        prior = BoxPrior([1.0, 1.0], [41.0, 41.0])
+        ens = sample_hyperposterior(training, prior, 40, n_steps, seed=12, init_positions=init)
+        assert (ens.sweeps < n_steps) == settles
+        assert ens.sweeps == n_steps or ens.sweeps % SETTLE_EVERY == 0
         # the check draws nothing, so the chain is the fixed-length one cut short
-        fixed, fixed_rate, _ = run_chain(gaussian, prior, 40, sweeps, seed=12,
-                                         init_positions=init)
-        np.testing.assert_array_equal(settled, fixed)
-        assert rate == fixed_rate
+        fixed = run_sampler(self.centred, prior, 40, ens.sweeps, seed=12, init_positions=init)
+        np.testing.assert_array_equal(ens.hyperparams, fixed)
 
 
 class TestSampleHyperposterior:
@@ -309,14 +316,13 @@ class TestSampleHyperposterior:
     def factorize_after_sampling(monkeypatch, factorize):
         """Swap gpinv.gp._factorize for `factorize` once the walkers are final,
         so the sampler's likelihood runs unchanged and only the ensemble sees it."""
-        real_chain = gpinv.mcmc.run_chain
+        real_ensemble = gpinv.mcmc.GpEnsemble
 
-        def chain(*args, **kwargs):
-            result = real_chain(*args, **kwargs)
+        def ensemble(*args, **kwargs):
             monkeypatch.setattr(gpinv.gp, "_factorize", factorize)
-            return result
+            return real_ensemble(*args, **kwargs)
 
-        monkeypatch.setattr(gpinv.mcmc, "run_chain", chain)
+        monkeypatch.setattr(gpinv.mcmc, "GpEnsemble", ensemble)
 
     def test_ill_conditioned_fit_replaced_by_duplication(self, training, monkeypatch):
         calls = []
@@ -384,3 +390,7 @@ class TestSampleHyperposterior:
     def test_dimension_check(self, training):
         with pytest.raises(ValueError, match="dimension"):
             sample_hyperposterior(training, BoxPrior([1e-8], [1.0]), 10, 5, 0)
+
+    def test_sweep_cap_below_one_rejected(self, training):
+        with pytest.raises(ValueError, match="n_steps must be at least 1, got 0"):
+            sample_hyperposterior(training, BoxPrior([1e-8, 1e-8], [2.0, 1.0]), 10, 0, 0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest, norm
 
-from gpinv.mcmc import BoxPrior
+from gpinv.mcmc import BoxPrior, run_chain
 from gpinv.posterior import (
     GRID_POINTS,
     POOL_FACTOR,
@@ -59,6 +59,27 @@ class TestSamplePosterior:
         a = sample_posterior(flat, prior, n_samples=500, seed=3, n_walkers=100, source="flat")
         b = sample_posterior(flat, prior, n_samples=500, seed=3, n_walkers=100, source="flat")
         np.testing.assert_array_equal(a.samples, b.samples)
+
+    def test_keeps_the_sweeps_after_the_burn_in(self):
+        """With k = ceil(n / walkers) the samples are the walkers after sweeps
+        k+1..2k of the chain from the seeded start pool, and the recorded
+        acceptance rate is the chain's rate after sweep 2k."""
+        prior = BoxPrior([-3.0, -3.0], [3.0, 3.0])
+
+        def loglik(points):
+            return -0.5 * np.sum(np.atleast_2d(points) ** 2, axis=1)
+
+        n_samples, n_walkers, seed, k = 95, 10, 5, 10
+        result = sample_posterior(loglik, prior, n_samples, seed=seed, n_walkers=n_walkers,
+                                  source="gaussian")
+        pool = prior.sample(np.random.default_rng(np.random.SeedSequence([seed, 0x9001])),
+                            POOL_FACTOR * n_walkers)
+        chain = run_chain(loglik, prior, n_walkers, seed, init_positions=pool)
+        sweeps = [(positions.copy(), rate) for _, (positions, rate) in zip(range(2 * k), chain)]
+        kept = np.concatenate([positions for positions, _ in sweeps[k:]])[:n_samples]
+        np.testing.assert_array_equal(result.samples, kept)
+        assert result.metadata["acceptance_rate"] == sweeps[-1][1]
+        assert 0.0 < sweeps[-1][1] < 1.0
 
     def test_pool_is_scored_once(self):
         """The first density call scores the whole start pool; the next one is
