@@ -9,6 +9,10 @@ included, starts from the previous iteration's hyperparameter rows, and each
 chain ends once its walkers settle (`mcmc.SETTLE_EVERY`), at most n_steps
 sweeps. The record keeps enough of the trajectory to audit monotonicity and
 budget accounting afterwards.
+
+record.json is `RunRecord` and `IterationRecord`: after schema_version, their
+fields in declaration order, arrays as lists, bar `wall_time_s` (timings.csv
+only). Reading refuses a missing or unknown key.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -36,6 +40,7 @@ log = logging.getLogger(__name__)
 
 RECORD_SCHEMA_VERSION = 1
 EPS_THRESH = 0.01  # stop once the best expected improvement is under this fraction of g_min
+VOLATILE_FIELD = "wall_time_s"  # the one record field left out of record.json
 
 
 @dataclass(frozen=True)
@@ -85,23 +90,23 @@ class IterationRecord:
     psi_mean: np.ndarray
     psi_std: np.ndarray
     accepted: bool           # True when theta joined the design
-    wall_time_s: float
+    wall_time_s: float = float("nan")  # VOLATILE_FIELD: timings.csv only
 
     @property
     def relative_improvement(self) -> float:
         return self.improvement / self.g_min if self.g_min > 0 else float("inf")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RunRecord:
-    """Full trace of one adaptive run."""
+    """Full trace of one adaptive run; its fields, in order, are record.json's keys."""
 
-    initial_inputs: np.ndarray
-    iterations: list[IterationRecord] = field(default_factory=list)
-    termination: str = "running"
     seed: int = 0
     eps_thresh: float = EPS_THRESH
     n_max: int = 0
+    termination: str = "running"
+    initial_inputs: np.ndarray
+    iterations: list[IterationRecord] = field(default_factory=list)
 
     @property
     def g_min_history(self) -> np.ndarray:
@@ -117,54 +122,38 @@ class RunRecord:
     def n_forward_evals(self) -> int:
         return self.initial_inputs.shape[0] + self.added_inputs.shape[0]
 
-    def to_json_dict(self) -> dict:
-        """The deterministic record; per-iteration wall times go to timings.csv only."""
-        iterations = [{
-            "k": it.k,
-            "theta": list(map(float, it.theta)),
-            "improvement": it.improvement,
-            "g_min": it.g_min,
-            "psi_mean": list(map(float, it.psi_mean)),
-            "psi_std": list(map(float, it.psi_std)),
-            "accepted": it.accepted,
-        } for it in self.iterations]
-        return {
-            "schema_version": RECORD_SCHEMA_VERSION,
-            "seed": self.seed,
-            "eps_thresh": self.eps_thresh,
-            "n_max": self.n_max,
-            "termination": self.termination,
-            "initial_inputs": [list(map(float, row)) for row in self.initial_inputs],
-            "iterations": iterations,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=1)
+        return json.dumps({"schema_version": RECORD_SCHEMA_VERSION,
+                           **asdict(self, dict_factory=_json_object)}, indent=1)
 
     @classmethod
     def from_json(cls, text: str) -> "RunRecord":
         doc = json.loads(text)
-        if doc.get("schema_version") != RECORD_SCHEMA_VERSION:
-            raise ValueError(f"unsupported record schema {doc.get('schema_version')!r}")
-        record = cls(
-            initial_inputs=np.array(doc["initial_inputs"], dtype=float),
-            termination=doc["termination"],
-            seed=doc["seed"],
-            eps_thresh=doc["eps_thresh"],
-            n_max=doc["n_max"],
-        )
-        for entry in doc["iterations"]:
-            record.iterations.append(IterationRecord(
-                k=entry["k"],
-                theta=np.array(entry["theta"], dtype=float),
-                improvement=entry["improvement"],
-                g_min=entry["g_min"],
-                psi_mean=np.array(entry["psi_mean"], dtype=float),
-                psi_std=np.array(entry["psi_std"], dtype=float),
-                accepted=entry["accepted"],
-                wall_time_s=float("nan"),  # wall times live in timings.csv
-            ))
-        return record
+        version = doc.pop("schema_version", None)
+        if version != RECORD_SCHEMA_VERSION:
+            raise ValueError(f"unsupported record schema_version {version!r}")
+        kwargs = _json_kwargs(cls, doc)
+        kwargs["iterations"] = [IterationRecord(**_json_kwargs(IterationRecord, entry))
+                                for entry in kwargs["iterations"]]
+        return cls(**kwargs)
+
+
+def _json_object(pairs: list[tuple[str, object]]) -> dict:
+    """One dataclass as a record.json object: arrays as lists, no volatile field."""
+    return {name: value.tolist() if isinstance(value, np.ndarray) else value
+            for name, value in pairs if name != VOLATILE_FIELD}
+
+
+def _json_kwargs(cls, doc: dict) -> dict:
+    """Constructor arguments of `cls` from a record.json object with exactly its keys."""
+    names = {f.name: f.type == "np.ndarray" for f in fields(cls) if f.name != VOLATILE_FIELD}
+    missing = [name for name in names if name not in doc]
+    unknown = [key for key in doc if key not in names]
+    if missing or unknown:
+        raise ValueError(f"{cls.__name__} in record.json: missing keys {missing}, "
+                         f"unknown keys {unknown}")
+    return {key: np.array(value, dtype=float) if names[key] else value
+            for key, value in doc.items()}
 
 
 @dataclass

@@ -68,11 +68,8 @@ def write_manifest(out_dir: Path, names: list[str], status: str = "complete") ->
 
 
 def write_csv(path: Path, header: list[str], rows: np.ndarray) -> None:
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    np.savetxt(path, np.atleast_2d(np.asarray(rows, dtype=float)), fmt="%.17g",
+               delimiter=",", header=",".join(header), comments="")
 
 
 def read_csv(path: Path) -> tuple[list[str], np.ndarray]:
@@ -228,6 +225,8 @@ def cmd_sample_posterior(args) -> int:
     _at_least("--seed", args.seed, 0)
     spec = _load_spec(args)
     model = spec.build_model()
+    if args.likelihood == "true" and args.run_dir:
+        raise UsageError(f"--run-dir {args.run_dir}: --likelihood true does not use --run-dir")
     ensemble = _load_run_dir(args.run_dir, spec, model) if args.likelihood == "surrogate" else None
     out = _prepare_out_dir(args.out, args.force)
     meas = spec.measurement(model)

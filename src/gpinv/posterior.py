@@ -9,7 +9,7 @@ import numpy as np
 
 from .designs import DesignBox
 from .likelihood import logsumexp
-from .mcmc import LogProb, run_chain
+from .mcmc import LogProb, check_walkers, run_chain
 
 POOL_FACTOR = 20  # walkers start at the best of POOL_FACTOR * n_walkers uniform draws
 GRID_POINTS = 10_201  # posterior-distance grid: 101^2 cells in 2-D, 10,201 in 1-D
@@ -51,6 +51,7 @@ def sample_posterior(
     POOL_FACTOR * n_walkers points, scored once, so sharply concentrated
     targets do not leave walkers stranded behind likelihood barriers.
     """
+    check_walkers("n_walkers", n_walkers, prior.dim)
     if n_samples < 1:
         raise ValueError("need at least one sample")
     kept_steps = -(-n_samples // n_walkers)

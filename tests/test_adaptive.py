@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -179,14 +180,34 @@ class TestRunAdaptive:
 
 
 class TestRunRecord:
-    def test_json_round_trip(self, problem):
+    @pytest.fixture
+    def record_text(self, problem):
         model, meas = problem
-        record = run_adaptive(model, meas, fast_config(seed=7, n_max=2)).record
-        clone = RunRecord.from_json(record.to_json())
-        assert clone.termination == record.termination
-        np.testing.assert_array_equal(clone.initial_inputs, record.initial_inputs)
-        assert len(clone.iterations) == len(record.iterations)
-        np.testing.assert_allclose(clone.g_min_history, record.g_min_history)
+        return run_adaptive(model, meas, fast_config(seed=7, n_max=2)).record.to_json()
+
+    def test_json_round_trip(self, record_text):
+        clone = RunRecord.from_json(record_text)
+        assert clone.to_json() == record_text
+        assert clone.initial_inputs.dtype == float and clone.iterations[0].psi_std.dtype == float
+        assert np.isnan(clone.iterations[0].wall_time_s)
+
+    def test_keys_are_the_fields_in_declaration_order(self, record_text):
+        doc = json.loads(record_text)
+        assert list(doc) == ["schema_version", "seed", "eps_thresh", "n_max", "termination",
+                             "initial_inputs", "iterations"]
+        assert list(doc["iterations"][0]) == ["k", "theta", "improvement", "g_min", "psi_mean",
+                                              "psi_std", "accepted"]
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda doc: doc.pop("iterations"), "iterations"),
+        (lambda doc: doc["iterations"][0].update(wall_time_s=0.5), "wall_time_s"),
+        (lambda doc: doc.update(schema_version=999), "schema_version"),
+    ])
+    def test_malformed_record_names_the_key(self, record_text, edit, key):
+        doc = json.loads(record_text)
+        edit(doc)
+        with pytest.raises(ValueError, match=key):
+            RunRecord.from_json(json.dumps(doc))
 
     def test_timings_excluded_by_default(self, problem):
         model, meas = problem

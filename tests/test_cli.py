@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import json
 import os
@@ -16,6 +17,7 @@ import gpinv
 import gpinv.adaptive
 import gpinv.cli
 from gpinv.acquisition import AcquisitionResult
+from gpinv.adaptive import VOLATILE_FIELD, IterationRecord
 from gpinv.cli import build_parser, main, read_csv, write_csv
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -317,6 +319,8 @@ class TestErrors:
         (["gen-design", "--bounds", " ".join(["0,1"] * 22), "--kind", "sobol", "--n", "4"], "--bounds"),
         (["gen-design", "--experiment", "heat", "--n", "4", "--skip", "7"], "--skip"),
         (["gen-design", "--experiment", "heat", "--kind", "sobol", "--n", "4", "--seed", "5"], "--seed"),
+        (["sample-posterior", "--experiment", "heat", "--likelihood", "true", "--n", "10",
+          "--run-dir", "no-such-run"], "--run-dir"),
     ])
     def test_malformed_value_is_a_usage_error(self, argv, option, tmp_path, capsys):
         out = tmp_path / "out"
@@ -458,6 +462,13 @@ def test_readme_recipes_parse():
             build_parser().parse_args(shlex.split(command, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {command}")
+
+
+def test_readme_record_keys_are_the_iteration_fields():
+    """README's per-iteration record.json keys are IterationRecord's fields, in order."""
+    listed = re.search(r"per-iteration\s+`([^`]+)`", README.read_text()).group(1)
+    keys = [f.name for f in dataclasses.fields(IterationRecord) if f.name != VOLATILE_FIELD]
+    assert listed.split(", ") == keys
 
 
 def test_readme_constants_are_defined():

@@ -100,6 +100,12 @@ class TestSamplePosterior:
             sample_posterior(flat, BoxPrior([0.0], [1.0]), n_samples=0, seed=0, n_walkers=100,
                              source="flat")
 
+    @pytest.mark.parametrize("n_walkers", [0, -2, 3])
+    def test_invalid_walkers(self, n_walkers):
+        with pytest.raises(ValueError, match="n_walkers must be even"):
+            sample_posterior(flat, BoxPrior([0.0], [1.0]), n_samples=10, seed=0,
+                             n_walkers=n_walkers, source="flat")
+
 
 class TestShortestInterval:
     def test_uniform_interval_length(self):
