@@ -129,12 +129,16 @@ class RunRecord:
     @classmethod
     def from_json(cls, text: str) -> "RunRecord":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError(f"record.json's top level is a {type(doc).__name__}, not an object")
         version = doc.pop("schema_version", None)
         if version != RECORD_SCHEMA_VERSION:
             raise ValueError(f"unsupported record schema_version {version!r}")
         kwargs = _json_kwargs(cls, doc)
-        kwargs["iterations"] = [IterationRecord(**_json_kwargs(IterationRecord, entry))
-                                for entry in kwargs["iterations"]]
+        entries = kwargs["iterations"]
+        if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
+            raise ValueError("iterations in record.json must be a list of objects")
+        kwargs["iterations"] = [IterationRecord(**_json_kwargs(IterationRecord, e)) for e in entries]
         return cls(**kwargs)
 
 

@@ -13,8 +13,11 @@ basis diagonalizes it: the heat model multiplies by the orthonormal DCT-II
 basis matrix of each grid axis and is solved exactly mode by mode. The Darcy
 operator depends on theta and is factorized by a banded Cholesky on every
 solve; `scipy.linalg` is imported there, so importing this module needs numpy alone.
-Both PDE models share one grid-model base: each supplies only its named
-solution fields, and the base reads them out at the sensors.
+A `GridSolverConfig` is one grid: its shape, time step, cell centres and
+interpolation. The PDE models' shared base builds each grid's theta-free arrays
+once, at its first solve (heat: time schedule, damping, cosine bases; Darcy:
+radial basis, zero-mean source); each model supplies its named solution fields
+from them, and the base reads the fields out at the sensors.
 
 Every concrete model counts its `evaluate` calls in `n_evals`; data
 generation through `fine_evaluate` is not counted.
@@ -32,7 +35,7 @@ from .likelihood import MeasurementModel
 
 @dataclass(frozen=True)
 class GridSolverConfig:
-    """Uniform-grid discretization parameters."""
+    """Cell-centered uniform nx-by-ny grid on the unit square, and a time step."""
 
     nx: int
     ny: int
@@ -43,6 +46,32 @@ class GridSolverConfig:
             raise ValueError("grid must have at least 8 cells per side")
         if self.dt <= 0.0:
             raise ValueError("time step must be positive")
+
+    @property
+    def dx(self) -> float:
+        return 1.0 / self.nx
+
+    @property
+    def dy(self) -> float:
+        return 1.0 / self.ny
+
+    def centers(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (ny, nx) x and y coordinates of the cell centres."""
+        return np.meshgrid((np.arange(self.nx) + 0.5) * self.dx,
+                           (np.arange(self.ny) + 0.5) * self.dy)
+
+    def interpolate(self, field: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """Bilinear interpolation of a (ny, nx) cell-centered field, with
+        constant extrapolation inside the half-cell boundary margin."""
+        pts = np.atleast_2d(points)
+        gx = np.clip(pts[:, 0] / self.dx - 0.5, 0.0, self.nx - 1.0)
+        gy = np.clip(pts[:, 1] / self.dy - 0.5, 0.0, self.ny - 1.0)
+        i0 = np.minimum(gx.astype(int), self.nx - 2)
+        j0 = np.minimum(gy.astype(int), self.ny - 2)
+        fx = gx - i0
+        fy = gy - j0
+        return (field[j0, i0] * (1 - fx) * (1 - fy) + field[j0, i0 + 1] * fx * (1 - fy)
+                + field[j0 + 1, i0] * (1 - fx) * fy + field[j0 + 1, i0 + 1] * fx * fy)
 
 
 def sensor_grid(m: int) -> np.ndarray:
@@ -104,37 +133,6 @@ class Rational1D(ForwardModel):
         return np.array([rational_1d(theta[0])])
 
 
-class _CellGrid:
-    """Cell-centered uniform grid on the unit square."""
-
-    def __init__(self, nx: int, ny: int):
-        self.nx, self.ny = nx, ny
-        self.dx, self.dy = 1.0 / nx, 1.0 / ny
-        self.xc = (np.arange(nx) + 0.5) * self.dx
-        self.yc = (np.arange(ny) + 0.5) * self.dy
-
-    def centers(self) -> tuple[np.ndarray, np.ndarray]:
-        X, Y = np.meshgrid(self.xc, self.yc)  # (ny, nx)
-        return X, Y
-
-    def interpolate(self, field: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """Bilinear interpolation of a (ny, nx) cell-centered field, with
-        constant extrapolation inside the half-cell boundary margin."""
-        pts = np.atleast_2d(points)
-        gx = np.clip(pts[:, 0] / self.dx - 0.5, 0.0, self.nx - 1.0)
-        gy = np.clip(pts[:, 1] / self.dy - 0.5, 0.0, self.ny - 1.0)
-        i0 = np.minimum(gx.astype(int), self.nx - 2)
-        j0 = np.minimum(gy.astype(int), self.ny - 2)
-        fx = gx - i0
-        fy = gy - j0
-        f00 = field[j0, i0]
-        f01 = field[j0, i0 + 1]
-        f10 = field[j0 + 1, i0]
-        f11 = field[j0 + 1, i0 + 1]
-        return (f00 * (1 - fx) * (1 - fy) + f01 * fx * (1 - fy)
-                + f10 * (1 - fx) * fy + f11 * fx * fy)
-
-
 def _neumann_eigenvalues(n: int, h: float) -> np.ndarray:
     """Eigenvalues of the 1-D zero-flux second difference -u'' on n cells of width h.
 
@@ -157,9 +155,10 @@ class _GridModel(ForwardModel):
     square sensor grid: the inversion grid `cfg` (32² by default) and the data
     grid `fine_cfg` (128²).
 
-    A subclass supplies only `_fields(theta, cfg)`, its named (ny, nx) solution
-    fields in output order, and `SENSORS_PER_SIDE`; the outputs are every
-    field's sensor values in turn.
+    A subclass supplies `SENSORS_PER_SIDE`, `_prepare(cfg)`, a grid's theta-free arrays,
+    and `_fields(theta, cfg, *prepared)`, its named (ny, nx) solution fields in output
+    order. Each grid is prepared once, at its first solve; the outputs are every field's
+    sensor values in turn.
     """
 
     SENSORS_PER_SIDE: int
@@ -171,15 +170,16 @@ class _GridModel(ForwardModel):
         self.fine_cfg = fine_cfg
         self.sensors = sensor_grid(self.SENSORS_PER_SIDE)
         self.output_dim = n_fields * self.sensors.shape[0]
+        self._prepared: dict[GridSolverConfig, tuple] = {}
 
-    def _fields(self, theta: np.ndarray, cfg: GridSolverConfig) -> dict[str, np.ndarray]:
-        raise NotImplementedError
+    def _solve(self, theta: np.ndarray, cfg: GridSolverConfig) -> dict[str, np.ndarray]:
+        if cfg not in self._prepared:
+            self._prepared[cfg] = self._prepare(cfg)
+        return self._fields(theta, cfg, *self._prepared[cfg])
 
     def _readout(self, theta: np.ndarray, cfg: GridSolverConfig) -> np.ndarray:
-        grid = _CellGrid(cfg.nx, cfg.ny)
-        return np.concatenate([
-            grid.interpolate(field, self.sensors) for field in self._fields(theta, cfg).values()
-        ])
+        return np.concatenate([cfg.interpolate(field, self.sensors)
+                               for field in self._solve(theta, cfg).values()])
 
     def _evaluate(self, theta):
         return self._readout(theta, self.cfg)
@@ -189,7 +189,7 @@ class _GridModel(ForwardModel):
 
     def fields(self, theta: np.ndarray, fine: bool = False) -> dict[str, np.ndarray]:
         """The named (ny, nx) solution fields on the inversion grid, or on the data grid."""
-        return self._fields(self._checked(theta), self.fine_cfg if fine else self.cfg)
+        return self._solve(self._checked(theta), self.fine_cfg if fine else self.cfg)
 
 
 class HeatSource2D(_GridModel):
@@ -225,37 +225,32 @@ class HeatSource2D(_GridModel):
             raise ValueError(f"measurement times {measure_times} must have distinct names")
         super().__init__(cfg, fine_cfg, n_fields=len(measure_times))
         self.measure_times = tuple(measure_times)
-        self._steppers: dict[tuple, tuple] = {}
 
-    def _stepper(self, cfg: GridSolverConfig) -> tuple[_CellGrid, np.ndarray, np.ndarray, np.ndarray]:
-        """The grid, the per-step modal factor 1 / (1 + dt (lambda_x + lambda_y)), (ny, nx),
-        and the cosine bases of the y and x axes."""
-        key = (cfg.nx, cfg.ny, cfg.dt)
-        if key not in self._steppers:
-            grid = _CellGrid(cfg.nx, cfg.ny)
-            lam = (_neumann_eigenvalues(grid.ny, grid.dy)[:, None]
-                   + _neumann_eigenvalues(grid.nx, grid.dx)[None, :])
-            self._steppers[key] = (grid, 1.0 / (1.0 + cfg.dt * lam),
-                                   _cosine_basis(grid.ny), _cosine_basis(grid.nx))
-        return self._steppers[key]
-
-    def _source_field(self, grid: _CellGrid, theta: np.ndarray) -> np.ndarray:
-        X, Y = grid.centers()
-        r2 = (X - theta[0]) ** 2 + (Y - theta[1]) ** 2
-        return self.AMPLITUDE / (2.0 * np.pi * self.SOURCE_WIDTH**2) * np.exp(
-            -r2 / (2.0 * self.SOURCE_WIDTH**2)
-        )
-
-    def _fields(self, theta: np.ndarray, cfg: GridSolverConfig) -> dict[str, np.ndarray]:
-        grid, damping, phi_y, phi_x = self._stepper(cfg)
+    def _prepare(self, cfg: GridSolverConfig) -> tuple:
+        """The measurement steps {step: time}, the cell centres, the (ny, nx) modal factor
+        1 / (1 + dt (lambda_x + lambda_y)) and the cosine bases of the y and x axes."""
         meas_steps = {}
         for tm in self.measure_times:
             step = int(round(tm / cfg.dt))
             if step < 1 or abs(step * cfg.dt - tm) > 1e-9:
                 raise ValueError(f"time step {cfg.dt} does not hit measurement time {tm}")
             meas_steps[step] = tm
+        lam = (_neumann_eigenvalues(cfg.ny, cfg.dy)[:, None]
+               + _neumann_eigenvalues(cfg.nx, cfg.dx)[None, :])
+        return (meas_steps, cfg.centers(), 1.0 / (1.0 + cfg.dt * lam),
+                _cosine_basis(cfg.ny), _cosine_basis(cfg.nx))
+
+    def _source_field(self, centers: tuple, theta: np.ndarray) -> np.ndarray:
+        X, Y = centers
+        r2 = (X - theta[0]) ** 2 + (Y - theta[1]) ** 2
+        return self.AMPLITUDE / (2.0 * np.pi * self.SOURCE_WIDTH**2) * np.exp(
+            -r2 / (2.0 * self.SOURCE_WIDTH**2)
+        )
+
+    def _fields(self, theta: np.ndarray, cfg: GridSolverConfig, meas_steps: dict, centers: tuple,
+                damping: np.ndarray, phi_y: np.ndarray, phi_x: np.ndarray) -> dict[str, np.ndarray]:
         source_steps = int(round(self.SOURCE_TIME / cfg.dt))
-        source = self._source_field(grid, theta)
+        source = self._source_field(centers, theta)
         if not np.all(np.isfinite(source)):
             raise SolverError("heat source has non-finite values")
         kick = phi_y.T @ (cfg.dt * source) @ phi_x
@@ -290,25 +285,22 @@ PERMEABILITY_BOUNDS = (
 )
 
 
-def permeability_field(points: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Weighted radial-basis sum kappa(x; theta) at the given (m, 2) points."""
+def rbf_basis(points: np.ndarray) -> np.ndarray:
+    """The (m, 9) radial basis functions at the given (m, 2) points, so that the
+    permeability there is kappa(x; theta) = rbf_basis(x) @ theta."""
     points = np.atleast_2d(points)
-    theta = np.asarray(theta, dtype=float).reshape(-1)
     r2 = (points[:, :1] - RBF_CENTERS[:, 0]) ** 2 + (points[:, 1:] - RBF_CENTERS[:, 1]) ** 2
-    basis = np.exp(-r2 / (2.0 * RBF_WIDTH**2))
-    return basis @ theta
+    return np.exp(-r2 / (2.0 * RBF_WIDTH**2))
 
 
-def _face_conductivities(theta: np.ndarray, grid: _CellGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Harmonic means of the adjacent cells' permeabilities over dx^2 on the
-    (ny, nx - 1) x-faces and over dy^2 on the (ny - 1, nx) y-faces."""
-    X, Y = grid.centers()
-    kappa = permeability_field(np.column_stack([X.ravel(), Y.ravel()]), theta).reshape(X.shape)
+def _face_conductivities(kappa: np.ndarray, cfg: GridSolverConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Harmonic means of the adjacent cells' permeabilities in the (ny, nx) `kappa`
+    over dx^2 on the (ny, nx - 1) x-faces and over dy^2 on the (ny - 1, nx) y-faces."""
     if np.any(kappa <= 0.0):
         raise InvalidParameterError(f"permeability must be positive everywhere (min {kappa.min():.3e})")
     west, east, south, north = kappa[:, :-1], kappa[:, 1:], kappa[:-1], kappa[1:]
-    return (2.0 * west * east / (west + east) / grid.dx**2,
-            2.0 * south * north / (south + north) / grid.dy**2)
+    return (2.0 * west * east / (west + east) / cfg.dx**2,
+            2.0 * south * north / (south + north) / cfg.dy**2)
 
 
 def _flux_balance(u: np.ndarray, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
@@ -349,20 +341,24 @@ class DarcyPermeability2D(_GridModel):
     input_dim = 9
     SENSORS_PER_SIDE = 5
 
-    def source_field(self, grid: _CellGrid) -> np.ndarray:
-        X, Y = grid.centers()
+    def source_field(self, cfg: GridSolverConfig) -> np.ndarray:
+        X, Y = cfg.centers()
         q = np.zeros_like(X)
         for (cx, cy), w in zip(SOURCE_CENTERS, SOURCE_WEIGHTS):
             r2 = (X - cx) ** 2 + (Y - cy) ** 2
             q += w / (2.0 * np.pi * SOURCE_WIDTH**2) * np.exp(-r2 / (2.0 * SOURCE_WIDTH**2))
         return q
 
-    def _fields(self, theta: np.ndarray, cfg: GridSolverConfig) -> dict[str, np.ndarray]:
+    def _prepare(self, cfg: GridSolverConfig) -> tuple[np.ndarray, np.ndarray]:
+        """The (cells, 9) radial basis at the cell centres and the source less its mean."""
+        q = self.source_field(cfg)
+        return rbf_basis(np.column_stack([c.ravel() for c in cfg.centers()])), q - q.mean()
+
+    def _fields(self, theta: np.ndarray, cfg: GridSolverConfig, basis: np.ndarray,
+                q: np.ndarray) -> dict[str, np.ndarray]:
         from scipy.linalg import cho_solve_banded, cholesky_banded
 
-        grid = _CellGrid(cfg.nx, cfg.ny)
-        cx, cy = _face_conductivities(theta, grid)
-        q = self.source_field(grid)
+        cx, cy = _face_conductivities((basis @ theta).reshape(cfg.ny, cfg.nx), cfg)
         try:
             factor = cholesky_banded(_pinned_band(cx, cy), lower=True, check_finite=False), True
         except np.linalg.LinAlgError as exc:
@@ -370,7 +366,7 @@ class DarcyPermeability2D(_GridModel):
         # Solve from u = 0, then refine once on the same factor (2e-12 error without it).
         u = np.zeros_like(q)
         for _ in range(2):
-            residual = q - q.mean() - _flux_balance(u, cx, cy)
+            residual = q - _flux_balance(u, cx, cy)
             u.flat[1:] += cho_solve_banded(factor, residual.flat[1:], check_finite=False)
         if not np.all(np.isfinite(u)):
             raise SolverError("Darcy solve produced non-finite values")
@@ -390,8 +386,5 @@ def generate_measurements(model: ForwardModel, theta_true: np.ndarray, noise_var
 def write_grid_field(path, field: np.ndarray) -> None:
     """Dump a (ny, nx) field: header line "nx ny", then one row per line."""
     field = np.atleast_2d(field)
-    ny, nx = field.shape
-    with open(path, "w") as fh:
-        fh.write(f"{nx} {ny}\n")
-        for row in field:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+    np.savetxt(path, field, fmt="%.17g", delimiter=" ",
+               header=f"{field.shape[1]} {field.shape[0]}", comments="")

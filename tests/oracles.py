@@ -31,9 +31,9 @@ from gpinv.forward_models import (
     DarcyPermeability2D,
     GridSolverConfig,
     HeatSource2D,
-    _CellGrid,
     _face_conductivities,
     _neumann_eigenvalues,
+    rbf_basis,
 )
 from gpinv.gp import (
     GpEnsemble,
@@ -225,10 +225,10 @@ def flux_operator(coef_x: np.ndarray, coef_y: np.ndarray):
     return coo_matrix((vals, (rows, cols)), shape=(nx * ny, nx * ny)).tocsc()
 
 
-def neumann_laplacian(grid: _CellGrid):
+def neumann_laplacian(cfg: GridSolverConfig):
     """Five-point Laplacian with mirrored (zero-flux) boundaries, as a sparse matrix."""
-    coef_x = np.full((grid.ny, grid.nx - 1), 1.0 / grid.dx**2)
-    coef_y = np.full((grid.ny - 1, grid.nx), 1.0 / grid.dy**2)
+    coef_x = np.full((cfg.ny, cfg.nx - 1), 1.0 / cfg.dx**2)
+    coef_y = np.full((cfg.ny - 1, cfg.nx), 1.0 / cfg.dy**2)
     return -flux_operator(coef_x, coef_y)
 
 
@@ -236,18 +236,17 @@ def heat_fields_sparse(model: HeatSource2D, theta: np.ndarray, cfg: GridSolverCo
                        ) -> dict[float, np.ndarray]:
     """(ny, nx) heat fields at the model's measurement times by a backward-Euler
     march in physical space, one sparse-LU solve of (I - dt Lap) per step."""
-    grid = _CellGrid(cfg.nx, cfg.ny)
     n_cells = cfg.nx * cfg.ny
-    lu = splu(sparse_eye(n_cells, format="csc") - cfg.dt * neumann_laplacian(grid).tocsc())
+    lu = splu(sparse_eye(n_cells, format="csc") - cfg.dt * neumann_laplacian(cfg).tocsc())
     meas_steps = {int(round(tm / cfg.dt)): tm for tm in model.measure_times}
     source_steps = int(round(model.SOURCE_TIME / cfg.dt))
-    s = model._source_field(grid, np.asarray(theta, dtype=float)).ravel()
+    s = model._source_field(cfg.centers(), np.asarray(theta, dtype=float)).ravel()
     u = np.zeros(n_cells)
     fields = {}
     for step in range(1, max(meas_steps) + 1):
         u = lu.solve(u + (cfg.dt * s if step <= source_steps else 0.0))
         if step in meas_steps:
-            fields[meas_steps[step]] = u.reshape(grid.ny, grid.nx).copy()
+            fields[meas_steps[step]] = u.reshape(cfg.ny, cfg.nx).copy()
     return fields
 
 
@@ -257,12 +256,11 @@ def heat_fields_dct(model: HeatSource2D, theta: np.ndarray, cfg: GridSolverConfi
     march in the cosine eigenbasis, with `scipy.fft`'s orthonormal DCT-II as the
     transform: the source is transformed once, every mode scaled by
     1 / (1 + dt (lambda_x + lambda_y)) per step and transformed back at the times."""
-    grid = _CellGrid(cfg.nx, cfg.ny)
-    damping = 1.0 / (1.0 + cfg.dt * (_neumann_eigenvalues(grid.ny, grid.dy)[:, None]
-                                     + _neumann_eigenvalues(grid.nx, grid.dx)[None, :]))
+    damping = 1.0 / (1.0 + cfg.dt * (_neumann_eigenvalues(cfg.ny, cfg.dy)[:, None]
+                                     + _neumann_eigenvalues(cfg.nx, cfg.dx)[None, :]))
     meas_steps = {int(round(tm / cfg.dt)): tm for tm in model.measure_times}
     source_steps = int(round(model.SOURCE_TIME / cfg.dt))
-    source = model._source_field(grid, np.asarray(theta, dtype=float))
+    source = model._source_field(cfg.centers(), np.asarray(theta, dtype=float))
     kick = dctn(cfg.dt * source, type=2, norm="ortho")
     modes = np.zeros_like(kick)
     fields = {}
@@ -279,10 +277,11 @@ def darcy_field_augmented(model: DarcyPermeability2D, theta: np.ndarray, cfg: Gr
                           ) -> np.ndarray:
     """(ny, nx) zero-mean Darcy pressure from one sparse-LU solve of the
     multiplier-augmented system [[A, 1], [1^T, 0]] [u; lambda] = [q; 0], with A
-    assembled from the model's face conductivities."""
-    grid = _CellGrid(cfg.nx, cfg.ny)
-    A = flux_operator(*_face_conductivities(np.asarray(theta, dtype=float), grid))
+    assembled from the model's face conductivities of kappa = rbf_basis @ theta."""
+    X, Y = cfg.centers()
+    kappa = rbf_basis(np.column_stack([X.ravel(), Y.ravel()])) @ np.asarray(theta, dtype=float)
+    A = flux_operator(*_face_conductivities(kappa.reshape(cfg.ny, cfg.nx), cfg))
     ones = np.ones((cfg.nx * cfg.ny, 1))
     augmented = sparse_bmat([[A, ones], [ones.T, None]], format="csc")
-    rhs = np.append(model.source_field(grid).ravel(), 0.0)
+    rhs = np.append(model.source_field(cfg).ravel(), 0.0)
     return splu(augmented).solve(rhs)[:-1].reshape(cfg.ny, cfg.nx)

@@ -45,11 +45,16 @@ def fast_config(seed=0, n_max=6, **overrides):
     return AdaptiveConfig(**values)
 
 
-@pytest.fixture
-def problem():
+def scalar_problem():
+    """A fresh rational model and its data at theta = 2.41."""
     model = Rational1D()
     meas = generate_measurements(model, [2.41], 0.01**2, seed=101)
     return model, meas
+
+
+@pytest.fixture
+def problem():
+    return scalar_problem()
 
 
 class TestAdaptiveConfig:
@@ -180,9 +185,10 @@ class TestRunAdaptive:
 
 
 class TestRunRecord:
-    @pytest.fixture
-    def record_text(self, problem):
-        model, meas = problem
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def record_text():
+        model, meas = scalar_problem()
         return run_adaptive(model, meas, fast_config(seed=7, n_max=2)).record.to_json()
 
     def test_json_round_trip(self, record_text):
@@ -202,17 +208,23 @@ class TestRunRecord:
         (lambda doc: doc.pop("iterations"), "iterations"),
         (lambda doc: doc["iterations"][0].update(wall_time_s=0.5), "wall_time_s"),
         (lambda doc: doc.update(schema_version=999), "schema_version"),
+        (lambda doc: doc.update(iterations=[3]), "iterations"),
+        (lambda doc: doc.update(iterations=5), "iterations"),
+        ("[]", "top level"),
+        ('"text"', "top level"),
     ])
     def test_malformed_record_names_the_key(self, record_text, edit, key):
-        doc = json.loads(record_text)
-        edit(doc)
+        """`edit` changes the record's object in place, or is the whole text."""
+        text = edit
+        if callable(edit):
+            doc = json.loads(record_text)
+            edit(doc)
+            text = json.dumps(doc)
         with pytest.raises(ValueError, match=key):
-            RunRecord.from_json(json.dumps(doc))
+            RunRecord.from_json(text)
 
-    def test_timings_excluded_by_default(self, problem):
-        model, meas = problem
-        record = run_adaptive(model, meas, fast_config(seed=8, n_max=2)).record
-        assert "wall_time" not in record.to_json()
+    def test_timings_excluded_by_default(self, record_text):
+        assert "wall_time" not in record_text
 
     def test_schema_version_checked(self):
         with pytest.raises(ValueError, match="schema"):

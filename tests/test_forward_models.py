@@ -13,13 +13,12 @@ from gpinv.forward_models import (
     GridSolverConfig,
     HeatSource2D,
     Rational1D,
-    _CellGrid,
     _face_conductivities,
     _flux_balance,
     _pinned_band,
     generate_measurements,
-    permeability_field,
     rational_1d,
+    rbf_basis,
     sensor_grid,
     write_grid_field,
 )
@@ -59,6 +58,27 @@ def test_non_finite_parameters_rejected(model, theta):
             with pytest.raises(InvalidParameterError, match="finite"):
                 evaluate(theta)
     assert model.n_evals == 0
+
+
+@pytest.mark.parametrize("make_model, theta", [
+    (HeatSource2D, [0.25, 0.75]),
+    (DarcyPermeability2D, PERMEABILITY_THETA_TRUE),
+])
+def test_each_grid_is_prepared_once(make_model, theta):
+    model = make_model()
+    prepared = []
+    prepare = model._prepare
+
+    def counted(cfg):
+        prepared.append(cfg)
+        return prepare(cfg)
+
+    model._prepare = counted
+    outputs = [model.evaluate(theta) for _ in range(3)]
+    model.fine_evaluate(theta)
+    model.fields(theta, fine=True)
+    assert prepared == [model.cfg, model.fine_cfg]
+    np.testing.assert_array_equal(outputs[2], make_model().evaluate(theta))
 
 
 class TestSensorGrid:
@@ -161,13 +181,12 @@ class TestHeatEigenbasisSolve:
         reference = heat_fields_dct(model, theta, cfg)
         # Outputs are scaled by their field's maximum: in the short-time grids the
         # sensors far from the source read about 1e-18, below both transforms' roundoff.
-        grid = _CellGrid(cfg.nx, cfg.ny)
         outputs = model.evaluate(theta).reshape(len(times), -1)
         for tm, out in zip(times, outputs):
             ref = reference[tm]
             scale = 1e-13 * np.abs(ref).max()
             assert np.abs(fields[f"field_t{tm:g}"] - ref).max() <= scale
-            assert np.abs(out - grid.interpolate(ref, model.sensors)).max() <= scale
+            assert np.abs(out - cfg.interpolate(ref, model.sensors)).max() <= scale
 
     def test_non_finite_field_raises(self, monkeypatch):
         monkeypatch.setattr(HeatSource2D, "AMPLITUDE", np.inf)
@@ -184,9 +203,9 @@ class TestDarcy:
         return DarcyPermeability2D()
 
     def test_source_is_neumann_compatible(self, model):
-        grid = _CellGrid(32, 32)
-        q = model.source_field(grid)
-        assert abs(q.sum() * grid.dx * grid.dy) < 1e-10
+        cfg = GridSolverConfig(32, 32)
+        q = model.source_field(cfg)
+        assert abs(q.sum() * cfg.dx * cfg.dy) < 1e-10
 
     def test_solution_mean_zero(self, model):
         u = model.fields(PERMEABILITY_THETA_TRUE)["field"]
@@ -194,7 +213,8 @@ class TestDarcy:
 
     def test_operator_annihilates_constants(self, model):
         shape = (model.cfg.ny, model.cfg.nx)
-        cx, cy = _face_conductivities(PERMEABILITY_THETA_TRUE, _CellGrid(model.cfg.nx, model.cfg.ny))
+        basis, _ = model._prepare(model.cfg)
+        cx, cy = _face_conductivities((basis @ PERMEABILITY_THETA_TRUE).reshape(shape), model.cfg)
         band = _pinned_band(cx, cy)
         residual = np.abs(_flux_balance(np.ones(shape), cx, cy)).max()
         assert residual < 1e-9 * band[0].max()
@@ -215,7 +235,7 @@ class TestDarcy:
         expected = sum(
             theta_i * np.exp(-np.sum((x[0] - c) ** 2) / (2 * RBF_WIDTH**2))
             for theta_i, c in zip(PERMEABILITY_THETA_TRUE, RBF_CENTERS))
-        assert permeability_field(x, PERMEABILITY_THETA_TRUE)[0] == pytest.approx(expected, rel=1e-12)
+        assert (rbf_basis(x) @ PERMEABILITY_THETA_TRUE)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_nonpositive_permeability_rejected(self, model):
         with pytest.raises(InvalidParameterError):
