@@ -12,7 +12,8 @@ budget accounting afterwards.
 
 record.json is `RunRecord` and `IterationRecord`: after schema_version, their
 fields in declaration order, arrays as lists, bar `wall_time_s` (timings.csv
-only). Reading refuses a missing or unknown key.
+only). Reading refuses a missing or unknown key, a value of the wrong type
+and an array of the wrong rank (each array field's `ndim` metadata).
 """
 
 from __future__ import annotations
@@ -84,11 +85,11 @@ class AdaptiveConfig:
 @dataclass
 class IterationRecord:
     k: int
-    theta: np.ndarray
+    theta: np.ndarray = field(metadata={"ndim": 1})
     improvement: float
     g_min: float
-    psi_mean: np.ndarray
-    psi_std: np.ndarray
+    psi_mean: np.ndarray = field(metadata={"ndim": 1})
+    psi_std: np.ndarray = field(metadata={"ndim": 1})
     accepted: bool           # True when theta joined the design
     wall_time_s: float = float("nan")  # VOLATILE_FIELD: timings.csv only
 
@@ -105,7 +106,7 @@ class RunRecord:
     eps_thresh: float = EPS_THRESH
     n_max: int = 0
     termination: str = "running"
-    initial_inputs: np.ndarray
+    initial_inputs: np.ndarray = field(metadata={"ndim": 2})
     iterations: list[IterationRecord] = field(default_factory=list)
 
     @property
@@ -134,12 +135,7 @@ class RunRecord:
         version = doc.pop("schema_version", None)
         if version != RECORD_SCHEMA_VERSION:
             raise ValueError(f"unsupported record schema_version {version!r}")
-        kwargs = _json_kwargs(cls, doc)
-        entries = kwargs["iterations"]
-        if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
-            raise ValueError("iterations in record.json must be a list of objects")
-        kwargs["iterations"] = [IterationRecord(**_json_kwargs(IterationRecord, e)) for e in entries]
-        return cls(**kwargs)
+        return cls(**_json_kwargs(cls, doc))
 
 
 def _json_object(pairs: list[tuple[str, object]]) -> dict:
@@ -149,15 +145,42 @@ def _json_object(pairs: list[tuple[str, object]]) -> dict:
 
 
 def _json_kwargs(cls, doc: dict) -> dict:
-    """Constructor arguments of `cls` from a record.json object with exactly its keys."""
-    names = {f.name: f.type == "np.ndarray" for f in fields(cls) if f.name != VOLATILE_FIELD}
-    missing = [name for name in names if name not in doc]
-    unknown = [key for key in doc if key not in names]
+    """Constructor arguments of `cls` from a record.json object with exactly its
+    keys, each value checked against its field's type."""
+    by_name = {f.name: f for f in fields(cls) if f.name != VOLATILE_FIELD}
+    missing = [name for name in by_name if name not in doc]
+    unknown = [key for key in doc if key not in by_name]
     if missing or unknown:
         raise ValueError(f"{cls.__name__} in record.json: missing keys {missing}, "
                          f"unknown keys {unknown}")
-    return {key: np.array(value, dtype=float) if names[key] else value
-            for key, value in doc.items()}
+    return {key: _json_value(cls, by_name[key], value) for key, value in doc.items()}
+
+
+# The JSON values each scalar field type accepts; bools never stand for numbers.
+_JSON_SCALARS = {"int": int, "float": (int, float), "str": str, "bool": bool}
+
+
+def _json_value(cls, f, value):
+    """A record.json value as field `f` of `cls` holds it: a float array of the
+    field's `ndim` for arrays, the records for `iterations`, else the value
+    itself (ints widened for floats). ValueError names the key otherwise."""
+    where = f"{cls.__name__} in record.json: {f.name}"
+    if f.type == "np.ndarray":
+        try:
+            array = np.array(value)
+        except ValueError:  # ragged nested lists
+            array = None
+        ndim = f.metadata["ndim"]
+        if array is None or array.dtype.kind not in "iuf" or array.ndim != ndim:
+            raise ValueError(f"{where} must be a {ndim}-D array of numbers, got {value!r:.80}")
+        return array.astype(float)
+    if f.type == "list[IterationRecord]":
+        if not isinstance(value, list) or not all(isinstance(entry, dict) for entry in value):
+            raise ValueError(f"{where} must be a list of objects")
+        return [IterationRecord(**_json_kwargs(IterationRecord, entry)) for entry in value]
+    if isinstance(value, bool) != (f.type == "bool") or not isinstance(value, _JSON_SCALARS[f.type]):
+        raise ValueError(f"{where} must be {f.type}, got {value!r:.80}")
+    return float(value) if f.type == "float" else value
 
 
 @dataclass

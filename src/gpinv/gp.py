@@ -140,8 +140,9 @@ def _se_cov(A: np.ndarray, B: np.ndarray, sigma2: np.ndarray, inv_l2: np.ndarray
     K[:, i, :] of each row of A is one contiguous (J, |B|) array, so a
     substitution over the rows of A reads and writes whole planes."""
     diff2 = (A[:, None, :] - B[None, :, :]) ** 2  # (|A|, |B|, p)
-    K = np.matmul(inv_l2, diff2.transpose(0, 2, 1)).transpose(1, 0, 2)
-    np.exp(np.negative(K, out=K), out=K)
+    # -inv_l2 negates every product and sum exactly, as rounding is symmetric in sign.
+    K = np.matmul(-inv_l2, diff2.transpose(0, 2, 1)).transpose(1, 0, 2)
+    np.exp(K, out=K)
     K *= sigma2[:, None, None]
     return K
 
@@ -253,15 +254,19 @@ def _forward_subst(L: np.ndarray, R: np.ndarray, out: np.ndarray | None = None) 
 
     R is (..., n, k) and broadcasts against the stack. Row i of X comes from
     rows 0..i-1 by one stacked matmul, so the loop runs n times whatever the
-    stack size. X is written into `out` when given, in any layout; `out=R`
-    solves in place, since row i reads R[..., i, :] before it writes that row.
+    stack size; the row's difference and quotient are formed in the matmul's
+    result and the quotient written straight into X. X is written into `out`
+    when given, in any layout; `out=R` solves in place, since row i reads
+    R[..., i, :] before it writes that row.
     """
     X = out
     if X is None:
         X = np.empty(np.broadcast_shapes(L.shape[:-2], R.shape[:-2]) + R.shape[-2:])
-    for i in range(L.shape[-1]):
+    np.divide(R[..., 0, :], L[..., 0, 0, None], out=X[..., 0, :])
+    for i in range(1, L.shape[-1]):
         known = (L[..., i:i + 1, :i] @ X[..., :i, :])[..., 0, :]
-        X[..., i, :] = (R[..., i, :] - known) / L[..., i, i, None]
+        np.subtract(R[..., i, :], known, out=known)
+        np.divide(known, L[..., i, i, None], out=X[..., i, :])
     return X
 
 
@@ -351,9 +356,9 @@ class GpEnsemble:
         return means, self._variances(_forward_subst(self._L, c, out=c))
 
     def _variances(self, half: np.ndarray) -> np.ndarray:
-        """sigma_c^2 - |L^-1 c|^2 per member and row, clamped at 0; squares `half` in place."""
-        half *= half
-        variances = self._sigma2[:, None] - half.sum(axis=1)
+        """sigma_c^2 - |L^-1 c|^2 per member and row, clamped at 0; `half` is
+        L^-1 c (J, n, B) and is left as it is."""
+        variances = self._sigma2[:, None] - np.einsum("jnb,jnb->jb", half, half)
         return np.maximum(variances, 0.0, out=variances)
 
     def predict_with_pullback(self, thetas: np.ndarray):

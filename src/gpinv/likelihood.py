@@ -6,6 +6,12 @@ the emulator, so untested regions are judged more leniently. The surrogate
 log-likelihood marginalizes over the hyperparameter ensemble, producing a
 Gaussian-mixture likelihood evaluated through a log-sum-exp so that huge
 misfits stay finite.
+
+Each member's log-normalizer needs sum_q log(a_q + V) per row. The kernel
+multiplies the factors a_q + V of a group of outputs and takes one log per
+group: the groups are cut from the data of each call, so that no product
+leaves the normal range of a double (see `_log_groups`); heat and
+permeability need one group, so one log per member and row.
 """
 
 from __future__ import annotations
@@ -22,6 +28,11 @@ from .gp import GpEnsemble, TrainingSet
 # posterior's start-up pool scores thousands of rows; the misfit kernel
 # itself adds only (members, rows) buffers.
 DENSITY_BLOCK = 100
+
+# A group of outputs whose bounds |log(a_k + V)| sum to at most this multiplies
+# into one product before its log: exp(+-600) lies well inside the normal
+# doubles (about exp(+-708)), with room left for the product's rounding.
+LOG_GROUP_BOUND = 600.0
 
 
 @dataclass(frozen=True)
@@ -72,8 +83,10 @@ def member_misfits(means_norm: np.ndarray, var_norm: np.ndarray, training: Train
     `GpEnsemble.predict_batch` lays them out.
 
     Returns (g, sum_q log(a + V) if `log_den` else None, dg/dV if `grads`
-    else None), each shaped like `var_norm`. With `grads` the planes are left
-    holding dg/dm = -2 (zt - m) / (a + V), and dg/dV = -sum_q ((zt - m) / (a + V))^2.
+    else None), each shaped like `var_norm`. The log sum is one log per
+    group of `_log_groups`, of the product of the group's a_k + V. With
+    `grads` the planes are left holding dg/dm = -2 (zt - m) / (a + V), and
+    dg/dV = -sum_q ((zt - m) / (a + V))^2.
     """
     q = means_norm.shape[-2]
     if meas.n_outputs != q:
@@ -85,20 +98,59 @@ def member_misfits(means_norm: np.ndarray, var_norm: np.ndarray, training: Train
     g = np.zeros(shape)
     log_sum = np.zeros(shape) if log_den else None
     coeff_var = np.zeros(shape) if grads else None
-    den, term = np.empty(shape), np.empty(shape)
+    den = np.empty(shape)
+    term = np.empty(shape) if grads else None
+    if log_den:
+        closes, prod = _log_groups(a, var_norm), np.empty(shape)
+    opens = True
     for k in range(q):
         resid = np.subtract(zt[k], means_norm[..., k, :], out=means_norm[..., k, :])
         np.add(a[k], var_norm, out=den)
-        np.square(resid, out=term)
-        term /= den
-        g += term
         if grads:
+            np.square(resid, out=term)
+            term /= den
+            g += term
             resid /= den
             coeff_var -= np.square(resid, out=term)
             resid *= -2.0
+        else:
+            np.square(resid, out=resid)
+            resid /= den
+            g += resid
         if log_den:
-            log_sum += np.log(den, out=den)
+            # `prod` holds the group's running product; the first factor of
+            # a group trades buffers with `den` instead of being copied.
+            if opens:
+                den, prod = prod, den
+            else:
+                prod *= den
+            opens = closes[k]
+            if opens:
+                log_sum += np.log(prod, out=prod)
     return g, log_sum, coeff_var
+
+
+def _log_groups(a: np.ndarray, var_norm: np.ndarray) -> np.ndarray:
+    """Where the grouped log of `member_misfits` closes a group: (q,) bools,
+    True at the last output of each group, in output order.
+
+    log(a_k + V) is monotone in V, so over the call's variances (at least 0)
+    its size is at most b_k = max(|log a_k|, |log(a_k + max V)|). A group
+    closes before the sum of its bounds passes LOG_GROUP_BOUND, so every
+    product of its a_k + V is a normal double. A bound that is not finite
+    (a NaN or infinite variance) gives its output a group of its own.
+    """
+    v_max = np.max(var_norm, initial=0.0)
+    bounds = np.maximum(np.abs(np.log(a)), np.abs(np.log(a + v_max)))
+    closes = np.zeros(a.shape[0], dtype=bool)
+    total = 0.0
+    for k, bound in enumerate(bounds.tolist()):
+        if k and not total + bound <= LOG_GROUP_BOUND:
+            closes[k - 1] = True
+            total = 0.0
+        total += bound
+    closes[-1:] = True
+    return closes
 
 
 def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray:

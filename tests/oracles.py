@@ -8,6 +8,11 @@ model or through the library's batched kernels. The scalar GP path
 (`sq_exp_cov`, `predict`, `log_marginal_likelihood`) checks the batched GP
 core, and the one-point sampler and maximizer adapters drive the library's
 row-batched `run_chain` and `multistart_maximize_batch` from scalar code.
+`forward_subst_ref`, `back_subst_ref`, `se_cov_ref` and `variances_ref` are
+the GP core's substitutions, covariance and predictive variance in their
+earlier, plainer form, which the core must reproduce bit for bit; and
+`d_restricted_loglik_summed_logs` is the surrogate density with one log per
+output, which the grouped log must reproduce to rounding.
 The sparse-LU backward-Euler march and the same march in `scipy.fft`'s
 cosine transform are the references for the heat model's solve in the cosine
 basis matrices, and a sparse LU of the Lagrange-multiplier system is the
@@ -47,12 +52,71 @@ from gpinv.gp import (
     _se_cov,
 )
 from gpinv.likelihood import (
+    DENSITY_BLOCK,
     MeasurementModel,
     _misfit_batch,
     d_restricted_loglik_batch,
+    logsumexp,
+    member_misfits,
     misfit_of_outputs,
 )
 from gpinv.mcmc import LogProb, run_chain
+
+
+def forward_subst_ref(L: np.ndarray, R: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Solve L X = R row by row: each row's known part by a stacked matmul,
+    then (R_i - known) / L_ii assigned into X, row 0 included."""
+    X = out
+    if X is None:
+        X = np.empty(np.broadcast_shapes(L.shape[:-2], R.shape[:-2]) + R.shape[-2:])
+    for i in range(L.shape[-1]):
+        known = (L[..., i:i + 1, :i] @ X[..., :i, :])[..., 0, :]
+        X[..., i, :] = (R[..., i, :] - known) / L[..., i, i, None]
+    return X
+
+
+def back_subst_ref(L: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Solve L^T X = R by `forward_subst_ref` on the order-reversed transpose."""
+    return forward_subst_ref(L.swapaxes(-1, -2)[..., ::-1, ::-1], R[..., ::-1, :])[..., ::-1, :]
+
+
+def se_cov_ref(A: np.ndarray, B: np.ndarray, sigma2: np.ndarray, inv_l2: np.ndarray) -> np.ndarray:
+    """(J, |A|, |B|) squared-exponential covariances in `_se_cov`'s rows-major
+    layout: the exponent by one matmul with inv_l2, then negated, then exp."""
+    diff2 = (A[:, None, :] - B[None, :, :]) ** 2
+    K = np.matmul(inv_l2, diff2.transpose(0, 2, 1)).transpose(1, 0, 2)
+    np.exp(np.negative(K, out=K), out=K)
+    K *= sigma2[:, None, None]
+    return K
+
+
+def variances_ref(sigma2: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """sigma_c^2 - |L^-1 c|^2 (J, B) from half = L^-1 c (J, n, B), clamped at 0,
+    by squaring `half` in place and summing over the design points."""
+    half *= half
+    variances = sigma2[:, None] - half.sum(axis=1)
+    return np.maximum(variances, 0.0, out=variances)
+
+
+def d_restricted_loglik_summed_logs(thetas: np.ndarray, ens: GpEnsemble,
+                                    meas: MeasurementModel) -> np.ndarray:
+    """`d_restricted_loglik_batch` with sum_q log(a_q + V) taken as one log per
+    output, in output order, and the same blocks, misfits and mixture sum."""
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    tr = ens.training
+    log_norm = -0.5 * np.sum(np.log(2.0 * np.pi * tr.out_vars))
+    a = meas.noise_vars / tr.out_vars
+    out = np.empty(thetas.shape[0])
+    for lo in range(0, thetas.shape[0], DENSITY_BLOCK):
+        means, variances = ens.predict_batch(thetas[lo:lo + DENSITY_BLOCK])
+        g = member_misfits(means, variances, tr, meas)[0]
+        log_den = np.zeros_like(variances)
+        for a_k in a:
+            log_den += np.log(a_k + variances)
+        g_star = np.min(g, axis=0)
+        body = logsumexp(log_norm - 0.5 * log_den - 0.5 * (g - g_star), axis=0)
+        out[lo:lo + DENSITY_BLOCK] = -0.5 * g_star + body - np.log(g.shape[0])
+    return out
 
 
 def hyperparams_from_vector(psi) -> HyperParams:

@@ -212,6 +212,19 @@ class TestRunRecord:
         (lambda doc: doc.update(iterations=5), "iterations"),
         ("[]", "top level"),
         ('"text"', "top level"),
+        (lambda doc: doc.update(seed="x"), "seed"),
+        (lambda doc: doc.update(seed=True), "seed"),
+        (lambda doc: doc.update(n_max=[1]), "n_max"),
+        (lambda doc: doc.update(eps_thresh="0.01"), "eps_thresh"),
+        (lambda doc: doc.update(termination=3), "termination"),
+        (lambda doc: doc.update(initial_inputs=[1, 2]), "initial_inputs"),
+        (lambda doc: doc.update(initial_inputs=[[0.1], [0.2, 0.3]]), "initial_inputs"),
+        (lambda doc: doc.update(initial_inputs=[[None]]), "initial_inputs"),
+        (lambda doc: doc["iterations"][0].update(k=1.5), "k"),
+        (lambda doc: doc["iterations"][0].update(theta=[[0.5]]), "theta"),
+        (lambda doc: doc["iterations"][0].update(psi_std=["a"]), "psi_std"),
+        (lambda doc: doc["iterations"][0].update(g_min=None), "g_min"),
+        (lambda doc: doc["iterations"][0].update(accepted=1), "accepted"),
     ])
     def test_malformed_record_names_the_key(self, record_text, edit, key):
         """`edit` changes the record's object in place, or is the whole text."""

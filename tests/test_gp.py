@@ -16,15 +16,21 @@ from gpinv.gp import (
     _factorize,
     _forward_subst,
     _lml_batch,
+    _se_cov,
+    _train_cov,
     fit_single,
     normalize_outputs,
 )
 from oracles import (
+    back_subst_ref,
     ensemble_predict_vector,
+    forward_subst_ref,
     hyperparams_from_vector,
     log_marginal_likelihood,
     predict,
+    se_cov_ref,
     sq_exp_cov,
+    variances_ref,
 )
 
 
@@ -437,6 +443,62 @@ class TestTriangularSolves:
         X = _forward_subst(L, R, out=R)
         assert X is R
         np.testing.assert_array_equal(X, expected)
+
+
+class TestCoreMatchesReference:
+    """The GP core's covariance, substitutions and variances reproduce the
+    plainer reference forms in `tests/oracles.py` bit for bit, at the heat
+    protocol's shapes (n = 4-12 design points, p = 2, J = 200 members, B = 1,
+    16 and 50 rows) and the permeability protocol's (n = 38, p = 9)."""
+
+    SHAPES = [(4, 2, 18), (8, 2, 18), (12, 2, 18), (38, 9, 25)]  # (n, p, q)
+
+    @pytest.fixture(scope="class", params=SHAPES, ids=lambda shape: f"n{shape[0]}-p{shape[1]}")
+    @staticmethod
+    def ens(request):
+        n, p, q = request.param
+        rng = np.random.default_rng(30 + n)
+        psis = [random_psi(rng, p).as_vector() for _ in range(200)]
+        return GpEnsemble(make_training(rng, n, p, q), psis)
+
+    @pytest.mark.parametrize("B", [1, 16, 50])
+    def test_cross_covariance_and_training_stack(self, ens, B):
+        X = ens.training.inputs
+        thetas = np.random.default_rng(B).uniform(-2, 2, (B, X.shape[1]))
+        c = _se_cov(X, thetas, ens._sigma2, ens._inv_l2)
+        expected = se_cov_ref(X, thetas, ens._sigma2, ens._inv_l2)
+        np.testing.assert_array_equal(c, expected)
+        assert c.strides == expected.strides
+        diffs = (X[:, None, :] - X[None, :, :]).reshape(-1, X.shape[1])
+        stack = se_cov_ref(np.zeros((1, X.shape[1])), diffs, ens._sigma2, ens._inv_l2)
+        np.testing.assert_array_equal(_train_cov(X, ens.hyperparams), stack.reshape(-1, *X.shape[:1] * 2))
+
+    @pytest.mark.parametrize("B", [1, 16, 50])
+    def test_substitutions_and_variances(self, ens, B):
+        X, L = ens.training.inputs, ens._L
+        c = _se_cov(X, np.random.default_rng(B).uniform(-2, 2, (B, X.shape[1])),
+                    ens._sigma2, ens._inv_l2)
+        # A fresh output, an `out=` buffer of c's rows-major layout, in place
+        # over c; the layout of X changes the products at B = 1, so each is
+        # held against the reference writing into the same layout.
+        np.testing.assert_array_equal(_forward_subst(L, c), forward_subst_ref(L, c))
+        expected = forward_subst_ref(L, c, out=np.empty_like(c))
+        half = _forward_subst(L, c, out=np.empty_like(c))
+        np.testing.assert_array_equal(half, expected)
+        np.testing.assert_array_equal(_back_subst(L, half), back_subst_ref(L, expected))
+        in_place = c.copy(order="K")
+        assert _forward_subst(L, in_place, out=in_place) is in_place
+        np.testing.assert_array_equal(in_place, expected)
+        # The variances leave `half` as it is; the reference squares its copy.
+        kept = half.copy(order="K")
+        np.testing.assert_array_equal(ens._variances(half),
+                                      variances_ref(ens._sigma2, half.copy(order="K")))
+        np.testing.assert_array_equal(half, kept)
+
+    def test_broadcast_right_hand_side(self, ens):
+        Y, L = ens.training.scaled_outputs, ens._L
+        np.testing.assert_array_equal(_forward_subst(L, Y), forward_subst_ref(L, Y))
+        np.testing.assert_array_equal(_back_subst(L, Y), back_subst_ref(L, Y))
 
 
 def test_predict_batch_matches_scalar_predict_per_member():

@@ -13,12 +13,16 @@ from gpinv.gp import GpEnsemble, HyperParams, TrainingSet, fit_single
 from gpinv.likelihood import (
     DENSITY_BLOCK,
     MeasurementModel,
+    _log_groups,
     d_restricted_loglik_batch,
     member_misfits,
     misfit_of_outputs,
 )
+from gpinv.mcmc import BoxPrior
+from gpinv.posterior import sample_posterior
 from oracles import (
     d_restricted_loglik,
+    d_restricted_loglik_summed_logs,
     ensemble_predict_vector,
     gp_misfits,
     hyperparams_from_vector,
@@ -257,6 +261,99 @@ class TestMemberMisfitKernel:
             expected.append(logsumexp(log_k - 0.5 * g) - np.log(len(fits)))
         assert thetas.shape[0] > 2 * DENSITY_BLOCK
         np.testing.assert_allclose(d_restricted_loglik_batch(thetas, ens, meas), expected, rtol=1e-12)
+
+
+def unit_scale_training(q: int) -> TrainingSet:
+    """A training set whose outputs are already normalized (means 0, variances
+    1), so a measurement's noise variances are the kernel's a_q as they are."""
+    return TrainingSet(np.zeros((1, 1)), np.zeros((1, q)), np.zeros(q), np.ones(q), np.zeros((1, q)))
+
+
+def log_sums(a, variances):
+    """The kernel's misfits and sum_q log(a_q + V) for random (J, q, B) means,
+    the reference sum of one log per output, and the measurement and means."""
+    q = a.shape[0]
+    rng = np.random.default_rng(q)
+    means = rng.normal(0.0, 1.0, variances.shape[:1] + (q,) + variances.shape[1:])
+    meas = MeasurementModel(rng.normal(0.0, 1.0, q), a)
+    g, log_sum, _ = member_misfits(means.copy(), variances, unit_scale_training(q), meas,
+                                   log_den=True)
+    expected = np.sum(np.log(a[:, None, None] + variances), axis=0)
+    return g, log_sum, expected, meas, means
+
+
+class TestGroupedLog:
+    """member_misfits takes one log per group of outputs, of the product of
+    their a_k + V, in place of one log per output."""
+
+    def test_matches_sum_of_logs(self):
+        # Heat-like sizes; every a_q + V lies below 0.6, so no sum is near 0.
+        rng = np.random.default_rng(40)
+        a = rng.uniform(1e-4, 1e-1, 18)
+        variances = rng.uniform(0.0, 0.5, (200, 50))
+        variances[:, :5] = 0.0
+        g, log_sum, expected, meas, means = log_sums(a, variances)
+        assert _log_groups(a, variances).sum() == 1
+        np.testing.assert_allclose(log_sum, expected, rtol=1e-13, atol=0.0)
+        # The misfits are the gradient path's, which squares into its own buffer.
+        np.testing.assert_array_equal(
+            g, member_misfits(means.copy(), variances, unit_scale_training(18), meas,
+                              grads=True)[0])
+
+    def test_wide_spread_stays_finite(self):
+        # a from 1e-12 to 1e12 over 500 outputs: a running product of a_q + V
+        # leaves the doubles, so the outputs must split into groups.
+        rng = np.random.default_rng(41)
+        a = np.logspace(-12.0, 12.0, 500)
+        variances = np.concatenate([np.zeros((3, 1)), rng.uniform(0.0, 1e3, (3, 7))], axis=1)
+        with np.errstate(over="ignore", under="ignore"):
+            running = np.cumprod(a[:, None, None] + variances, axis=0)
+        assert np.any(running == 0.0) or np.any(np.isinf(running))
+        assert _log_groups(a, variances).sum() > 1
+        _, log_sum, expected, _, _ = log_sums(a, variances)
+        assert np.all(np.isfinite(log_sum))
+        scale = np.sum(np.abs(np.log(a[:, None, None] + variances)), axis=0)
+        np.testing.assert_array_less(np.abs(log_sum - expected), 1e-13 * scale)
+
+    def test_one_output(self):
+        variances = np.array([[0.0, 0.3, 2.0], [1e-9, 0.0, 5.0]])
+        _, log_sum, _, _, _ = log_sums(np.array([0.02]), variances)
+        np.testing.assert_array_equal(log_sum, np.log(0.02 + variances))
+
+    def test_groups_close_before_the_bound(self):
+        # Bounds |log a_k| of 300, 250, 100, 700, 10: the third would pass 600,
+        # and the fourth is over it alone.
+        a = np.exp(-np.array([300.0, 250.0, 100.0, 700.0, 10.0]))
+        np.testing.assert_array_equal(_log_groups(a, np.zeros((2, 3))),
+                                      [False, True, True, True, True])
+        np.testing.assert_array_equal(_log_groups(a[[0, 1, 4]], np.zeros((2, 3))),
+                                      [False, False, True])
+
+    def test_nan_variance_spoils_only_its_entry(self):
+        rng = np.random.default_rng(42)
+        a = rng.uniform(1e-4, 1e-1, 18)
+        variances = rng.uniform(0.0, 0.5, (4, 6))
+        variances[1, 2] = np.nan
+        _, log_sum, expected, _, _ = log_sums(a, variances)
+        assert np.isnan(log_sum[1, 2])
+        finite = ~np.isnan(variances)
+        np.testing.assert_allclose(log_sum[finite], expected[finite], rtol=1e-13, atol=0.0)
+
+    def test_posterior_samples_match_summed_logs(self):
+        # The grouped log moves the density by rounding only; a chain's
+        # accept decisions, and so its samples, must not move with it.
+        ens, rng = small_ensemble(seed=14, n=8, q=18, n_psi=20)
+        meas = MeasurementModel(rng.normal(0, 1, 18), np.full(18, 0.05))
+        prior = BoxPrior([-1.0, -1.0], [1.0, 1.0])
+        thetas = rng.uniform(-1, 1, (300, 2))
+        np.testing.assert_allclose(d_restricted_loglik_batch(thetas, ens, meas),
+                                   d_restricted_loglik_summed_logs(thetas, ens, meas),
+                                   rtol=1e-13, atol=0.0)
+        runs = [sample_posterior(lambda rows, f=f: f(rows, ens, meas), prior, 2_000, seed=3,
+                                 n_walkers=20, source="surrogate")
+                for f in (d_restricted_loglik_batch, d_restricted_loglik_summed_logs)]
+        np.testing.assert_array_equal(runs[0].samples, runs[1].samples)
+        assert runs[0].metadata == runs[1].metadata
 
 
 class TestTrueLoglik:

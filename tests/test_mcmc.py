@@ -14,6 +14,7 @@ from gpinv.mcmc import (
     STRETCH_A,
     BoxPrior,
     WalkerEnsemble,
+    _restrict_to_box,
     run_chain,
     sample_hyperposterior,
     stretch_step,
@@ -79,6 +80,33 @@ class TestBoxPrior:
         pts = prior.sample(rng, 1000)
         assert np.all(prior.contains(pts))
         assert not prior.contains(np.array([[2.0, 1.0]]))[0]
+
+
+class TestRestrictToBox:
+    @staticmethod
+    def recording(calls):
+        def log_prob(points):
+            calls.append(points)
+            return -np.sum(points**2, axis=1)
+        return log_prob
+
+    def test_rows_inside_pass_as_they_are(self):
+        calls = []
+        points = np.random.default_rng(8).uniform(-1, 1, (6, 2))
+        out = _restrict_to_box(self.recording(calls), BoxPrior([-1.0, -1.0], [1.0, 1.0]))(points)
+        assert len(calls) == 1 and calls[0] is points
+        np.testing.assert_array_equal(out, -np.sum(points**2, axis=1))
+
+    def test_rows_outside_are_not_evaluated(self):
+        calls = []
+        points = np.array([[0.5, 0.5], [2.0, 0.0], [-0.5, 0.25], [0.0, -3.0]])
+        out = _restrict_to_box(self.recording(calls), BoxPrior([-1.0, -1.0], [1.0, 1.0]))(points)
+        np.testing.assert_array_equal(calls[0], points[[0, 2]])
+        np.testing.assert_array_equal(out, [-0.5, -np.inf, -0.3125, -np.inf])
+        calls.clear()
+        assert np.all(_restrict_to_box(self.recording(calls), BoxPrior([0.0], [1.0]))(
+            np.array([[-1.0], [2.0]])) == -np.inf)
+        assert not calls
 
 
 class TestStretchStep:
