@@ -7,11 +7,8 @@ log-likelihood marginalizes over the hyperparameter ensemble, producing a
 Gaussian-mixture likelihood evaluated through a log-sum-exp so that huge
 misfits stay finite.
 
-Each member's log-normalizer needs sum_q log(a_q + V) per row. The kernel
-multiplies the factors a_q + V of a group of outputs and takes one log per
-group: the groups are cut from the data of each call, so that no product
-leaves the normal range of a double (see `_log_groups`); heat and
-permeability need one group, so one log per member and row.
+Each member's log-normalizer needs sum_q log(a_q + V) per row, which the
+misfit kernel takes as one log per group of outputs (see `_log_groups`).
 """
 
 from __future__ import annotations
@@ -29,9 +26,7 @@ from .gp import GpEnsemble, TrainingSet
 # itself adds only (members, rows) buffers.
 DENSITY_BLOCK = 100
 
-# A group of outputs whose bounds |log(a_k + V)| sum to at most this multiplies
-# into one product before its log: exp(+-600) lies well inside the normal
-# doubles (about exp(+-708)), with room left for the product's rounding.
+# exp(+-600) leaves headroom below the normal doubles' exp(+-708).
 LOG_GROUP_BOUND = 600.0
 
 
@@ -83,10 +78,9 @@ def member_misfits(means_norm: np.ndarray, var_norm: np.ndarray, training: Train
     `GpEnsemble.predict_batch` lays them out.
 
     Returns (g, sum_q log(a + V) if `log_den` else None, dg/dV if `grads`
-    else None), each shaped like `var_norm`. The log sum is one log per
-    group of `_log_groups`, of the product of the group's a_k + V. With
-    `grads` the planes are left holding dg/dm = -2 (zt - m) / (a + V), and
-    dg/dV = -sum_q ((zt - m) / (a + V))^2.
+    else None), each shaped like `var_norm`; the log sum is grouped as
+    `_log_groups` describes. With `grads` the planes are left holding
+    dg/dm = -2 (zt - m) / (a + V), and dg/dV = -sum_q ((zt - m) / (a + V))^2.
     """
     q = means_norm.shape[-2]
     if meas.n_outputs != q:
@@ -134,11 +128,14 @@ def _log_groups(a: np.ndarray, var_norm: np.ndarray) -> np.ndarray:
     """Where the grouped log of `member_misfits` closes a group: (q,) bools,
     True at the last output of each group, in output order.
 
-    log(a_k + V) is monotone in V, so over the call's variances (at least 0)
-    its size is at most b_k = max(|log a_k|, |log(a_k + max V)|). A group
-    closes before the sum of its bounds passes LOG_GROUP_BOUND, so every
-    product of its a_k + V is a normal double. A bound that is not finite
-    (a NaN or infinite variance) gives its output a group of its own.
+    The kernel multiplies the factors a_k + V of a group into one product and
+    takes one log of it. The groups come from each call's data: log(a_k + V)
+    is monotone in V, so over the call's variances (at least 0) its size is
+    at most b_k = max(|log a_k|, |log(a_k + max V)|). A group closes before
+    the sum of its bounds passes LOG_GROUP_BOUND, so every product of its
+    a_k + V is a normal double. A bound that is not finite
+    (a NaN or infinite variance) gives its output a group of its own. Heat
+    and permeability need one group, so one log per member and row.
     """
     v_max = np.max(var_norm, initial=0.0)
     bounds = np.maximum(np.abs(np.log(a)), np.abs(np.log(a + v_max)))

@@ -106,15 +106,12 @@ def stretch_step(ens: WalkerEnsemble, log_prob: LogProb) -> int:
 
 
 def _restrict_to_box(log_prob: LogProb, prior: DesignBox) -> LogProb:
-    """Short-circuit rows outside the box to -inf without evaluating them;
-    when every row is inside, `log_prob` takes the points as they are."""
+    """Short-circuit rows outside the box to -inf without evaluating them."""
 
     def restricted(points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(points)
-        inside = prior.contains(points)
-        if inside.size and np.all(inside):
-            return np.asarray(log_prob(points), dtype=float)
         out = np.full(points.shape[0], -np.inf)
+        inside = prior.contains(points)
         if np.any(inside):
             out[inside] = np.asarray(log_prob(points[inside]), dtype=float)
         return out
