@@ -186,8 +186,12 @@ def _json_value(cls, f, value):
 @dataclass
 class AdaptiveResult:
     ensemble: GpEnsemble
-    training: TrainingSet
     record: RunRecord
+
+    @property
+    def training(self) -> TrainingSet:
+        """The final design: the one the ensemble was fitted on."""
+        return self.ensemble.training
 
 
 def make_starts(cfg: AdaptiveConfig) -> np.ndarray:
@@ -235,8 +239,8 @@ def run_adaptive(model, meas: MeasurementModel, cfg: AdaptiveConfig) -> Adaptive
     zero, and so did the screen and the confirming ascent where they ran),
     "budget" (n_max points added), "duplicate-point" (the selected input is
     already in the design; nothing evaluated, partial record returned) or
-    "forward-failure" (the model raised at a selected input; partial record
-    returned).
+    "forward-failure" (the model raised, or returned a non-finite output, at a
+    selected input; partial record returned).
     """
     outputs = np.array([model.evaluate(row) for row in cfg.initial_design])
     training = TrainingSet.from_data(cfg.initial_design, outputs)
@@ -277,20 +281,20 @@ def run_adaptive(model, meas: MeasurementModel, cfg: AdaptiveConfig) -> Adaptive
             record.termination = "zero-improvement" if improvement == 0.0 else "threshold"
             log.info("iteration %d: stopping (%s), I=%.3e, g_min=%.4f, %d sweeps",
                      k, record.termination, improvement, state.g_min, ensemble.sweeps)
-            return AdaptiveResult(ensemble, training, record)
+            return AdaptiveResult(ensemble, record)
 
         if training.has_input(theta):
             record.termination = "duplicate-point"
             log.error("iteration %d selected design point %s; stopping", k, theta)
-            return AdaptiveResult(ensemble, training, record)
+            return AdaptiveResult(ensemble, record)
         try:
-            new_outputs = model.evaluate(theta)
+            # A non-finite output fails here too, as TrainingSet refuses it.
+            training = training.augmented(theta, model.evaluate(theta))
         except Exception as exc:
             record.termination = "forward-failure"
             log.error("forward model failed at %s: %s; returning partial record",
                       theta, exc)
-            return AdaptiveResult(ensemble, training, record)
-        training = training.augmented(theta, new_outputs)
+            return AdaptiveResult(ensemble, record)
         entry.accepted = True
         entry.wall_time_s = time.perf_counter() - tic
         log.info("iteration %d: added %s, I=%.3e, g_min=%.4f, %d sweeps",
@@ -302,4 +306,4 @@ def run_adaptive(model, meas: MeasurementModel, cfg: AdaptiveConfig) -> Adaptive
         seed=_iteration_seed(cfg.seed, cfg.n_max + 1),
         init_positions=ensemble.hyperparams,
     )
-    return AdaptiveResult(ensemble, training, record)
+    return AdaptiveResult(ensemble, record)

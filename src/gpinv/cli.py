@@ -147,12 +147,14 @@ def _parse_theta(raw: str, dim: int) -> np.ndarray:
 
 
 def _load_spec(args) -> ExperimentSpec:
-    if getattr(args, "config", None):
+    if args.config and args.experiment:
+        raise UsageError("--config and --experiment cannot be combined; give one of them")
+    if args.config:
         try:
             return load_experiment(args.config)
         except (OSError, ValueError, KeyError) as exc:
             raise UsageError(f"cannot load config {args.config}: {exc}") from exc
-    if getattr(args, "experiment", None):
+    if args.experiment:
         if args.experiment not in EXPERIMENTS:
             raise UsageError(f"unknown experiment {args.experiment!r}; choose from {sorted(EXPERIMENTS)}")
         return EXPERIMENTS[args.experiment]
@@ -171,9 +173,7 @@ def _write_run_outputs(out: Path, spec: ExperimentSpec, result: AdaptiveResult, 
     (out / "record.json").write_text(result.record.to_json())
     timing_rows = np.array([[it.k, it.wall_time_s] for it in result.record.iterations])
     write_csv(out / "timings.csv", ["k", "wall_time_s"], timing_rows)
-    (out / "config_snapshot.json").write_text(json.dumps(
-        {k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(spec).items()},
-        indent=1, sort_keys=True))
+    (out / "config_snapshot.json").write_text(json.dumps(vars(spec), indent=1, sort_keys=True))
     return ["design.csv", "hyperposterior.csv", "measurement.csv", "record.json", "timings.csv",
             "config_snapshot.json"]
 

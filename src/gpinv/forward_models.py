@@ -10,12 +10,12 @@ never runs on the same grid that produced the measurements.
 
 The heat step has constant coefficients and zero-flux walls, so the cosine
 basis diagonalizes it: the heat model multiplies by the orthonormal DCT-II
-basis matrix of each grid axis and is solved exactly mode by mode. The Darcy
+basis matrix of each grid axis and sums each mode's march in closed form. The Darcy
 operator depends on theta and is factorized by a banded Cholesky on every
 solve; `scipy.linalg` is imported there, so importing this module needs numpy alone.
 A `GridSolverConfig` is one grid: its shape, time step, cell centres and
 interpolation. The PDE models' shared base builds each grid's theta-free arrays
-once, at its first solve (heat: time schedule, damping, cosine bases; Darcy:
+once, at its first solve (heat: each measurement time's modal gain, cosine bases; Darcy:
 radial basis, zero-mean source); each model supplies its named solution fields
 from them, and the base reads the fields out at the sensors.
 
@@ -204,9 +204,9 @@ class HeatSource2D(_GridModel):
     Each backward-Euler step solves (I - dt Lap) u_k = u_{k-1} + dt s. The
     five-point Laplacian with zero-flux walls is diagonal in the 2-D cosine
     basis, so the solve transforms the source once (Phi_y^T S Phi_x with the
-    orthonormal DCT-II basis matrices of the two axes), scales every mode by
-    1 / (1 + dt (lambda_x + lambda_y)) per step, and transforms back
-    (Phi_y M Phi_x^T) only at the measurement times.
+    orthonormal DCT-II basis matrices of the two axes) and, per measurement
+    time, scales every mode by its summed damping over the steps so far (see
+    `_prepare`) and transforms back (Phi_y M Phi_x^T).
     """
 
     input_dim = 2
@@ -227,18 +227,27 @@ class HeatSource2D(_GridModel):
         self.measure_times = tuple(measure_times)
 
     def _prepare(self, cfg: GridSolverConfig) -> tuple:
-        """The measurement steps {step: time}, the cell centres, the (ny, nx) modal factor
-        1 / (1 + dt (lambda_x + lambda_y)) and the cosine bases of the y and x axes."""
-        meas_steps = {}
-        for tm in self.measure_times:
-            step = int(round(tm / cfg.dt))
-            if step < 1 or abs(step * cfg.dt - tm) > 1e-9:
-                raise ValueError(f"time step {cfg.dt} does not hit measurement time {tm}")
-            meas_steps[step] = tm
-        lam = (_neumann_eigenvalues(cfg.ny, cfg.dy)[:, None]
-               + _neumann_eigenvalues(cfg.nx, cfg.dx)[None, :])
-        return (meas_steps, cfg.centers(), 1.0 / (1.0 + cfg.dt * lam),
-                _cosine_basis(cfg.ny), _cosine_basis(cfg.nx))
+        """The cell centres, each output field's (ny, nx) modal gain and the cosine bases
+        of the y and x axes. Each step damps a mode by d = 1 / (1 + r), r = dt (lambda_x +
+        lambda_y); after M steps, the first K = min(M, SOURCE_TIME / dt) with the source on, it
+        holds sum_{s <= K} d^(M - s + 1) = d^(M - K) (1 - d^K) / r (K if r = 0) times its kick."""
+        def steps(tm: float, what: str) -> int:
+            n = int(round(tm / cfg.dt))
+            if n < 1 or abs(n * cfg.dt - tm) > 1e-9:
+                raise ValueError(f"time step {cfg.dt} does not hit {what} {tm}")
+            return n
+
+        meas_steps = [steps(tm, "measurement time") for tm in self.measure_times]
+        source_steps = steps(self.SOURCE_TIME, "source switch-off time")
+        rate = cfg.dt * (_neumann_eigenvalues(cfg.ny, cfg.dy)[:, None]
+                         + _neumann_eigenvalues(cfg.nx, cfg.dx)[None, :])
+        log_d = -np.log1p(rate)
+        gains = {}
+        for tm, M in zip(self.measure_times, meas_steps):
+            K = min(M, source_steps)
+            gains[f"field_t{tm:g}"] = np.divide(np.exp((M - K) * log_d) * -np.expm1(K * log_d), rate,
+                                                out=np.full(rate.shape, float(K)), where=rate > 0.0)
+        return cfg.centers(), gains, _cosine_basis(cfg.ny), _cosine_basis(cfg.nx)
 
     def _source_field(self, centers: tuple, theta: np.ndarray) -> np.ndarray:
         X, Y = centers
@@ -247,25 +256,16 @@ class HeatSource2D(_GridModel):
             -r2 / (2.0 * self.SOURCE_WIDTH**2)
         )
 
-    def _fields(self, theta: np.ndarray, cfg: GridSolverConfig, meas_steps: dict, centers: tuple,
-                damping: np.ndarray, phi_y: np.ndarray, phi_x: np.ndarray) -> dict[str, np.ndarray]:
-        source_steps = int(round(self.SOURCE_TIME / cfg.dt))
+    def _fields(self, theta: np.ndarray, cfg: GridSolverConfig, centers: tuple, gains: dict,
+                phi_y: np.ndarray, phi_x: np.ndarray) -> dict[str, np.ndarray]:
         source = self._source_field(centers, theta)
         if not np.all(np.isfinite(source)):
             raise SolverError("heat source has non-finite values")
         kick = phi_y.T @ (cfg.dt * source) @ phi_x
-        modes = np.zeros_like(kick)
-        fields = {}
-        for step in range(1, max(meas_steps) + 1):
-            if step <= source_steps:
-                modes += kick
-            modes *= damping
-            if step in meas_steps:
-                u = phi_y @ modes @ phi_x.T
-                if not np.all(np.isfinite(u)):
-                    raise SolverError(f"heat solve produced non-finite values at step {step}")
-                fields[meas_steps[step]] = u
-        return {f"field_t{tm:g}": fields[tm] for tm in self.measure_times}
+        fields = {name: phi_y @ (gain * kick) @ phi_x.T for name, gain in gains.items()}
+        if not all(np.all(np.isfinite(u)) for u in fields.values()):
+            raise SolverError("heat solve produced non-finite values")
+        return fields
 
 
 RBF_CENTERS = np.array([

@@ -100,6 +100,8 @@ class TrainingSet:
             )
         if inputs.shape[0] < 1:
             raise ValueError("training set must contain at least one point")
+        if not (np.all(np.isfinite(inputs)) and np.all(np.isfinite(raw_outputs))):
+            raise ValueError("training inputs and outputs must be finite")
         scaled, means, variances = normalize_outputs(raw_outputs)
         return cls(inputs, raw_outputs, means, variances, scaled)
 
@@ -307,8 +309,8 @@ class GpEnsemble:
         if len(hyperparams) < 1 or hyperparams.shape[1] != training.input_dim + 1:
             raise ValueError(f"need (J >= 1, {training.input_dim + 1}) hyperparameter rows, "
                              f"got {hyperparams.shape}")
-        if not np.all(hyperparams > 0.0):
-            raise ValueError("hyperparameters must be positive")
+        if not np.all((hyperparams > 0.0) & np.isfinite(hyperparams)):
+            raise ValueError("hyperparameters must be positive and finite")
         L, shift = _factorize(training.inputs, hyperparams)
         if np.any(np.isnan(shift)):
             raise _factorization_error(training.inputs, hyperparams, np.isnan(shift))

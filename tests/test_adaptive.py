@@ -150,12 +150,15 @@ class TestRunAdaptive:
         for (_, previous), (init, _) in zip(calls, calls[1:]):
             np.testing.assert_array_equal(init, previous)
 
-    def test_forward_failure_aborts_with_partial_record(self, meas_only=None):
+    @pytest.mark.parametrize("fails_by", ["raising", "returning nan"])
+    def test_forward_failure_aborts_with_partial_record(self, fails_by):
         class Flaky(Rational1D):
             def _evaluate(self, theta):
-                if self.n_evals > 3:  # initial design ok, first selection fails
+                if self.n_evals <= 3:  # initial design ok, first selection fails
+                    return super()._evaluate(theta)
+                if fails_by == "raising":
                     raise RuntimeError("solver blew up")
-                return super()._evaluate(theta)
+                return np.array([np.nan])
 
         model = Flaky()
         meas = generate_measurements(Rational1D(), [2.41], 1e-4, seed=101)

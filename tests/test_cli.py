@@ -21,6 +21,7 @@ from gpinv.adaptive import VOLATILE_FIELD, IterationRecord
 from gpinv.cli import build_parser, main, read_csv, write_csv
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+HEAT_CFG = str(README.parent / "configs" / "heat.cfg")
 
 FAST_ONE_D = """
 [experiment]
@@ -321,6 +322,11 @@ class TestErrors:
         (["gen-design", "--experiment", "heat", "--kind", "sobol", "--n", "4", "--seed", "5"], "--seed"),
         (["sample-posterior", "--experiment", "heat", "--likelihood", "true", "--n", "10",
           "--run-dir", "no-such-run"], "--run-dir"),
+        (["eval-model", "--config", HEAT_CFG, "--experiment", "one_d", "--theta", "0.25,0.75"],
+         "--config and --experiment"),
+        (["run-adaptive", "--config", HEAT_CFG, "--experiment", "heat"], "--config and --experiment"),
+        (["gen-design", "--config", HEAT_CFG, "--experiment", "heat", "--n", "4"],
+         "--config and --experiment"),
     ])
     def test_malformed_value_is_a_usage_error(self, argv, option, tmp_path, capsys):
         out = tmp_path / "out"
@@ -364,11 +370,17 @@ class TestErrors:
         assert named in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("run_dir", [None, "absent", "empty"])
+    @pytest.mark.parametrize("run_dir", [None, "absent", "empty", "nan-design", "inf-length"])
     def test_bad_run_dir_is_a_usage_error(self, run_dir, fast_cfg, tmp_path, capsys, monkeypatch):
         argv = ["sample-posterior", "--config", fast_cfg, "--n", "10"]
         if run_dir is not None:
             (tmp_path / "empty").mkdir()
+            for name, output, length in [("nan-design", np.nan, 2.0), ("inf-length", 3.2, np.inf)]:
+                (tmp_path / name).mkdir()
+                write_csv(tmp_path / name / "design.csv", ["theta_1", "f_1"],
+                          [[-2.0, 2.1], [0.5, output], [3.0, 0.0]])
+                write_csv(tmp_path / name / "hyperposterior.csv", ["sigma_c", "ell_1"],
+                          [[1.0, length], [0.8, 1.5]])
             argv += ["--run-dir", str(tmp_path / run_dir)]
         solved = []
         monkeypatch.setattr("gpinv.experiments.ExperimentSpec.measurement",

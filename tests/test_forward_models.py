@@ -141,9 +141,14 @@ class TestHeatSource:
         b = model.evaluate([0.3, 0.6])
         np.testing.assert_array_equal(a, b)
 
-    def test_measure_time_must_align_with_dt(self):
-        bad = HeatSource2D(cfg=GridSolverConfig(32, 32, dt=0.003), measure_times=(0.1,))
-        with pytest.raises(ValueError, match="measurement time"):
+    @pytest.mark.parametrize("dt, times, missed", [
+        (0.003, (0.1,), "measurement time"),
+        # 0.04 hits t = 0.2, but a source on for 2 steps would inject 0.16 of its mass 0.2.
+        (0.04, (0.2,), "source switch-off time"),
+    ])
+    def test_measure_time_must_align_with_dt(self, dt, times, missed):
+        bad = HeatSource2D(cfg=GridSolverConfig(32, 32, dt=dt), measure_times=times)
+        with pytest.raises(ValueError, match=missed):
             bad.evaluate([0.5, 0.5])
 
     def test_measure_times_must_be_distinct(self):
@@ -158,6 +163,8 @@ EIGENBASIS_GRIDS = [
     (GridSolverConfig(128, 128, dt=0.0025), (0.1, 0.2)),
     (GridSolverConfig(24, 40, dt=0.01), (0.1, 0.2)),
     (GridSolverConfig(64, 16, dt=0.01), (0.1, 0.2)),
+    # One measurement before the source switches off and one 90 steps after it.
+    (GridSolverConfig(32, 32, dt=0.01), (0.05, 1.0)),
 ] + [(GridSolverConfig(32, 32, dt=t / 4), (t,)) for t in (0.04, 0.01, 0.0025, 0.000625)]
 
 
