@@ -272,9 +272,11 @@ def _forward_subst(L: np.ndarray, R: np.ndarray, out: np.ndarray | None = None) 
     return X
 
 
-def _back_subst(L: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Solve L^T X = R: forward substitution on the order-reversed transpose."""
-    return _forward_subst(L.swapaxes(-1, -2)[..., ::-1, ::-1], R[..., ::-1, :])[..., ::-1, :]
+def _back_subst(L: np.ndarray, R: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Solve L^T X = R: forward substitution on the order-reversed transpose;
+    `out` as in `_forward_subst`, so `out=R` solves in place."""
+    rev = None if out is None else out[..., ::-1, :]
+    return _forward_subst(L.swapaxes(-1, -2)[..., ::-1, ::-1], R[..., ::-1, :], out=rev)[..., ::-1, :]
 
 
 def _batched_cholesky(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -373,21 +375,23 @@ class GpEnsemble:
         w = c * (W coeff_mean - 2 coeff_var C^-1 c). Since
         dc_n/dtheta = -2 inv_l2 * (theta - x_n) c_n, the gradient is
         -2 inv_l2 * (theta sum_n w - X^T w): two small products, no
-        (J, B, p, q) tensor of mean derivatives. C^-1 c takes one more
-        (backward) substitution. The pullback needs c, so L^-1 c goes into a
-        buffer of c's rows-major layout: the substitution then runs the same
-        products as `predict_batch`'s in-place one, and the means and
-        variances are bit-identical to `predict_batch`'s.
+        (J, B, p, q) tensor of mean derivatives. The pullback needs c, so L^-1 c
+        goes into a buffer of c's rows-major layout: the substitution then runs
+        the same products as `predict_batch`'s in-place one, and the means and
+        variances are bit-identical to `predict_batch`'s. C^-1 c is solved over
+        L^-1 c in place, and the pullback scales C^-1 c in place, so it may be
+        called once.
         """
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         c, means = self._cross(thetas)
-        half = _forward_subst(self._L, c, out=np.empty_like(c))
-        cinv_c = _back_subst(self._L, half)
-        var = self._variances(half)
+        solved = _forward_subst(self._L, c, out=np.empty_like(c))
+        var = self._variances(solved)
+        _back_subst(self._L, solved, out=solved)
 
         def pullback(coeff_mean: np.ndarray, coeff_var: np.ndarray) -> np.ndarray:
+            # W coeff_mean + x * (-2v) is W coeff_mean - (2v) x to the bit.
             w = self._weights @ coeff_mean                                  # (J, n, B)
-            w -= 2.0 * coeff_var[:, None, :] * cinv_c
+            w += np.multiply(solved, -2.0 * coeff_var[:, None, :], out=solved)
             w *= c
             grad = thetas.T * w.sum(axis=1)[:, None, :]                     # (J, p, B)
             grad -= self.training.inputs.T @ w

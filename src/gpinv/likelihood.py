@@ -21,10 +21,13 @@ from .gp import GpEnsemble, TrainingSet
 
 # Rows per predict call in d_restricted_loglik_batch: a block holds the
 # predictive means (members x outputs x rows) and the cross-covariances
-# (members x design points x rows), which L^-1 c overwrites in place, and a
-# posterior's start-up pool scores thousands of rows; the misfit kernel
-# itself adds only (members, rows) buffers.
-DENSITY_BLOCK = 100
+# (members x design points x rows), which L^-1 c overwrites in place; the
+# misfit kernel itself adds only (members, rows) buffers. 50 rows is the
+# half-ensemble that each half-sweep of `sample_posterior` passes, so only its
+# start-up pool of thousands of rows is split; at 100 rows that pool alone
+# doubled the call's tracemalloc peak (5.4 against 2.75 MiB at J = 200, n = 12,
+# q = 18).
+DENSITY_BLOCK = 50
 
 # exp(+-600) leaves headroom below the normal doubles' exp(+-708).
 LOG_GROUP_BOUND = 600.0

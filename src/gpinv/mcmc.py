@@ -64,15 +64,16 @@ class WalkerEnsemble:
     rng: np.random.Generator
 
 
-def stretch_step(ens: WalkerEnsemble, log_prob: LogProb) -> int:
+def stretch_step(ens: WalkerEnsemble, log_prob: LogProb, box: DesignBox) -> int:
     """One full stretch-move sweep (both halves); returns the accepted count.
 
     For walker x_k in the active half, a partner x_j is drawn from the frozen
     half, z is drawn with density proportional to 1/sqrt(z) on [1/a, a]
     (a = STRETCH_A), and the proposal y = x_j + z (x_k - x_j) is accepted with
-    probability min(1, z^(d-1) exp(logp(y) - logp(x_k))). Per half, the
-    partner indices, then the z draws, then the acceptance uniforms come from
-    ens.rng.
+    probability min(1, z^(d-1) exp(logp(y) - logp(x_k))). `log_prob` is called
+    on the proposals inside `box` only (the uniform prior); the others have
+    probability zero. Per half, the partner indices, then the z draws, then
+    the acceptance uniforms come from ens.rng.
     """
     n, d = ens.positions.shape
     if n % 2:
@@ -89,7 +90,10 @@ def stretch_step(ens: WalkerEnsemble, log_prob: LogProb) -> int:
         accept_u = ens.rng.random(m)
         anchor = ens.positions[partners]
         proposals = anchor + z[:, None] * (ens.positions[active] - anchor)
-        new_lp = np.asarray(log_prob(proposals), dtype=float)
+        new_lp = np.full(m, -np.inf)
+        inside = box.contains(proposals)
+        if np.any(inside):
+            new_lp[inside] = log_prob(proposals[inside])
         bad = np.isnan(new_lp)
         if np.any(bad):
             log.warning("log-probability returned NaN for %d proposals; treating as -inf", bad.sum())
@@ -103,20 +107,6 @@ def stretch_step(ens: WalkerEnsemble, log_prob: LogProb) -> int:
         ens.log_probs[idx] = new_lp[take]
         accepted += int(take.sum())
     return accepted
-
-
-def _restrict_to_box(log_prob: LogProb, prior: DesignBox) -> LogProb:
-    """Short-circuit rows outside the box to -inf without evaluating them."""
-
-    def restricted(points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(points)
-        out = np.full(points.shape[0], -np.inf)
-        inside = prior.contains(points)
-        if np.any(inside):
-            out[inside] = np.asarray(log_prob(points[inside]), dtype=float)
-        return out
-
-    return restricted
 
 
 def check_walkers(name: str, n_walkers: int, dim: int) -> None:
@@ -133,8 +123,9 @@ def _init_ensemble(
     init_positions: np.ndarray | None = None,
 ) -> WalkerEnsemble:
     """Walkers at `init_positions` (at least n_walkers rows in the box) or
-    uniform in the box. The rows are scored once; from more rows than walkers
-    the n_walkers most probable are kept, best first, ties to the earlier row."""
+    uniform in the box, so every row is scored, once; from more rows than
+    walkers the n_walkers most probable are kept, best first, ties to the
+    earlier row."""
     check_walkers("n_walkers", n_walkers, prior.dim)
     if init_positions is not None:
         positions = np.array(init_positions, dtype=float)
@@ -179,11 +170,10 @@ def run_chain(
     acceptance rate so far. The caller decides when to stop and copies what
     it keeps."""
     rng = np.random.default_rng(seed)
-    target = _restrict_to_box(log_prob, prior)
-    ens = _init_ensemble(target, prior, n_walkers, rng, init_positions)
+    ens = _init_ensemble(log_prob, prior, n_walkers, rng, init_positions)
     accepted = proposed = 0
     while True:
-        accepted += stretch_step(ens, target)
+        accepted += stretch_step(ens, log_prob, prior)
         proposed += n_walkers
         yield ens.positions, accepted / proposed
 

@@ -234,6 +234,24 @@ class TestGradGpMisfit:
             tracemalloc.stop()
         assert peak < 2.0 * 2**20
 
+    def test_gradient_block_holds_three_covariance_arrays(self):
+        # c, L^-1 c (then C^-1 c, in place) and w are the block's (J, n, B)
+        # arrays besides the means; the rest are (J, B) or (J, p, B). A
+        # separate C^-1 c buffer, or a 2 coeff_var C^-1 c temporary, adds a
+        # (J, n, B) array and passes the bound.
+        J, n, p, q, B = 200, 12, 2, 18, acq.SCREEN_BLOCK
+        state, rng = make_state(seed=19, n=n, p=p, q=q, n_psi=J)
+        thetas = rng.uniform(-1, 1, (B, p))
+        acq._misfit_grads_batch(thetas, state.ensemble, state.meas)
+        tracemalloc.start()
+        try:
+            acq._misfit_grads_batch(thetas, state.ensemble, state.meas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        means, cov, row = 8 * J * q * B, 8 * J * n * B, 8 * J * B
+        assert peak < means + 3.5 * cov + 10 * row
+
     def test_single_point_symbolic_oracle(self):
         # One training point at the origin with identity normalization:
         # m(theta) = exp(-theta^2) v1, so dm/dtheta = -2 theta exp(-theta^2) v1.

@@ -14,7 +14,6 @@ from gpinv.mcmc import (
     STRETCH_A,
     BoxPrior,
     WalkerEnsemble,
-    _restrict_to_box,
     run_chain,
     sample_hyperposterior,
     stretch_step,
@@ -30,12 +29,17 @@ def gaussian(points):
     return -0.5 * np.sum(np.atleast_2d(points) ** 2, axis=1)
 
 
-def replay_flat_sweep(ens):
-    """Replay one stretch_step sweep on a flat target from a copy of ens.rng.
+def unit_box(d):
+    return BoxPrior(np.zeros(d), np.ones(d))
+
+
+def replay_flat_sweep(ens, box):
+    """Replay one stretch_step sweep on a flat target over `box` from a copy of ens.rng.
 
     Per half, stretch_step draws the partner indices, the stretch factors and
-    the acceptance uniforms, in that order. Returns the positions the sweep
-    must end at and, per half, (active, partners, z).
+    the acceptance uniforms, in that order, and a proposal outside the box is
+    never taken. Returns the positions the sweep must end at and, per half,
+    (active, partners, z, proposals).
     """
     rng = copy.deepcopy(ens.rng)
     positions = ens.positions.copy()
@@ -50,19 +54,22 @@ def replay_flat_sweep(ens):
             take = np.log(rng.random(active.size)) < (d - 1) * np.log(z)
         anchor = positions[partners]
         proposals = anchor + z[:, None] * (positions[active] - anchor)
+        take &= box.contains(proposals)
         positions[active[take]] = proposals[take]
-        draws.append((active, partners, z))
+        draws.append((active, partners, z, proposals))
     return positions, draws
 
 
 def replayed_step(ens):
-    """Run stretch_step on a flat target; return its replayed per-half draws.
+    """Run stretch_step on a flat target over the unit box, where the walkers
+    start; return its replayed per-half draws.
 
     The sweep's positions must match the replay exactly, so the draws are the
     ones the sampler used.
     """
-    expected, draws = replay_flat_sweep(ens)
-    stretch_step(ens, flat)
+    box = unit_box(ens.positions.shape[1])
+    expected, draws = replay_flat_sweep(ens, box)
+    stretch_step(ens, flat, box)
     np.testing.assert_array_equal(ens.positions, expected)
     return draws
 
@@ -82,24 +89,35 @@ class TestBoxPrior:
         assert not prior.contains(np.array([[2.0, 1.0]]))[0]
 
 
-class TestRestrictToBox:
-    @staticmethod
-    def recording(calls):
-        def log_prob(points):
-            calls.append(points)
-            return -np.sum(points**2, axis=1)
-        return log_prob
-
+class TestBoxCheck:
     def test_rows_outside_are_not_evaluated(self):
+        # Walkers fill the box, so some stretches leave it; only the proposals
+        # inside reach the density, one call per half.
+        box = unit_box(2)
+        ens = WalkerEnsemble(np.random.default_rng(15).random((20, 2)), np.zeros(20),
+                             np.random.default_rng(16))
+        expected, draws = replay_flat_sweep(ens, box)
         calls = []
-        points = np.array([[0.5, 0.5], [2.0, 0.0], [-0.5, 0.25], [0.0, -3.0]])
-        out = _restrict_to_box(self.recording(calls), BoxPrior([-1.0, -1.0], [1.0, 1.0]))(points)
-        np.testing.assert_array_equal(calls[0], points[[0, 2]])
-        np.testing.assert_array_equal(out, [-0.5, -np.inf, -0.3125, -np.inf])
-        calls.clear()
-        assert np.all(_restrict_to_box(self.recording(calls), BoxPrior([0.0], [1.0]))(
-            np.array([[-1.0], [2.0]])) == -np.inf)
+
+        def recording(points):
+            calls.append(points.copy())
+            return flat(points)
+
+        stretch_step(ens, recording, box)
+        assert len(calls) == 2
+        for call, (_, _, _, proposals) in zip(calls, draws):
+            inside = box.contains(proposals)
+            assert 0 < inside.sum() < inside.size
+            np.testing.assert_array_equal(call, proposals[inside])
+        np.testing.assert_array_equal(ens.positions, expected)
+
+    def test_no_call_when_every_proposal_is_outside(self):
+        calls = []
+        positions = 2.0 + np.random.default_rng(16).random((10, 1))
+        ens = WalkerEnsemble(positions.copy(), np.zeros(10), np.random.default_rng(17))
+        assert stretch_step(ens, lambda points: calls.append(points) or flat(points), unit_box(1)) == 0
         assert not calls
+        np.testing.assert_array_equal(ens.positions, positions)
 
 
 class TestStretchStep:
@@ -115,7 +133,7 @@ class TestStretchStep:
             rng=np.random.default_rng(1),
         )
         while sum(len(z) for z in zs) < 1_000_000:
-            zs.extend(z for _, _, z in replayed_step(ens))
+            zs.extend(z for _, _, z, _ in replayed_step(ens))
         draws = np.concatenate(zs)[:1_000_000]
         cdf = lambda z: (np.sqrt(z * a) - 1.0) / (a - 1.0)
         stat = kstest(draws, cdf).statistic
@@ -143,7 +161,7 @@ class TestStretchStep:
     def test_odd_walker_count_rejected(self):
         ens = WalkerEnsemble(np.zeros((3, 1)), np.zeros(3), np.random.default_rng(0))
         with pytest.raises(ValueError, match="even"):
-            stretch_step(ens, flat)
+            stretch_step(ens, flat, unit_box(1))
 
     def test_nan_logprob_warns_and_rejects(self, caplog):
         def nan_target(points):
@@ -152,7 +170,7 @@ class TestStretchStep:
         positions = np.random.default_rng(4).random((10, 1))
         ens = WalkerEnsemble(positions.copy(), np.zeros(10), np.random.default_rng(5))
         with caplog.at_level(logging.WARNING):
-            accepted = stretch_step(ens, nan_target)
+            accepted = stretch_step(ens, nan_target, unit_box(1))
         assert accepted == 0
         np.testing.assert_array_equal(ens.positions, positions)
         assert "NaN" in caplog.text
@@ -165,7 +183,7 @@ class TestStretchStep:
             log_probs=np.zeros(40),
             rng=np.random.default_rng(7),
         )
-        seen = [(h, act, par) for h, (act, par, _) in enumerate(replayed_step(ens))]
+        seen = [(h, act, par) for h, (act, par, _, _) in enumerate(replayed_step(ens))]
         assert len(seen) == 2
         first, second = seen
         assert np.all(first[1] < 20) and np.all(first[2] >= 20)
