@@ -134,19 +134,29 @@ class TrainingSet:
         )
 
 
-def _se_cov(A: np.ndarray, B: np.ndarray, sigma2: np.ndarray, inv_l2: np.ndarray) -> np.ndarray:
-    """(J, |A|, |B|) squared-exponential covariances between the rows of A and B,
-    one slab per row of sigma2 (J,) and inv_l2 = 1/l^2 (J, p).
+def _se_cov(A: np.ndarray, B: np.ndarray, log_scale: np.ndarray, inv_l2: np.ndarray) -> np.ndarray:
+    """(J, |A|, |B|) squared-exponential covariances exp(-sum inv_l2 (a - b)^2 + log_scale)
+    between the rows of A and B, one slab per row of inv_l2 = 1/l^2 (J, p).
 
-    The result is a view of a rows-major (|A|, J, |B|) buffer: the plane
-    K[:, i, :] of each row of A is one contiguous (J, |B|) array, so a
-    substitution over the rows of A reads and writes whole planes."""
-    diff2 = (A[:, None, :] - B[None, :, :]) ** 2  # (|A|, |B|, p)
+    `log_scale` (J, |A|), or (J, 1) for one per member, is added in the
+    exponent: log sigma^2 gives the covariances, and log sigma^2 - log L_ii
+    gives them divided by the factor's diagonal, which is what the unit
+    factor's substitutions take (see `GpEnsemble`). The exponent of row a is
+    one matmul, [-inv_l2, log_scale_a] (J, p + 1) against [(a - b)^2; 1]
+    (p + 1, |B|), so the offset costs no pass of its own. The result is a view
+    of a rows-major (|A|, J, |B|) buffer: the plane K[:, i, :] of each row of
+    A is one contiguous (J, |B|) array, so a substitution over the rows of A
+    reads and writes whole planes."""
+    J, p = inv_l2.shape
+    coef = np.empty((A.shape[0], J, p + 1))
     # -inv_l2 negates every product and sum exactly, as rounding is symmetric in sign.
-    K = np.matmul(-inv_l2, diff2.transpose(0, 2, 1)).transpose(1, 0, 2)
-    np.exp(K, out=K)
-    K *= sigma2[:, None, None]
-    return K
+    np.negative(inv_l2, out=coef[:, :, :p])
+    coef[:, :, p] = log_scale.T
+    diff2 = np.empty((A.shape[0], p + 1, B.shape[0]))
+    np.square(A[:, :, None] - B.T[None, :, :], out=diff2[:, :p, :])
+    diff2[:, p, :] = 1.0
+    K = np.matmul(coef, diff2)
+    return np.exp(K, out=K).transpose(1, 0, 2)
 
 
 def _train_cov(X: np.ndarray, Psi: np.ndarray) -> np.ndarray:
@@ -157,7 +167,7 @@ def _train_cov(X: np.ndarray, Psi: np.ndarray) -> np.ndarray:
     gemm, and the reshape copies nothing."""
     n, p = X.shape
     diffs = (X[:, None, :] - X[None, :, :]).reshape(n * n, p)
-    return _se_cov(np.zeros((1, p)), diffs, Psi[:, 0] ** 2, 1.0 / Psi[:, 1:] ** 2).reshape(-1, n, n)
+    return _se_cov(np.zeros((1, p)), diffs, np.log(Psi[:, :1] ** 2), 1.0 / Psi[:, 1:] ** 2).reshape(-1, n, n)
 
 
 @dataclass(frozen=True)
@@ -185,7 +195,8 @@ def fit_single(training: TrainingSet, psi: HyperParams) -> GpFit:
         raise _factorization_error(training.inputs, Psi, np.isnan(shift))
     if shift[0] > JITTER_LEVELS[0] * psi.sigma_c**2:
         log.debug("jitter escalated to a shift of %.1e for n_train=%d", shift[0], training.n_train)
-    weights = _back_subst(L, _forward_subst(L, training.scaled_outputs))[0]
+    unit, diag = _unit_factor(L.copy())
+    weights = _scaled_weights(unit, diag, training.scaled_outputs)[0] / diag[0, :, None]
     return GpFit(L[0], weights, psi, training, float(shift[0]))
 
 
@@ -244,37 +255,55 @@ def _lml_batch(training: TrainingSet, Psi: np.ndarray) -> np.ndarray:
     L, shift = _factorize(training.inputs, Psi[valid])
     Y = training.scaled_outputs
     n, q = Y.shape
-    quad = np.sum(_forward_subst(L, Y) ** 2, axis=(1, 2))
-    logdet = 2.0 * np.sum(np.log(np.diagonal(L, axis1=1, axis2=2)), axis=1)
+    unit, diag = _unit_factor(L)
+    half = _forward_subst(unit, Y / diag[:, :, None])
+    quad = np.sum(np.square(half, out=half), axis=(1, 2))
+    logdet = 2.0 * np.sum(np.log(diag), axis=1)
     vals = -0.5 * quad - 0.5 * q * (logdet + n * LOG_2PI)
     out[valid] = np.where(np.isnan(shift), -np.inf, vals)
     return out
 
 
-def _forward_subst(L: np.ndarray, R: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Solve L X = R for a stack of lower-triangular factors L (..., n, n).
+def _unit_factor(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split a stack of Cholesky factors L (..., n, n) into the unit factor
+    D^-1 L, every row divided by its diagonal entry, and D = diag(L) (..., n).
+    L is overwritten by the unit factor, whose diagonal is exactly 1, as
+    L_ii / L_ii rounds to 1."""
+    diag = np.diagonal(L, axis1=-2, axis2=-1).copy()
+    L /= diag[..., :, None]
+    return L, diag
 
-    R is (..., n, k) and broadcasts against the stack. Row i of X comes from
-    rows 0..i-1 by one stacked matmul, so the loop runs n times whatever the
-    stack size; the row's difference and quotient are formed in the matmul's
-    result and the quotient written straight into X. X is written into `out`
-    when given, in any layout; `out=R` solves in place, since row i reads
-    R[..., i, :] before it writes that row.
+
+def _scaled_weights(unit: np.ndarray, diag: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """D C^-1 Y for C = L L^T, from the unit factor and D (see `_unit_factor`):
+    with L = D Lhat, D C^-1 Y = Lhat^-T Lhat^-1 D^-1 Y, one division by D."""
+    return _back_subst(unit, _forward_subst(unit, Y / diag[..., :, None]))
+
+
+def _forward_subst(L: np.ndarray, R: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Solve L X = R for a stack of unit lower-triangular factors L (..., n, n),
+    such as `_unit_factor` gives; the diagonal is taken as 1 and not read.
+
+    R is (..., n, k) and broadcasts against the stack. Row i of X is
+    R_i - L[i, :i] X[:i], its known part from rows 0..i-1 by one stacked
+    matmul, so the loop runs n times whatever the stack size, and no row
+    divides. X is written into `out` when given, in any layout; `out=R`
+    solves in place, since row i reads R[..., i, :] before it writes that row.
     """
     X = out
     if X is None:
         X = np.empty(np.broadcast_shapes(L.shape[:-2], R.shape[:-2]) + R.shape[-2:])
-    np.divide(R[..., 0, :], L[..., 0, 0, None], out=X[..., 0, :])
+    X[..., 0, :] = R[..., 0, :]
     for i in range(1, L.shape[-1]):
         known = (L[..., i:i + 1, :i] @ X[..., :i, :])[..., 0, :]
-        np.subtract(R[..., i, :], known, out=known)
-        np.divide(known, L[..., i, i, None], out=X[..., i, :])
+        np.subtract(R[..., i, :], known, out=X[..., i, :])
     return X
 
 
 def _back_subst(L: np.ndarray, R: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Solve L^T X = R: forward substitution on the order-reversed transpose;
-    `out` as in `_forward_subst`, so `out=R` solves in place."""
+    """Solve L^T X = R for unit lower-triangular L: forward substitution on the
+    order-reversed transpose; `out` as in `_forward_subst`, so `out=R` solves
+    in place."""
     rev = None if out is None else out[..., ::-1, :]
     return _forward_subst(L.swapaxes(-1, -2)[..., ::-1, ::-1], R[..., ::-1, :], out=rev)[..., ::-1, :]
 
@@ -299,12 +328,18 @@ def _batched_cholesky(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class GpEnsemble:
     """Fitted predictors for J hyperparameter rows [sigma_c, l_1..l_p] over one training set.
 
-    One `_factorize` call gives the factor stack `_L` (J, n, n) and the
-    absolute diagonal shift of every member, `jitter_shifts` (J,); the core's
-    substitutions give the weights `_weights` (J, n, q). A row that no jitter
-    level factorizes raises IllConditionedKernelError with the `failed` mask.
-    `sweeps` counts the hyperposterior MCMC sweeps that drew the rows; it is 0
-    for given rows and set by `mcmc.sample_hyperposterior`."""
+    One `_factorize` call gives the Cholesky factors L (J, n, n) and the
+    absolute diagonal shift of every member, `jitter_shifts` (J,). With
+    D = diag(L), the ensemble keeps, in place of L and the weights C^-1 Y:
+    the unit factor `_unit_L` = D^-1 L (J, n, n), whose diagonal is exactly 1;
+    the scaled weights `_scaled_W` = D C^-1 Y (J, n, q); and the exponent
+    offsets `_log_scale` = log sigma_c^2 - log L_ii (J, n). `_se_cov` with
+    that offset gives the scaled cross-covariances D^-1 c, so the predictive
+    step runs without a division and without a sigma_c^2 pass (see
+    `predict_batch`). A row that no jitter level factorizes raises
+    IllConditionedKernelError with the `failed` mask. `sweeps` counts the
+    hyperposterior MCMC sweeps that drew the rows; it is 0 for given rows and
+    set by `mcmc.sample_hyperposterior`."""
 
     def __init__(self, training: TrainingSet, hyperparams: np.ndarray):
         hyperparams = np.atleast_2d(np.asarray(hyperparams, dtype=float))
@@ -320,10 +355,11 @@ class GpEnsemble:
         self.hyperparams = hyperparams
         self._sigma2 = hyperparams[:, 0] ** 2
         self._inv_l2 = 1.0 / hyperparams[:, 1:] ** 2
-        self._L = L
+        self._unit_L, diag = _unit_factor(L)
+        self._log_scale = np.log(self._sigma2)[:, None] - np.log(diag)
         # Contiguous, unlike the reversed view _back_subst returns: a negative
         # stride keeps matmul off BLAS for W^T c and the pullback's W coeff_mean.
-        self._weights = np.ascontiguousarray(_back_subst(L, _forward_subst(L, training.scaled_outputs)))
+        self._scaled_W = np.ascontiguousarray(_scaled_weights(self._unit_L, diag, training.scaled_outputs))
         self.jitter_shifts = shift
         self.sweeps = 0
         escalated = int(np.count_nonzero(shift > JITTER_LEVELS[0] * self._sigma2))
@@ -332,32 +368,33 @@ class GpEnsemble:
                       escalated, len(shift), training.n_train)
 
     def _cross(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The cross-covariances c (J, n, B) and normalized means W^T c (J, q, B)
-        at each row of thetas, rows last.
+        """The scaled cross-covariances D^-1 c (J, n, B) and normalized means
+        c^T C^-1 Y = (D^-1 c)^T (D C^-1 Y) (J, q, B) at each row of thetas, rows last.
 
-        c is a view of a rows-major (n, J, B) buffer (see `_se_cov`), so the
-        substitution L^-1 c reads and writes one contiguous (J, B) plane per
+        D^-1 c is a view of a rows-major (n, J, B) buffer (see `_se_cov`), so
+        the substitution reads and writes one contiguous (J, B) plane per
         design point. The means are a view of an outputs-major (q, J, B)
         buffer, so each output's plane means[:, k, :] is one contiguous (J, B)
         array."""
-        c = _se_cov(self.training.inputs, thetas, self._sigma2, self._inv_l2)
-        J, q, B = self._weights.shape[0], self._weights.shape[2], c.shape[2]
+        c = _se_cov(self.training.inputs, thetas, self._log_scale, self._inv_l2)
+        J, q, B = self._scaled_W.shape[0], self._scaled_W.shape[2], c.shape[2]
         means = np.empty((q, J, B)).transpose(1, 0, 2)
-        np.matmul(self._weights.transpose(0, 2, 1), c, out=means)
+        np.matmul(self._scaled_W.transpose(0, 2, 1), c, out=means)
         return c, means
 
     def predict_batch(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Normalized predictive means (J, q, B) and variances (J, B) at each row.
 
-        mean = c^T C^-1 y from the stored weights, variance =
-        sigma_c^2 - |L^-1 c|^2 from the Cholesky factor. The means are laid
-        out outputs-major (see `_cross`): a (J, q, B) view whose per-output
-        (J, B) planes are contiguous. L^-1 c is solved in place over c, which
-        nothing reads afterwards, so a block holds two large arrays, not three.
+        mean = c^T C^-1 y from the scaled weights, variance =
+        sigma_c^2 - |L^-1 c|^2, where L^-1 c = Lhat^-1 D^-1 c comes from the
+        unit factor with no division. The means are laid out outputs-major
+        (see `_cross`): a (J, q, B) view whose per-output (J, B) planes are
+        contiguous. L^-1 c is solved in place over D^-1 c, which nothing reads
+        afterwards, so a block holds two large arrays, not three.
         """
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         c, means = self._cross(thetas)
-        return means, self._variances(_forward_subst(self._L, c, out=c))
+        return means, self._variances(_forward_subst(self._unit_L, c, out=c))
 
     def _variances(self, half: np.ndarray) -> np.ndarray:
         """sigma_c^2 - |L^-1 c|^2 per member and row, clamped at 0; `half` is
@@ -372,25 +409,27 @@ class GpEnsemble:
         (J, p, B) of sum_q coeff_mean * mean + coeff_var * variance per member
         and row. The chain rule runs through the cross-covariance c alone, so
         the coefficients fold into one n-vector per member and row,
-        w = c * (W coeff_mean - 2 coeff_var C^-1 c). Since
-        dc_n/dtheta = -2 inv_l2 * (theta - x_n) c_n, the gradient is
-        -2 inv_l2 * (theta sum_n w - X^T w): two small products, no
-        (J, B, p, q) tensor of mean derivatives. The pullback needs c, so L^-1 c
-        goes into a buffer of c's rows-major layout: the substitution then runs
-        the same products as `predict_batch`'s in-place one, and the means and
-        variances are bit-identical to `predict_batch`'s. C^-1 c is solved over
-        L^-1 c in place, and the pullback scales C^-1 c in place, so it may be
-        called once.
+        w = c * (W coeff_mean - 2 coeff_var C^-1 c), which in the ensemble's
+        scaled terms (see `GpEnsemble`) is
+        w = D^-1 c * (D W coeff_mean - 2 coeff_var D C^-1 c), where
+        D C^-1 c = Lhat^-T L^-1 c. Since dc_n/dtheta = -2 inv_l2 * (theta - x_n) c_n,
+        the gradient is -2 inv_l2 * (theta sum_n w - X^T w): two small
+        products, no (J, B, p, q) tensor of mean derivatives. The pullback
+        needs D^-1 c, so L^-1 c goes into a buffer of its rows-major layout:
+        the substitution then runs the same products as `predict_batch`'s
+        in-place one, and the means and variances are bit-identical to
+        `predict_batch`'s. D C^-1 c is solved over L^-1 c in place, and the
+        pullback scales it in place, so it may be called once.
         """
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         c, means = self._cross(thetas)
-        solved = _forward_subst(self._L, c, out=np.empty_like(c))
+        solved = _forward_subst(self._unit_L, c, out=np.empty_like(c))
         var = self._variances(solved)
-        _back_subst(self._L, solved, out=solved)
+        _back_subst(self._unit_L, solved, out=solved)
 
         def pullback(coeff_mean: np.ndarray, coeff_var: np.ndarray) -> np.ndarray:
             # W coeff_mean + x * (-2v) is W coeff_mean - (2v) x to the bit.
-            w = self._weights @ coeff_mean                                  # (J, n, B)
+            w = self._scaled_W @ coeff_mean                                 # (J, n, B)
             w += np.multiply(solved, -2.0 * coeff_var[:, None, :], out=solved)
             w *= c
             grad = thetas.T * w.sum(axis=1)[:, None, :]                     # (J, p, B)

@@ -167,20 +167,32 @@ def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray:
 def d_restricted_loglik_batch(thetas: np.ndarray, ens: GpEnsemble, meas: MeasurementModel) -> np.ndarray:
     """Surrogate log-likelihood of every row of thetas, DENSITY_BLOCK rows at a time.
 
-    The law is the surrogate's Gaussian-mixture predictive law:
-    log L = -g*/2 + log sum_j (k_j / n_psi) exp(-(g_j - g*)/2) with
-    g* = min_j g_j and k_j the Gaussian normalizing constant of component j.
-    Finite for any finite inputs regardless of how large the misfits get.
+    The law is the surrogate's Gaussian-mixture predictive law,
+    log L = log sum_j (k_j / J) exp(-g_j / 2) over the J members, with g_j the
+    member's misfit and k_j its Gaussian normalizing constant. As
+    log k_j = log_norm - sum_q log(a_q + V_j) / 2 (see `member_misfits`),
+    log L = logsumexp_j(-(g_j + sum_q log(a_q + V_j)) / 2) + log_norm - log J.
+    The log-sum-exp factors out its largest term, so the density is finite
+    for any finite inputs regardless of how large the misfits get.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    log_norm = -0.5 * np.sum(np.log(2.0 * np.pi * ens.training.out_vars))
     out = np.empty(thetas.shape[0])
     for lo in range(0, thetas.shape[0], DENSITY_BLOCK):
-        block = thetas[lo:lo + DENSITY_BLOCK]
-        g, log_den, _ = member_misfits(*ens.predict_batch(block), ens.training, meas,
-                                       log_den=True)                             # (J, B) x2
-        log_k = log_norm - 0.5 * log_den                                          # (J, B)
-        g_star = np.min(g, axis=0)
-        body = logsumexp(log_k - 0.5 * (g - g_star), axis=0)
-        out[lo:lo + DENSITY_BLOCK] = -0.5 * g_star + body - np.log(g.shape[0])
+        out[lo:lo + DENSITY_BLOCK] = _mixture_logsumexp(thetas[lo:lo + DENSITY_BLOCK], ens, meas)
+    log_norm = -0.5 * np.sum(np.log(2.0 * np.pi * ens.training.out_vars))
+    out += log_norm - np.log(ens.hyperparams.shape[0])
     return out
+
+
+def _mixture_logsumexp(block: np.ndarray, ens: GpEnsemble, meas: MeasurementModel) -> np.ndarray:
+    """logsumexp_j(-(g_j + sum_q log(a_q + V_j)) / 2) (B,) for one block of rows.
+
+    The sum is taken in place over the misfits g, shifted by its smallest
+    exponent. A function of its own, so that the block's (J, B) arrays are
+    released before the next block predicts."""
+    g, log_den, _ = member_misfits(*ens.predict_batch(block), ens.training, meas, log_den=True)
+    g += log_den
+    g_star = np.min(g, axis=0)
+    g -= g_star
+    g *= -0.5
+    return np.log(np.sum(np.exp(g, out=g), axis=0)) - 0.5 * g_star

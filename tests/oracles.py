@@ -9,10 +9,12 @@ model or through the library's batched kernels. The scalar GP path
 core, and the one-point sampler and maximizer adapters drive the library's
 row-batched `run_chain` and `multistart_maximize_batch` from scalar code.
 `forward_subst_ref`, `back_subst_ref`, `se_cov_ref` and `variances_ref` are
-the GP core's substitutions, covariance and predictive variance in their
-earlier, plainer form, which the core must reproduce bit for bit; and
+the GP core's unit-diagonal substitutions, covariance and predictive
+variance in a plainer form, which the core must reproduce bit for bit;
 `d_restricted_loglik_summed_logs` is the surrogate density with one log per
-output, which the grouped log must reproduce to rounding.
+output, which the grouped log must reproduce to rounding; and
+`d_restricted_loglik_two_step` is the density with the mixture's log taken
+in the earlier two steps, which the one-pass log must reproduce to rounding.
 The sparse-LU backward-Euler march and the same march in `scipy.fft`'s
 cosine transform are the references for the heat model's solve in the cosine
 basis matrices, and a sparse LU of the Lagrange-multiplier system is the
@@ -64,30 +66,34 @@ from gpinv.mcmc import LogProb, run_chain
 
 
 def forward_subst_ref(L: np.ndarray, R: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Solve L X = R row by row: each row's known part by a stacked matmul,
-    then (R_i - known) / L_ii assigned into X, row 0 included."""
+    """Solve L X = R for unit lower-triangular L row by row: each row's known
+    part by a stacked matmul, then R_i - known assigned into X, row 0 included."""
     X = out
     if X is None:
         X = np.empty(np.broadcast_shapes(L.shape[:-2], R.shape[:-2]) + R.shape[-2:])
     for i in range(L.shape[-1]):
         known = (L[..., i:i + 1, :i] @ X[..., :i, :])[..., 0, :]
-        X[..., i, :] = (R[..., i, :] - known) / L[..., i, i, None]
+        X[..., i, :] = R[..., i, :] - known
     return X
 
 
 def back_subst_ref(L: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Solve L^T X = R by `forward_subst_ref` on the order-reversed transpose."""
+    """Solve L^T X = R for unit lower-triangular L by `forward_subst_ref` on
+    the order-reversed transpose."""
     return forward_subst_ref(L.swapaxes(-1, -2)[..., ::-1, ::-1], R[..., ::-1, :])[..., ::-1, :]
 
 
-def se_cov_ref(A: np.ndarray, B: np.ndarray, sigma2: np.ndarray, inv_l2: np.ndarray) -> np.ndarray:
-    """(J, |A|, |B|) squared-exponential covariances in `_se_cov`'s rows-major
-    layout: the exponent by one matmul with inv_l2, then negated, then exp."""
-    diff2 = (A[:, None, :] - B[None, :, :]) ** 2
-    K = np.matmul(inv_l2, diff2.transpose(0, 2, 1)).transpose(1, 0, 2)
+def se_cov_ref(A: np.ndarray, B: np.ndarray, log_scale: np.ndarray, inv_l2: np.ndarray) -> np.ndarray:
+    """(J, |A|, |B|) squared-exponential covariances exp(-sum inv_l2 (a - b)^2 + log_scale)
+    in `_se_cov`'s rows-major layout: per row of A, the exponent by one matmul
+    of [inv_l2, -log_scale] against [(a - b)^2; 1], then negated, then exp."""
+    J, p = inv_l2.shape
+    coef = np.stack([np.column_stack([inv_l2, -np.broadcast_to(log_scale, (J, A.shape[0]))[:, i]])
+                     for i in range(A.shape[0])])
+    diff2 = np.stack([np.vstack([((a - B) ** 2).T, np.ones(B.shape[0])]) for a in A])
+    K = np.matmul(coef, diff2)
     np.exp(np.negative(K, out=K), out=K)
-    K *= sigma2[:, None, None]
-    return K
+    return K.transpose(1, 0, 2)
 
 
 def variances_ref(sigma2: np.ndarray, half: np.ndarray) -> np.ndarray:
@@ -119,6 +125,24 @@ def d_restricted_loglik_summed_logs(thetas: np.ndarray, ens: GpEnsemble,
     return out
 
 
+def d_restricted_loglik_two_step(thetas: np.ndarray, ens: GpEnsemble,
+                                 meas: MeasurementModel) -> np.ndarray:
+    """`d_restricted_loglik_batch` with the mixture's log in two steps: the
+    smallest misfit g* factored out first, then
+    -g*/2 + logsumexp(log k - (g - g*)/2) - log J over the members, with
+    log k = log_norm - sum_q log(a_q + V) / 2; the same blocks and misfits."""
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    log_norm = -0.5 * np.sum(np.log(2.0 * np.pi * ens.training.out_vars))
+    out = np.empty(thetas.shape[0])
+    for lo in range(0, thetas.shape[0], DENSITY_BLOCK):
+        g, log_den, _ = member_misfits(*ens.predict_batch(thetas[lo:lo + DENSITY_BLOCK]),
+                                       ens.training, meas, log_den=True)
+        g_star = np.min(g, axis=0)
+        body = logsumexp(log_norm - 0.5 * log_den - 0.5 * (g - g_star), axis=0)
+        out[lo:lo + DENSITY_BLOCK] = -0.5 * g_star + body - np.log(g.shape[0])
+    return out
+
+
 def hyperparams_from_vector(psi) -> HyperParams:
     """HyperParams from a flat [sigma_c, l_1..l_p] row."""
     psi = np.asarray(psi, dtype=float)
@@ -130,17 +154,20 @@ def pred_grad(ens: GpEnsemble, theta: np.ndarray):
 
     Returns (m_norm (J,q), V_norm (J,), dm (J,q,p), dV (J,p)). The kernel's
     exponent carries 1/l^2 with no factor 2, so differentiation brings down
-    -2 (theta - x_n) / l^2. C^-1 c comes from a forward and a backward
-    substitution through the stored Cholesky factors.
+    -2 (theta - x_n) / l^2. In the ensemble's scaled terms (D = diag(L)),
+    the mean is (D^-1 c)^T (D C^-1 y) and the variance's gradient is
+    -2 (d D^-1 c)^T (D C^-1 c), with D C^-1 c from a forward and a backward
+    substitution through the stored unit factors.
     """
     diff = theta[None, :] - ens.training.inputs              # (n, p)
-    cvec = _se_cov(theta[None, :], ens.training.inputs, ens._sigma2, ens._inv_l2)  # (J, 1, n)
-    m_norm = (cvec @ ens._weights)[:, 0, :]
-    half = _forward_subst(ens._L, cvec.transpose(0, 2, 1))   # (J, n, 1)
+    scaled = _se_cov(ens.training.inputs, theta[None, :], ens._log_scale, ens._inv_l2)  # (J, n, 1)
+    cvec = scaled.transpose(0, 2, 1)                         # (J, 1, n)
+    m_norm = (cvec @ ens._scaled_W)[:, 0, :]
+    half = _forward_subst(ens._unit_L, scaled)               # (J, n, 1)
     V_norm = np.maximum(ens._sigma2 - np.sum(half[:, :, 0] ** 2, axis=1), 0.0)
     grad_c = -2.0 * cvec * diff.T[None, :, :] * ens._inv_l2[:, :, None]  # (J, p, n)
-    dm = (grad_c @ ens._weights).transpose(0, 2, 1)
-    dV = -2.0 * (grad_c @ _back_subst(ens._L, half))[:, :, 0]
+    dm = (grad_c @ ens._scaled_W).transpose(0, 2, 1)
+    dV = -2.0 * (grad_c @ _back_subst(ens._unit_L, half))[:, :, 0]
     return m_norm, V_norm, dm, dV
 
 

@@ -18,6 +18,7 @@ from gpinv.gp import (
     _lml_batch,
     _se_cov,
     _train_cov,
+    _unit_factor,
     fit_single,
     normalize_outputs,
 )
@@ -387,6 +388,10 @@ def assert_normwise_close(actual, expected, tol=1e-12):
 
 
 class TestTriangularSolves:
+    """The unit-factor substitutions solve the systems of the unscaled
+    Cholesky factor L = D Lhat: L X = R is Lhat X = D^-1 R, and L^T X = R is
+    X = D^-1 Lhat^-T R."""
+
     @pytest.fixture
     def factors(self, monkeypatch):
         """Stack of Cholesky factors; the last one is near-singular.
@@ -406,36 +411,49 @@ class TestTriangularSolves:
 
     def test_forward_matches_solve_triangular(self, factors):
         L, rng = factors
+        unit, diag = _unit_factor(L.copy())
         R = rng.normal(0, 1, (L.shape[0], L.shape[1], 3))
-        X = _forward_subst(L, R)
+        X = _forward_subst(unit, R / diag[:, :, None])
         for Lj, Rj, Xj in zip(L, R, X):
             assert_normwise_close(Xj, solve_triangular(Lj, Rj, lower=True))
 
     def test_backward_matches_solve_triangular(self, factors):
         L, rng = factors
+        unit, diag = _unit_factor(L.copy())
         R = rng.normal(0, 1, (L.shape[0], L.shape[1], 3))
-        X = _back_subst(L, R)
+        X = _back_subst(unit, R) / diag[:, :, None]
         for Lj, Rj, Xj in zip(L, R, X):
             assert_normwise_close(Xj, solve_triangular(Lj, Rj, lower=True, trans="T"))
 
     def test_right_hand_side_broadcasts_over_stack(self, factors):
         L, rng = factors
+        unit, diag = _unit_factor(L.copy())
         R = rng.normal(0, 1, (L.shape[1], 2))
         kept = R.copy()
-        X = _forward_subst(L, R)
+        X = _forward_subst(unit, R)
         assert X.shape == (L.shape[0],) + R.shape
-        for Lj, Xj in zip(L, X):
-            assert_normwise_close(Xj, solve_triangular(Lj, R, lower=True))
+        for Lj, dj, Xj in zip(L, diag, X):
+            assert_normwise_close(Xj, solve_triangular(Lj, dj[:, None] * R, lower=True))
         # The default output is a fresh stack; the shared right-hand side is not touched.
         np.testing.assert_array_equal(R, kept)
         assert not np.shares_memory(X, R)
-        np.testing.assert_array_equal(X, _forward_subst(L, np.broadcast_to(R, X.shape).copy()))
+        np.testing.assert_array_equal(X, _forward_subst(unit, np.broadcast_to(R, X.shape).copy()))
+
+    def test_unit_factor_reproduces_the_cholesky_factor(self, factors):
+        L, _ = factors
+        unit, diag = _unit_factor(L.copy())
+        np.testing.assert_array_equal(np.diagonal(unit, axis1=1, axis2=2), 1.0)
+        np.testing.assert_array_equal(diag, np.diagonal(L, axis1=1, axis2=2))
+        np.testing.assert_array_equal(np.triu(unit, 1), 0.0)
+        # L_ij / L_ii * L_ii is L_ij to within one rounding.
+        np.testing.assert_allclose(diag[:, :, None] * unit, L, rtol=2.0**-52, atol=0.0)
 
     @pytest.mark.parametrize("layout", ["members-major", "rows-major"])
     def test_in_place_solve_matches_default_output(self, factors, layout):
         # Rows-major is the layout of the cross-covariances (n, J, B) that
         # predict_batch substitutes over in place.
         L, rng = factors
+        L = _unit_factor(L.copy())[0]
         R = rng.normal(0, 1, (L.shape[0], L.shape[1], 5))
         if layout == "rows-major":
             R = np.ascontiguousarray(R.transpose(1, 0, 2)).transpose(1, 0, 2)
@@ -446,8 +464,8 @@ class TestTriangularSolves:
 
 
 class TestCoreMatchesReference:
-    """The GP core's covariance, substitutions and variances reproduce the
-    plainer reference forms in `tests/oracles.py` bit for bit, at the heat
+    """The GP core's covariance, unit-factor substitutions and variances
+    reproduce the plainer reference forms in `tests/oracles.py` bit for bit, at the heat
     protocol's shapes (n = 4-12 design points, p = 2, J = 200 members, B = 1,
     16 and 50 rows) and the permeability protocol's (n = 38, p = 9)."""
 
@@ -465,19 +483,19 @@ class TestCoreMatchesReference:
     def test_cross_covariance_and_training_stack(self, ens, B):
         X = ens.training.inputs
         thetas = np.random.default_rng(B).uniform(-2, 2, (B, X.shape[1]))
-        c = _se_cov(X, thetas, ens._sigma2, ens._inv_l2)
-        expected = se_cov_ref(X, thetas, ens._sigma2, ens._inv_l2)
+        c = _se_cov(X, thetas, ens._log_scale, ens._inv_l2)
+        expected = se_cov_ref(X, thetas, ens._log_scale, ens._inv_l2)
         np.testing.assert_array_equal(c, expected)
         assert c.strides == expected.strides
         diffs = (X[:, None, :] - X[None, :, :]).reshape(-1, X.shape[1])
-        stack = se_cov_ref(np.zeros((1, X.shape[1])), diffs, ens._sigma2, ens._inv_l2)
+        stack = se_cov_ref(np.zeros((1, X.shape[1])), diffs, np.log(ens._sigma2)[:, None], ens._inv_l2)
         np.testing.assert_array_equal(_train_cov(X, ens.hyperparams), stack.reshape(-1, *X.shape[:1] * 2))
 
     @pytest.mark.parametrize("B", [1, 16, 50])
     def test_substitutions_and_variances(self, ens, B):
-        X, L = ens.training.inputs, ens._L
+        X, L = ens.training.inputs, ens._unit_L
         c = _se_cov(X, np.random.default_rng(B).uniform(-2, 2, (B, X.shape[1])),
-                    ens._sigma2, ens._inv_l2)
+                    ens._log_scale, ens._inv_l2)
         # A fresh output, an `out=` buffer of c's rows-major layout, in place
         # over c; the layout of X changes the products at B = 1, so each is
         # held against the reference writing into the same layout.
@@ -496,7 +514,7 @@ class TestCoreMatchesReference:
         np.testing.assert_array_equal(half, kept)
 
     def test_broadcast_right_hand_side(self, ens):
-        Y, L = ens.training.scaled_outputs, ens._L
+        Y, L = ens.training.scaled_outputs, ens._unit_L
         np.testing.assert_array_equal(_forward_subst(L, Y), forward_subst_ref(L, Y))
         np.testing.assert_array_equal(_back_subst(L, Y), back_subst_ref(L, Y))
 
@@ -535,7 +553,10 @@ def test_pullback_path_predicts_the_same_bits(n):
 
 
 def test_ensemble_members_match_fit_single(monkeypatch):
-    """Every member of the factor stack agrees with the one-row reference fit.
+    """Every member of the factor stack agrees with the one-row reference fit:
+    with D the diagonal of the fit's Cholesky factor, the unit factor is
+    D^-1 chol, the scaled weights D weights and the exponent offsets
+    log sigma_c^2 - log D.
 
     The ladder starts at 1e-20, so the row whose length-scale of 1e100 makes
     the covariance singular escalates while the others factorize at once.
@@ -549,9 +570,13 @@ def test_ensemble_members_match_fit_single(monkeypatch):
     ens = GpEnsemble(tr, [psi.as_vector() for psi in psis])
     fits = [fit_single(tr, psi) for psi in psis]
     assert fits[0].jitter == 1e-20 * psis[0].sigma_c**2 and fits[-1].jitter > 1e-20
-    for L, weights, fit in zip(ens._L, ens._weights, fits):
-        assert_normwise_close(L, fit.chol)
-        assert_normwise_close(weights, fit.weights)
+    for unit, weights, log_scale, fit in zip(ens._unit_L, ens._scaled_W, ens._log_scale, fits):
+        diag = np.diag(fit.chol)
+        assert_normwise_close(unit, fit.chol / diag[:, None])
+        assert_normwise_close(weights, diag[:, None] * fit.weights)
+        # An offset in the exponent: its error is absolute, a relative one in the covariance.
+        np.testing.assert_allclose(log_scale, np.log(fit.hyperparams.sigma_c**2 / diag),
+                                   rtol=0.0, atol=1e-12)
 
 
 class TestMixtureMoments:

@@ -23,6 +23,7 @@ from gpinv.posterior import sample_posterior
 from oracles import (
     d_restricted_loglik,
     d_restricted_loglik_summed_logs,
+    d_restricted_loglik_two_step,
     ensemble_predict_vector,
     gp_misfits,
     hyperparams_from_vector,
@@ -197,14 +198,14 @@ class TestMemberMisfitKernel:
             member_misfits(*ens.predict_batch(thetas), ens.training, meas)
 
     @staticmethod
-    def heat_block_peak():
-        """tracemalloc's peak over one DENSITY_BLOCK-row call at the heat
-        protocol's scale (J = 200, n = 12, q = 18), and the bytes of that
-        block's means (J, q, B) and cross-covariances (J, n, B)."""
+    def heat_block_peak(rows=DENSITY_BLOCK):
+        """tracemalloc's peak over a `rows`-row call at the heat protocol's
+        scale (J = 200, n = 12, q = 18), and the bytes of one block's means
+        (J, q, B) and cross-covariances (J, n, B) for B = DENSITY_BLOCK."""
         J, n, q = 200, 12, 18
         ens, rng = small_ensemble(seed=13, n=n, q=q, n_psi=J)
         meas = MeasurementModel(rng.normal(0, 1, q), np.full(q, 0.1))
-        thetas = rng.uniform(-1, 1, (DENSITY_BLOCK, ens.training.input_dim))
+        thetas = rng.uniform(-1, 1, (rows, ens.training.input_dim))
         d_restricted_loglik_batch(thetas, ens, meas)
         tracemalloc.start()
         try:
@@ -213,6 +214,14 @@ class TestMemberMisfitKernel:
         finally:
             tracemalloc.stop()
         return peak, 8 * J * q * DENSITY_BLOCK, 8 * J * n * DENSITY_BLOCK
+
+    def test_pool_holds_one_block_at_a_time(self):
+        # A block's (J, B) arrays are released before the next block predicts,
+        # so the 2,000-row start-up pool of `sample_posterior` peaks no more
+        # than two (J, B) arrays above one block: its (2000,) output is 0.2 of one.
+        block_peak = self.heat_block_peak()[0]
+        pool_peak = self.heat_block_peak(rows=2_000)[0]
+        assert pool_peak <= block_peak + 2 * 8 * 200 * DENSITY_BLOCK
 
     def test_density_block_allocates_one_means_array(self):
         # With n < q, the means, the cross-covariances and the (J, B) buffers
@@ -384,6 +393,34 @@ class TestTrueLoglik:
         rows = true_loglik_rows(model, meas)(thetas)
         np.testing.assert_array_equal(rows, [true_loglik(theta, model, meas) for theta in thetas])
         assert model.n_evals == 2 * len(thetas)
+
+
+def heat_scale_density(z_offset=0.0):
+    """The one-pass density and the two-step oracle on 120 rows of a
+    heat-scale ensemble (J = 200, n = 12, q = 18), with the data moved by
+    `z_offset` from where the outputs lie."""
+    ens, rng = small_ensemble(seed=15, n=12, q=18, n_psi=200)
+    meas = MeasurementModel(rng.normal(0, 1, 18) + z_offset, np.full(18, 0.05))
+    thetas = rng.uniform(-1, 1, (120, 2))
+    return d_restricted_loglik_batch(thetas, ens, meas), d_restricted_loglik_two_step(thetas, ens, meas)
+
+
+class TestMixtureLog:
+    """The density takes the mixture's log in one pass over the members,
+    logsumexp_j(-(g_j + sum_q log(a_q + V_j)) / 2), in place of the earlier
+    two steps, -g*/2 + logsumexp(log k - (g - g*)/2)."""
+
+    def test_matches_the_two_step_form(self):
+        value, expected = heat_scale_density()
+        assert np.all(np.isfinite(expected))
+        np.testing.assert_allclose(value, expected, rtol=1e-12, atol=0.0)
+
+    def test_misfits_near_a_million_stay_finite(self):
+        # Data 250 units from every output: each member's misfit lies between
+        # 3e5 and 1.1e8 (median 1.1e7), so exp(-g/2) underflows for every member.
+        value, expected = heat_scale_density(z_offset=250.0)
+        assert np.all(np.isfinite(value)) and np.all(value < -1e5)
+        np.testing.assert_allclose(value, expected, rtol=1e-12, atol=0.0)
 
 
 class TestDRestrictedLoglik:
