@@ -212,7 +212,10 @@ def _factorize(X: np.ndarray, Psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     C = _train_cov(X, Psi)
     eye = np.eye(X.shape[0])
     shift = JITTER_LEVELS[0] * sigma2
-    L, ok = _batched_cholesky(C + shift[:, None, None] * eye)
+    # The shift is added to the diagonal alone: the same bits as C + shift * I.
+    shifted = C.copy()
+    shifted.reshape(C.shape[0], -1)[:, ::X.shape[0] + 1] += shift[:, None]
+    L, ok = _batched_cholesky(shifted)
     for level in JITTER_LEVELS[1:]:
         if ok.all():
             break
@@ -255,9 +258,12 @@ def _lml_batch(training: TrainingSet, Psi: np.ndarray) -> np.ndarray:
     L, shift = _factorize(training.inputs, Psi[valid])
     Y = training.scaled_outputs
     n, q = Y.shape
-    unit, diag = _unit_factor(L)
-    half = _forward_subst(unit, Y / diag[:, :, None])
-    quad = np.sum(np.square(half, out=half), axis=(1, 2))
+    # With the column-scaled unit factor Lcol = L D^-1, L^-1 Y = D^-1 Lcol^-1 Y:
+    # the substitution reads Y as it is, and D divides only the (m, n) row norms.
+    diag = np.diagonal(L, axis1=1, axis2=2).copy()
+    L /= diag[:, None, :]
+    half = _forward_subst(L, Y)
+    quad = np.sum(np.einsum("jik,jik->ji", half, half) / diag**2, axis=1)
     logdet = 2.0 * np.sum(np.log(diag), axis=1)
     vals = -0.5 * quad - 0.5 * q * (logdet + n * LOG_2PI)
     out[valid] = np.where(np.isnan(shift), -np.inf, vals)
