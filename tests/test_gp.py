@@ -198,6 +198,17 @@ class TestFactorize:
         assert escalated.jitter == shift[1]
         np.testing.assert_array_equal(escalated.chol, L[1])
 
+    def test_shift_is_the_shifted_covariance_to_the_bit(self, stack, monkeypatch):
+        # A first level large enough to show in every entry it touches: the
+        # shift must land on the diagonal alone, as in C + shift * I.
+        tr, Psi = stack
+        monkeypatch.setattr(gpinv.gp, "JITTER_LEVELS", (1e-3, 1e-1))
+        L, shift = _factorize(tr.inputs, Psi)
+        np.testing.assert_array_equal(shift, 1e-3)
+        C = _train_cov(tr.inputs, Psi)
+        for k in range(2):
+            np.testing.assert_array_equal(L[k], np.linalg.cholesky(C[k] + shift[k] * np.eye(6)))
+
     def test_ensemble_records_escalated_rows(self, stack, monkeypatch, caplog):
         tr, Psi = stack
         monkeypatch.setattr(gpinv.gp, "JITTER_LEVELS", LADDER_FROM_1E_20)
