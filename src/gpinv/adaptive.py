@@ -3,12 +3,12 @@
 Each iteration redraws the hyperparameter posterior on the current design,
 finds the input with the largest expected improvement in fit, and either
 stops (the best possible improvement is below a fraction of the incumbent
-misfit) or pays for one forward-model evaluation there. The first chain
-starts uniformly in the hyperparameter box; every later one, the budget refit
-included, starts from the previous iteration's hyperparameter rows, and each
-chain ends once its walkers settle (`mcmc.SETTLE_EVERY`), at most n_steps
-sweeps. The record keeps enough of the trajectory to audit monotonicity and
-budget accounting afterwards.
+misfit) or pays for one forward-model evaluation there. The first iteration
+draws the hyperposterior with an n_steps-sweep chain from a uniform start in
+the hyperparameter box; every later one, the budget refit included, carries
+the previous iteration's hyperparameter rows to the grown design by
+resample-move SMC (`mcmc.sample_hyperposterior`). The record keeps enough of
+the trajectory to audit monotonicity and budget accounting afterwards.
 
 record.json is `RunRecord` and `IterationRecord`: after schema_version, their
 fields in declaration order, arrays as lists, bar `wall_time_s` (timings.csv
@@ -256,8 +256,7 @@ def run_adaptive(model, meas: MeasurementModel, cfg: AdaptiveConfig) -> Adaptive
         tic = time.perf_counter()
         ensemble = sample_hyperposterior(
             training, cfg.hyper_prior, cfg.n_walkers, cfg.n_steps,
-            seed=_iteration_seed(cfg.seed, k),
-            init_positions=None if ensemble is None else ensemble.hyperparams,
+            seed=_iteration_seed(cfg.seed, k), previous=ensemble,
         )
         state = AcquisitionState.from_ensemble(ensemble, meas, cfg.bounds)
         theta = maximize_acquisition(state, starts).theta
@@ -279,8 +278,9 @@ def run_adaptive(model, meas: MeasurementModel, cfg: AdaptiveConfig) -> Adaptive
 
         if stop:
             record.termination = "zero-improvement" if improvement == 0.0 else "threshold"
-            log.info("iteration %d: stopping (%s), I=%.3e, g_min=%.4f, %d sweeps",
-                     k, record.termination, improvement, state.g_min, ensemble.sweeps)
+            log.info("iteration %d: stopping (%s), I=%.3e, g_min=%.4f, %d stages, %d sweeps, "
+                     "reweighting ESS/J %.3f", k, record.termination, improvement, state.g_min,
+                     ensemble.stages, ensemble.sweeps, ensemble.reweight_ess)
             return AdaptiveResult(ensemble, record)
 
         if training.has_input(theta):
@@ -297,13 +297,13 @@ def run_adaptive(model, meas: MeasurementModel, cfg: AdaptiveConfig) -> Adaptive
             return AdaptiveResult(ensemble, record)
         entry.accepted = True
         entry.wall_time_s = time.perf_counter() - tic
-        log.info("iteration %d: added %s, I=%.3e, g_min=%.4f, %d sweeps",
-                 k, theta, improvement, state.g_min, ensemble.sweeps)
+        log.info("iteration %d: added %s, I=%.3e, g_min=%.4f, %d stages, %d sweeps, "
+                 "reweighting ESS/J %.3f", k, theta, improvement, state.g_min,
+                 ensemble.stages, ensemble.sweeps, ensemble.reweight_ess)
 
     record.termination = "budget"
     ensemble = sample_hyperposterior(
         training, cfg.hyper_prior, cfg.n_walkers, cfg.n_steps,
-        seed=_iteration_seed(cfg.seed, cfg.n_max + 1),
-        init_positions=ensemble.hyperparams,
+        seed=_iteration_seed(cfg.seed, cfg.n_max + 1), previous=ensemble,
     )
     return AdaptiveResult(ensemble, record)

@@ -343,9 +343,9 @@ class GpEnsemble:
     that offset gives the scaled cross-covariances D^-1 c, so the predictive
     step runs without a division and without a sigma_c^2 pass (see
     `predict_batch`). A row that no jitter level factorizes raises
-    IllConditionedKernelError with the `failed` mask. `sweeps` counts the
-    hyperposterior MCMC sweeps that drew the rows; it is 0 for given rows and
-    set by `mcmc.sample_hyperposterior`."""
+    IllConditionedKernelError with the `failed` mask. `sweeps`, `stages` and
+    `reweight_ess` say how `mcmc.sample_hyperposterior` drew the rows; they
+    are 0, 0 and nan for given rows."""
 
     def __init__(self, training: TrainingSet, hyperparams: np.ndarray):
         hyperparams = np.atleast_2d(np.asarray(hyperparams, dtype=float))
@@ -367,7 +367,8 @@ class GpEnsemble:
         # stride keeps matmul off BLAS for W^T c and the pullback's W coeff_mean.
         self._scaled_W = np.ascontiguousarray(_scaled_weights(self._unit_L, diag, training.scaled_outputs))
         self.jitter_shifts = shift
-        self.sweeps = 0
+        self.sweeps = self.stages = 0
+        self.reweight_ess = float("nan")
         escalated = int(np.count_nonzero(shift > JITTER_LEVELS[0] * self._sigma2))
         if escalated:
             log.debug("%d of %d members escalated past the base jitter for n_train=%d",

@@ -9,8 +9,8 @@ evaluations run in parallel without perturbing the stream.
 
 Log-probability callables are vectorized: they receive an (m, d) array of row
 points and return an (m,) array. `run_chain` yields the walkers after every
-sweep and never stops; each caller owns its stopping rule: the settle rule in
-`sample_hyperposterior`, a fixed length in `gpinv.posterior.sample_posterior`.
+sweep and never stops; each caller owns its stopping rule, a fixed length in
+both `sample_hyperposterior`'s cold chain and `gpinv.posterior.sample_posterior`.
 """
 
 from __future__ import annotations
@@ -34,21 +34,13 @@ LogProb = Callable[[np.ndarray], np.ndarray]
 # Goodman & Weare (2010) recommend.
 STRETCH_A = 2.0
 
-# Settle rule of sample_hyperposterior's chain: every SETTLE_EVERY sweeps the
-# 10/50/90 % walker quantiles of each coordinate are taken in prior-box
-# widths; from SETTLE_MIN sweeps on, the chain ends once none has moved more
-# than SETTLE_TOL since the previous check (n_steps stays the cap). On heat
-# (200 walkers, 3-D), warm-started chains settled in 100 sweeps at n = 8
-# (seed 0) and n = 12 (seed 6) and lay within 0.009 and 0.004 box widths of a
-# 4,000-sweep reference in every quantile, against 0.019 and 0.003 for cold
-# 400-sweep chains on the same designs; the sampling error of a 10 % quantile
-# over 200 walkers is near 0.01. Heat seeds 0-9 ran 15.1k sweeps instead of
-# 30.4k. In 10-D (permeability) the largest of the 30 quantile moves sits near
-# SETTLE_TOL, so a chain can stop there by chance (see ROADMAP).
-SETTLE_EVERY = 50
-SETTLE_MIN = 100
-SETTLE_TOL = 0.02
-SETTLE_QUANTILES = (0.1, 0.5, 0.9)
+# Resample-move transition of sample_hyperposterior: each stage keeps an
+# incremental-weight ESS of SMC_ESS_FRACTION of the rows and takes SMC_SWEEPS
+# stretch sweeps. On heat seed 0 (200 walkers) a run made 1,207 LML calls
+# instead of the 3,008 of warm chains stopped by a quantile settle rule; at
+# 5-6 design points its rows lie further from long chains (see CHANGES.md).
+SMC_SWEEPS = 10
+SMC_ESS_FRACTION = 0.5
 
 
 # Uniform priors are boxes; perfbench/workloads.py imports this alias, so it stays.
@@ -184,20 +176,19 @@ def sample_hyperposterior(
     n_walkers: int,
     n_steps: int,
     seed: int,
-    init_positions: np.ndarray | None = None,
+    previous: GpEnsemble | None = None,
 ) -> GpEnsemble:
     """Draw hyperparameter samples from their posterior and fit the ensemble.
 
     The target is the product of the per-output marginal likelihoods times the
-    box indicator. The walkers start at `init_positions` (n_walkers rows in
-    the box, duplicates allowed; rows of zero probability are re-seeded as
-    `_init_ensemble` does) or uniformly in the box, and the chain runs until
-    it settles (see SETTLE_EVERY), at most n_steps sweeps. The check reads
-    positions only, so a settled chain equals the fixed-length chain of the
-    same seed cut at the same sweep. The final walkers are factorized as
-    one stack; a row that no jitter level factorizes is replaced by
-    duplicating a uniformly chosen factorized row, so the ensemble size stays
-    fixed. The ensemble's `sweeps` is the number of sweeps the chain ran.
+    box indicator. With no `previous` ensemble, n_steps sweeps from a uniform
+    start in the box; otherwise `_transition` carries `previous`'s n_walkers
+    rows to this design, and n_steps is unused. The final rows are
+    factorized as one stack; a row that no jitter level factorizes is
+    replaced by duplicating a uniformly chosen factorized row, so the
+    ensemble size stays fixed. The ensemble records the stretch `sweeps`, the
+    transition's `stages` (0 for a chain) and its one-step `reweight_ess` /
+    n_walkers (nan for a chain).
     """
     if prior.dim != training.input_dim + 1:
         raise ValueError(
@@ -206,20 +197,17 @@ def sample_hyperposterior(
     if n_steps < 1:
         raise ValueError(f"n_steps must be at least 1, got {n_steps}")
 
-    def target(psis: np.ndarray) -> np.ndarray:
-        return _lml_batch(training, psis)
-
-    chain = run_chain(target, prior, n_walkers, seed, init_positions)
-    width = prior.upper - prior.lower
-    last = None
-    for sweeps in range(1, n_steps + 1):
-        positions, _ = next(chain)
-        if sweeps % SETTLE_EVERY == 0:
-            quantiles = np.quantile(positions, SETTLE_QUANTILES, axis=0) / width
-            if sweeps >= SETTLE_MIN and np.max(np.abs(quantiles - last)) <= SETTLE_TOL:
-                break
-            last = quantiles
-    psis = positions.copy()
+    if previous is None:
+        chain = run_chain(lambda psis: _lml_batch(training, psis), prior, n_walkers, seed)
+        for sweeps in range(1, n_steps + 1):
+            positions, _ = next(chain)
+        psis, stages, reweight_ess = positions.copy(), 0, float("nan")
+    else:
+        if previous.hyperparams.shape != (n_walkers, prior.dim):
+            raise ValueError(f"previous ensemble must have {n_walkers} rows of {prior.dim}, "
+                             f"got {previous.hyperparams.shape}")
+        psis, stages, reweight_ess = _transition(previous, training, prior, seed)
+        sweeps = stages * SMC_SWEEPS
     try:
         ensemble = GpEnsemble(training, psis)
     except IllConditionedKernelError as err:
@@ -231,5 +219,75 @@ def sample_hyperposterior(
         for _ in range(err.failed.sum()):
             rows.append(rows[int(rng.integers(0, len(rows)))])
         ensemble = GpEnsemble(training, np.array(rows))
-    ensemble.sweeps = sweeps
+    ensemble.sweeps, ensemble.stages, ensemble.reweight_ess = sweeps, stages, reweight_ess
     return ensemble
+
+
+def _transition(
+    previous: GpEnsemble, training: TrainingSet, prior: DesignBox, seed: int
+) -> tuple[np.ndarray, int, float]:
+    """Resample-move SMC (Chopin 2002; Del Moral, Doucet & Jasra 2006) of
+    `previous`'s rows from its design to `training`. With l0 and l1 the LMLs
+    on the two designs, each stage raises beta from 0 by `_next_beta`,
+    resamples systematically by exp((beta' - beta)(l1 - l0)), drawing the
+    uniform before any density call, and takes SMC_SWEEPS stretch sweeps at
+    (1 - beta) l0 + beta l1 (l1 alone at beta = 1, the last stage). Rows of
+    zero probability get zero weight. Returns the rows, the stages and the
+    one-step reweighting ESS / J.
+    """
+    rng = np.random.default_rng(seed)
+    old = previous.training
+    beta = 0.0
+
+    def score(psis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        l0, l1 = _lml_batch(old, psis), _lml_batch(training, psis)
+        return l0, l1, np.where((l0 > -np.inf) & (l1 > -np.inf), l1 - l0, -np.inf)
+
+    def target(p: np.ndarray) -> np.ndarray:  # at the current stage's beta
+        if beta == 1.0:
+            return _lml_batch(training, p)
+        return (1.0 - beta) * _lml_batch(old, p) + beta * _lml_batch(training, p)
+
+    psis = previous.hyperparams
+    n = len(psis)
+    l0, l1, diff = score(psis)
+    if not np.any(diff > -np.inf):
+        raise InitializationError("every previous hyperparameter row has zero probability "
+                                  "on the new design")
+    reweight_ess = _ess(diff) / n
+    stages = 0
+    while beta < 1.0:
+        new_beta = _next_beta(beta, diff)
+        cdf = np.cumsum(np.exp((new_beta - beta) * (diff - diff.max())))
+        # Points (i + 1 - u) / n lie in (0, 1], so searching from the left
+        # never picks a zero-weight row and never runs past the last.
+        pick = np.searchsorted(cdf / cdf[-1], (np.arange(n) + 1.0 - rng.random()) / n)
+        beta = new_beta
+        log_probs = l1[pick] if beta == 1.0 else (1.0 - beta) * l0[pick] + beta * l1[pick]
+        ens = WalkerEnsemble(psis[pick], log_probs, rng)
+        for _ in range(SMC_SWEEPS):
+            stretch_step(ens, target, prior)
+        psis, stages = ens.positions, stages + 1
+        if beta < 1.0:
+            l0, l1, diff = score(psis)
+    return psis, stages, reweight_ess
+
+
+def _ess(log_weights: np.ndarray) -> float:
+    """Effective sample size (sum w)^2 / sum w^2 of the weights exp(log_weights)."""
+    w = np.exp(log_weights - log_weights.max())
+    return float(w.sum() ** 2 / (w @ w))
+
+
+def _next_beta(beta: float, diff: np.ndarray) -> float:
+    """beta' in (beta, 1] whose weights exp((beta' - beta) diff) keep an ESS
+    of SMC_ESS_FRACTION of the rows of nonzero weight: 1 when the full step
+    keeps it, else the bisection's last point that keeps it (50 halvings)."""
+    target = SMC_ESS_FRACTION * np.count_nonzero(diff > -np.inf)
+    if _ess((1.0 - beta) * diff) >= target:
+        return 1.0
+    lo, hi = 0.0, 1.0 - beta
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _ess(mid * diff) >= target else (lo, mid)
+    return beta + lo

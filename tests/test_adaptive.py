@@ -23,9 +23,9 @@ from gpinv.adaptive import (
 from gpinv.designs import DesignBox
 from gpinv.experiments import HEAT
 from gpinv.forward_models import Rational1D, generate_measurements
-from gpinv.gp import GpEnsemble, TrainingSet
+from gpinv.gp import GpEnsemble, TrainingSet, _lml_batch
 from gpinv.likelihood import MeasurementModel
-from gpinv.mcmc import BoxPrior
+from gpinv.mcmc import BoxPrior, run_chain, sample_hyperposterior
 
 
 def fast_config(seed=0, n_max=6, **overrides):
@@ -137,18 +137,20 @@ class TestRunAdaptive:
         real = gpinv.adaptive.sample_hyperposterior
         calls = []
 
-        def spy(*args, init_positions=None, **kwargs):
-            ensemble = real(*args, init_positions=init_positions, **kwargs)
-            calls.append((init_positions, ensemble.hyperparams))
+        def spy(*args, previous=None, **kwargs):
+            ensemble = real(*args, previous=previous, **kwargs)
+            calls.append((previous, ensemble))
             return ensemble
 
         monkeypatch.setattr(gpinv.adaptive, "sample_hyperposterior", spy)
         model, meas = problem
         result = run_adaptive(model, meas, fast_config(seed=4, n_max=2))
         assert result.record.termination == "budget" and len(calls) == 3
-        assert calls[0][0] is None
-        for (_, previous), (init, _) in zip(calls, calls[1:]):
-            np.testing.assert_array_equal(init, previous)
+        assert calls[0][0] is None and calls[0][1].stages == 0
+        for (_, drawn), (previous, ensemble) in zip(calls, calls[1:]):
+            assert previous is drawn and ensemble.stages >= 1
+            assert ensemble.training.n_train == previous.training.n_train + 1
+        assert result.ensemble is calls[-1][1]
 
     @pytest.mark.parametrize("fails_by", ["raising", "returning nan"])
     def test_forward_failure_aborts_with_partial_record(self, fails_by):
@@ -185,6 +187,66 @@ class TestRunAdaptive:
         assert model.n_evals == record.n_forward_evals
         assert len(record.iterations) == 1 and not record.iterations[0].accepted
         np.testing.assert_array_equal(result.training.inputs, cfg.initial_design)
+
+
+@pytest.mark.slow
+class TestTransitionQuality:
+    """Heat seed 0's hyperposterior rows, carried from each design to the next
+    by the resample-move transition, against a long chain on the new design.
+
+    The gap is the largest difference of the 10/50/90 % quantiles in box
+    widths. At 6 design points it says little about the sampler: 200 rows
+    drawn from a 12,000-row pool of long chains already lie more than 0.04
+    from that pool in 2 of 10 draws, so only 8 and 11 points are gated."""
+
+    SIZES = (8, 11)
+    SEEDS = (1, 2, 3)
+    REFERENCE_SEED = 0
+    QUANTILES = (0.1, 0.5, 0.9)
+
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def trajectory():
+        """(training, previous ensemble) of every transition of the run."""
+        calls = []
+
+        def spy(training, *args, previous=None, **kwargs):
+            calls.append((training, previous))
+            return sample_hyperposterior(training, *args, previous=previous, **kwargs)
+
+        model = HEAT.build_model()
+        cfg = HEAT.adaptive_config(seed=0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gpinv.adaptive, "sample_hyperposterior", spy)
+            run_adaptive(model, HEAT.measurement(model), cfg)
+        return cfg, {training.n_train: (training, previous) for training, previous in calls}
+
+    @staticmethod
+    def reference(training, cfg, seed):
+        """2,000 sweeps of the protocol's walkers from a uniform start, the
+        walkers pooled every 100 sweeps over the second half."""
+        chain = run_chain(lambda psis: _lml_batch(training, psis), cfg.hyper_prior,
+                          cfg.n_walkers, seed)
+        pooled = []
+        for sweep in range(1, 2001):
+            positions, _ = next(chain)
+            if sweep > 1000 and sweep % 100 == 0:
+                pooled.append(positions.copy())
+        return np.concatenate(pooled)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_within_the_long_chain_quantiles(self, trajectory, n):
+        cfg, transitions = trajectory
+        training, previous = transitions[n]
+        assert previous is not None and previous.training.n_train == n - 1
+        width = cfg.hyper_prior.upper - cfg.hyper_prior.lower
+        reference = np.quantile(self.reference(training, cfg, self.REFERENCE_SEED),
+                                self.QUANTILES, axis=0)
+        for seed in self.SEEDS:
+            rows = sample_hyperposterior(training, cfg.hyper_prior, cfg.n_walkers, cfg.n_steps,
+                                         seed, previous=previous).hyperparams
+            gap = np.max(np.abs(np.quantile(rows, self.QUANTILES, axis=0) - reference) / width)
+            assert gap <= 0.04, (seed, gap)
 
 
 class TestRunRecord:

@@ -10,7 +10,7 @@ import gpinv.mcmc
 from gpinv.errors import InitializationError
 from gpinv.gp import TrainingSet
 from gpinv.mcmc import (
-    SETTLE_EVERY,
+    SMC_SWEEPS,
     STRETCH_A,
     BoxPrior,
     WalkerEnsemble,
@@ -296,32 +296,111 @@ class TestRunSampler:
         np.testing.assert_allclose(wrapped(np.array([[1.0], [2.0]])), [-1.0, -4.0])
 
 
-class TestSettleRule:
+class TestColdChain:
     # Hyperparameter rows must be positive, so the box and the mode of the
     # Gaussian stand-in for the marginal likelihood sit at +MODE.
     MODE = 21.0
-    FAR = np.full((40, 2), 18.0 + MODE) + np.random.default_rng(13).random((40, 2))
 
     @staticmethod
     def centred(psis):
-        return gaussian(psis - TestSettleRule.MODE)
+        return gaussian(psis - TestColdChain.MODE)
 
-    @pytest.mark.parametrize("n_steps, init, settles", [
-        (230, None, True),
-        (10, None, False),   # the cap is below one check block
-        (130, FAR, False),   # walkers still travelling to the mode at the cap
-    ])
-    def test_stops_at_a_check_within_the_cap(self, n_steps, init, settles, monkeypatch):
+    @pytest.mark.parametrize("n_steps", [1, 10, 130])
+    def test_equals_the_fixed_length_chain(self, n_steps, monkeypatch):
         monkeypatch.setattr(gpinv.mcmc, "_lml_batch", lambda tr, psis: self.centred(psis))
         X = np.linspace(-4.0, 4.0, 6)[:, None]
         training = TrainingSet.from_data(X, np.sin(X[:, 0]))
         prior = BoxPrior([1.0, 1.0], [41.0, 41.0])
-        ens = sample_hyperposterior(training, prior, 40, n_steps, seed=12, init_positions=init)
-        assert (ens.sweeps < n_steps) == settles
-        assert ens.sweeps == n_steps or ens.sweeps % SETTLE_EVERY == 0
-        # the check draws nothing, so the chain is the fixed-length one cut short
-        fixed = run_sampler(self.centred, prior, 40, ens.sweeps, seed=12, init_positions=init)
+        ens = sample_hyperposterior(training, prior, 40, n_steps, seed=12)
+        assert ens.sweeps == n_steps and ens.stages == 0 and np.isnan(ens.reweight_ess)
+        fixed = run_sampler(self.centred, prior, 40, n_steps, seed=12)
         np.testing.assert_array_equal(ens.hyperparams, fixed)
+
+
+class TestTransition:
+    """The resample-move transition between two Gaussian stand-ins for the
+    marginal likelihood, told apart by the design size."""
+
+    PRIOR = BoxPrior([0.1, 0.1], [4.1, 4.1])
+    OLD = (np.array([2.0, 1.5]), np.array([[0.09, 0.03], [0.03, 0.04]]))
+    NEW = (np.array([2.6, 1.1]), np.array([[0.04, -0.012], [-0.012, 0.0225]]))
+    J = 200
+
+    @pytest.fixture
+    def designs(self):
+        X = np.linspace(-4.0, 4.0, 7)[:, None]
+        old = TrainingSet.from_data(X[:6], np.sin(X[:6, 0]))
+        return old, old.augmented(X[6], np.sin(X[6]))
+
+    @staticmethod
+    def normal(mean, cov):
+        prec = np.linalg.inv(cov)
+        return lambda psis: -0.5 * np.einsum("ji,ik,jk->j", psis - mean, prec, psis - mean)
+
+    def stand_in(self, monkeypatch, new_target):
+        targets = {6: self.normal(*self.OLD), 7: new_target}
+        monkeypatch.setattr(gpinv.mcmc, "_lml_batch", lambda tr, psis: targets[tr.n_train](psis))
+
+    def previous(self, old):
+        rows = np.random.default_rng(40).multivariate_normal(*self.OLD, size=self.J)
+        assert np.all(self.PRIOR.contains(rows))
+        return gpinv.gp.GpEnsemble(old, rows)
+
+    @pytest.mark.parametrize("seed", [41, 42, 43])
+    def test_rows_match_the_new_target(self, designs, monkeypatch, seed):
+        old, new = designs
+        self.stand_in(monkeypatch, self.normal(*self.NEW))
+        ens = sample_hyperposterior(new, self.PRIOR, self.J, 400, seed=seed,
+                                    previous=self.previous(old))
+        assert ens.stages > 1 and ens.sweeps == ens.stages * SMC_SWEEPS
+        assert 0.0 < ens.reweight_ess < 0.5
+        mean, cov = self.NEW
+        sd = np.sqrt(np.diag(cov))
+        # Resampling at an ESS of J/2 leaves about J/2 independent rows: four
+        # standard errors of the mean and of the standard deviation of J/2 draws.
+        rows = ens.hyperparams
+        assert np.all(np.abs(rows.mean(axis=0) - mean) < 4.0 * sd / np.sqrt(self.J / 2))
+        assert np.all(np.abs(rows.std(axis=0) / sd - 1.0) < 4.0 / np.sqrt(self.J))
+
+    def test_same_seed_same_rows(self, designs, monkeypatch):
+        old, new = designs
+        self.stand_in(monkeypatch, self.normal(*self.NEW))
+        previous = self.previous(old)
+        a = sample_hyperposterior(new, self.PRIOR, self.J, 400, seed=44, previous=previous)
+        b = sample_hyperposterior(new, self.PRIOR, self.J, 400, seed=44, previous=previous)
+        np.testing.assert_array_equal(a.hyperparams, b.hyperparams)
+        assert not np.array_equal(a.hyperparams, previous.hyperparams)
+
+    def test_unchanged_target_takes_one_stage(self, designs, monkeypatch):
+        old, new = designs
+        self.stand_in(monkeypatch, self.normal(*self.OLD))
+        ens = sample_hyperposterior(new, self.PRIOR, self.J, 400, seed=45,
+                                    previous=self.previous(old))
+        assert (ens.stages, ens.sweeps, ens.reweight_ess) == (1, SMC_SWEEPS, 1.0)
+
+    def test_rows_of_zero_probability_on_the_new_design_are_dropped(self, designs, monkeypatch):
+        old, new = designs
+        previous = self.previous(old)
+        cut = np.median(previous.hyperparams[:, 0])
+        self.stand_in(monkeypatch, lambda psis: np.where(
+            psis[:, 0] < cut, self.normal(*self.OLD)(psis), -np.inf))
+        ens = sample_hyperposterior(new, self.PRIOR, self.J, 400, seed=46, previous=previous)
+        assert np.all(ens.hyperparams[:, 0] < cut)
+        # the rows left of the cut keep their weights, exp(0): ESS / J is their share
+        assert ens.reweight_ess == pytest.approx(np.mean(previous.hyperparams[:, 0] < cut))
+
+    def test_no_row_of_nonzero_probability_raises(self, designs, monkeypatch):
+        old, new = designs
+        self.stand_in(monkeypatch, lambda psis: np.full(len(psis), -np.inf))
+        with pytest.raises(InitializationError, match="every previous hyperparameter row "
+                                                      "has zero probability on the new design"):
+            sample_hyperposterior(new, self.PRIOR, self.J, 400, seed=47,
+                                  previous=self.previous(old))
+
+    def test_previous_of_another_size_rejected(self, designs):
+        old, new = designs
+        with pytest.raises(ValueError, match="previous ensemble must have 20 rows"):
+            sample_hyperposterior(new, self.PRIOR, 20, 400, seed=48, previous=self.previous(old))
 
 
 class TestSampleHyperposterior:
@@ -400,29 +479,22 @@ class TestSampleHyperposterior:
             sample_hyperposterior(training, BoxPrior([1e-8, 1e-8], [2.0, 1.0]),
                                   n_walkers=10, n_steps=5, seed=25)
 
-    def test_chain_ends_once_settled(self, training, monkeypatch):
-        # A sharp stand-in for the marginal likelihood settles well before the cap.
-        monkeypatch.setattr(gpinv.mcmc, "_lml_batch",
-                            lambda tr, psis: gaussian(4.0 * (psis - [6.0, 2.5])))
-        ens = sample_hyperposterior(training, BoxPrior([1e-8, 1e-8], [12.0, 5.0]),
-                                    n_walkers=40, n_steps=400, seed=30)
-        assert ens.sweeps < 400 and ens.sweeps % SETTLE_EVERY == 0
-
-    def test_warm_start_reruns_bit_for_bit(self, training):
+    def test_transition_reruns_bit_for_bit(self, training):
         prior = BoxPrior([1e-8, 1e-8], [12.0, 5.0])
-        init = sample_hyperposterior(training, prior, n_walkers=20, n_steps=30, seed=26).hyperparams
-        a = sample_hyperposterior(training, prior, 20, 30, seed=27, init_positions=init)
-        b = sample_hyperposterior(training, prior, 20, 30, seed=27, init_positions=init)
+        previous = sample_hyperposterior(training, prior, n_walkers=20, n_steps=30, seed=26)
+        grown = training.augmented(np.array([0.5]), np.array([np.sin(0.5)]))
+        a = sample_hyperposterior(grown, prior, 20, 30, seed=27, previous=previous)
+        b = sample_hyperposterior(grown, prior, 20, 30, seed=27, previous=previous)
         np.testing.assert_array_equal(a.hyperparams, b.hyperparams)
-        assert a.sweeps == 30
-        cold = sample_hyperposterior(training, prior, 20, 30, seed=27)
+        assert a.sweeps == a.stages * SMC_SWEEPS and a.stages >= 1
+        cold = sample_hyperposterior(grown, prior, 20, 30, seed=27)
         assert not np.array_equal(a.hyperparams, cold.hyperparams)
 
-    def test_warm_start_accepts_duplicate_rows(self, training):
+    def test_transition_from_duplicate_rows(self, training):
         prior = BoxPrior([1e-8, 1e-8], [12.0, 5.0])
         rows = sample_hyperposterior(training, prior, n_walkers=20, n_steps=30, seed=28).hyperparams
-        init = rows[np.arange(20) % 7]
-        ens = sample_hyperposterior(training, prior, 20, 30, seed=29, init_positions=init)
+        previous = gpinv.gp.GpEnsemble(training, rows[np.arange(20) % 7])
+        ens = sample_hyperposterior(training, prior, 20, 30, seed=29, previous=previous)
         assert len(ens.hyperparams) == 20 and np.all(prior.contains(ens.hyperparams))
         assert np.unique(ens.hyperparams, axis=0).shape[0] > 7
 
